@@ -25,6 +25,22 @@ constexpr std::uint64_t kQueueExpired = 2;
 constexpr std::uint64_t kQueueRejected = 3;
 constexpr std::uint64_t kShedThrottled = 1;  // token bucket refused
 constexpr std::uint64_t kShedCapacity = 2;   // queue rejected the push
+
+/// One JSONL record written by `fill`, as a chunk-journal line (without
+/// the trailing newline).
+template <typename Fill>
+std::string jsonl_line(Fill&& fill) {
+  std::ostringstream os;
+  {
+    obs::JsonlWriter writer(os);
+    fill(writer);
+  }
+  std::string line = os.str();
+  while (!line.empty() && line.back() == '\n') {
+    line.pop_back();
+  }
+  return line;
+}
 }  // namespace
 
 OnlineEngine::OnlineEngine(EngineConfig config, sim::Platform platform,
@@ -232,19 +248,13 @@ void OnlineEngine::journal_task(std::uint64_t id, const char* state) {
   if (config_.storage == nullptr || id < kExternalIdBase) {
     return;  // task traces are journaled for external submissions only
   }
-  std::ostringstream os;
-  {
-    obs::JsonlWriter trace(os);
-    trace.field("record", std::string_view("task"))
+  const std::string line = jsonl_line([&](obs::JsonlWriter& record) {
+    record.field("record", std::string_view("task"))
         .field("task", id)
         .field("state", std::string_view(state))
         .field("close_hours", clock_hours_);
-    trace.end_record();
-  }
-  std::string line = os.str();
-  while (!line.empty() && line.back() == '\n') {
-    line.pop_back();
-  }
+    record.end_record();
+  });
   config_.storage->journal().append(clock_hours_, line);
 }
 
@@ -415,15 +425,8 @@ bool OnlineEngine::finish_round(RoundTrigger trigger, RunLog& log) {
   if (config_.storage != nullptr) {
     // The chunked on-disk journal gets a byte-identical copy of the same
     // record (same writer, same field order), routed by its close time.
-    std::ostringstream os;
-    {
-      obs::JsonlWriter chunk_journal(os);
-      append_round_journal(chunk_journal, rec);
-    }
-    std::string line = os.str();
-    while (!line.empty() && line.back() == '\n') {
-      line.pop_back();
-    }
+    const std::string line = jsonl_line(
+        [&](obs::JsonlWriter& chunk) { append_round_journal(chunk, rec); });
     config_.storage->journal().append(rec.close_hours, line);
     maybe_publish_checkpoint();
   }
@@ -456,6 +459,35 @@ void OnlineEngine::finalize(RunLog& log, double wall_seconds) {
     publish_checkpoint();
     config_.storage->journal().flush();
     config_.storage->wal().sync();
+  }
+}
+
+void OnlineEngine::admit(Arrival arrival, RunLog& log) {
+  ++counters_.arrivals;
+  queue_.expire(clock_hours_);
+  if (admission_throttled(arrival)) {
+    // Refused at the door: no queue entry, no trace, no round trigger —
+    // the bucket table carries the count.
+    flight(obs::FlightKind::kAdmission, arrival.id, 0, kShedThrottled);
+    return;
+  }
+  maybe_begin_trace(arrival);
+  // WAL acceptance precedes the push: a capacity refusal then lands as a
+  // rejected record after it, never an orphan terminal.
+  wal_accepted(arrival);
+  const std::uint64_t id = arrival.id;
+  const bool pushed = queue_.push(std::move(arrival));
+  if (pushed) {
+    ++counters_.admitted;
+  }
+  flight(obs::FlightKind::kAdmission, id, pushed ? 1 : 0,
+         pushed ? 0 : kShedCapacity);
+  if (pushed) {
+    flight(obs::FlightKind::kQueueTransition, id, kQueueQueued,
+           queue_.depth());
+  }
+  if (queue_.depth() >= batcher_.config().max_batch) {
+    finish_round(RoundTrigger::kSize, log);
   }
 }
 
@@ -506,32 +538,7 @@ EngineResult OnlineEngine::run() {
       auto arrival = arrivals_.next();
       arrival->time_hours += stream_base;
       arrival->deadline_hours += stream_base;
-      ++counters_.arrivals;
-      queue_.expire(clock_hours_);
-      if (admission_throttled(*arrival)) {
-        // Refused at the door: no queue entry, no trace, no round
-        // trigger — the bucket table carries the count.
-        flight(obs::FlightKind::kAdmission, arrival->id, 0, kShedThrottled);
-      } else {
-        maybe_begin_trace(*arrival);
-        // WAL acceptance precedes the push: a capacity refusal then lands
-        // as a rejected record after it, never an orphan terminal.
-        wal_accepted(*arrival);
-        const std::uint64_t id = arrival->id;
-        const bool pushed = queue_.push(std::move(*arrival));
-        if (pushed) {
-          ++counters_.admitted;
-        }
-        flight(obs::FlightKind::kAdmission, id, pushed ? 1 : 0,
-               pushed ? 0 : kShedCapacity);
-        if (pushed) {
-          flight(obs::FlightKind::kQueueTransition, id, kQueueQueued,
-                 queue_.depth());
-        }
-        if (queue_.depth() >= batcher_.config().max_batch) {
-          finish_round(RoundTrigger::kSize, log);
-        }
-      }
+      admit(std::move(*arrival), log);
     } else if (next_timeout.has_value()) {
       advance_clock(*next_timeout);
       finish_round(RoundTrigger::kTimeout, log);
@@ -588,32 +595,6 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
   };
   bool stream_active = serve_config.synthetic_arrivals;
 
-  const auto admit = [&](Arrival arrival) {
-    ++counters_.arrivals;
-    queue_.expire(clock_hours_);
-    if (admission_throttled(arrival)) {
-      // Synthetic stream only; external ids pass (see above).
-      flight(obs::FlightKind::kAdmission, arrival.id, 0, kShedThrottled);
-      return;
-    }
-    maybe_begin_trace(arrival);
-    wal_accepted(arrival);  // synthetic only; see run()
-    const std::uint64_t id = arrival.id;
-    const bool pushed = queue_.push(std::move(arrival));
-    if (pushed) {
-      ++counters_.admitted;
-    }
-    flight(obs::FlightKind::kAdmission, id, pushed ? 1 : 0,
-           pushed ? 0 : kShedCapacity);
-    if (pushed) {
-      flight(obs::FlightKind::kQueueTransition, id, kQueueQueued,
-             queue_.depth());
-    }
-    if (queue_.depth() >= batcher_.config().max_batch) {
-      finish_round(RoundTrigger::kSize, log);
-    }
-  };
-
   for (;;) {
     pulse.beat();
     const bool stopping =
@@ -640,7 +621,7 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
       Arrival arrival = *arrivals_.next();
       arrival.time_hours += base_hours;
       arrival.deadline_hours += base_hours;
-      admit(std::move(arrival));
+      admit(std::move(arrival), log);
     }
 
     // External submissions, stamped at the current simulated time. Even
@@ -652,7 +633,7 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
       arrival.time_hours = clock_hours_;
       arrival.deadline_hours = clock_hours_ + sub.deadline_hours;
       arrival.task = sub.task;
-      admit(std::move(arrival));
+      admit(std::move(arrival), log);
     }
 
     // Timeout-triggered rounds.
@@ -763,11 +744,9 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
     }
   }
 
-  Stopwatch predict_watch;
-  obs::ScopedSpan embed_span(telemetry_.embed, "embed", config_.trace);
-  obs::StageScope embed_stage(obs::EngineStage::kEmbed);
+  obs::ScopedSpan embed_span(telemetry_.embed, "embed", config_.trace,
+                             obs::EngineStage::kEmbed);
   const Matrix features = embedder_.embed_batch(tasks);
-  embed_stage.close();
   embed_span.stop();
 
   matching::MatchingProblem truth;
@@ -776,74 +755,44 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
   truth.gamma = config_.gamma;
   truth.speedup = config_.speedup;
 
-  obs::ScopedSpan predict_span(telemetry_.predict, "predict", config_.trace);
-  obs::StageScope predict_stage(obs::EngineStage::kPredict);
+  obs::ScopedSpan predict_span(telemetry_.predict, "predict", config_.trace,
+                               obs::EngineStage::kPredict);
   const Matrix t_hat = predictor_.predict_time_matrix(features);
   const Matrix a_hat = predictor_.predict_reliability_matrix(features);
-  predict_stage.close();
-  predict_span.stop();
-  const double predict_ns =
-      any_traced ? predict_watch.seconds() * 1e9 : 0.0;
+  const double predict_seconds = predict_span.stop();
   const matching::MatchingProblem predicted =
       truth.with_metrics(t_hat, a_hat);
 
   // Deployment solve and the same-operator reference solve (paper Eq. 6)
-  // are independent; with a pool they run concurrently. Attribution keeps
-  // the full deploy traces (problem + relaxed solution + assignment) so
-  // each pipeline stage can be priced separately afterwards.
-  Stopwatch solve_watch;
-  obs::ScopedSpan match_span(telemetry_.match, "match", config_.trace);
-  obs::StageScope match_stage(obs::EngineStage::kMatch);
-  matching::Assignment deployed;
-  matching::Assignment reference;
+  // are independent; with a pool they run concurrently. Both keep their
+  // full traces (problem + relaxed solution + assignment), so attribution
+  // can price each pipeline stage afterwards.
+  obs::ScopedSpan match_span(telemetry_.match, "match", config_.trace,
+                             obs::EngineStage::kMatch);
+  const auto solve = [this](const matching::MatchingProblem& problem) {
+    // Pool workers carry their own TLS stage marker, so a solve run there
+    // tags its samples itself.
+    obs::StageScope stage(obs::EngineStage::kMatch);
+    return core::deploy_matching_traced(problem, config_.eval);
+  };
   core::DeployTrace deployed_trace;
   core::DeployTrace reference_trace;
-  if (config_.attribution) {
-    if (pool_ != nullptr) {
-      auto deployed_fut = pool_->submit([&] {
-        // Pool workers carry their own TLS stage marker, so the solves
-        // they run for the match stage tag their samples themselves.
-        obs::StageScope stage(obs::EngineStage::kMatch);
-        return core::deploy_matching_traced(predicted, config_.eval);
-      });
-      auto reference_fut = pool_->submit([&] {
-        obs::StageScope stage(obs::EngineStage::kMatch);
-        return core::deploy_matching_traced(truth, config_.eval);
-      });
-      deployed_trace = deployed_fut.get();
-      reference_trace = reference_fut.get();
-    } else {
-      deployed_trace = core::deploy_matching_traced(predicted, config_.eval);
-      reference_trace = core::deploy_matching_traced(truth, config_.eval);
-    }
-    deployed = deployed_trace.assignment;
-    reference = reference_trace.assignment;
-  } else if (pool_ != nullptr) {
-    auto deployed_fut = pool_->submit([&] {
-      obs::StageScope stage(obs::EngineStage::kMatch);
-      return core::deploy_matching(predicted, config_.eval);
-    });
-    auto reference_fut = pool_->submit([&] {
-      obs::StageScope stage(obs::EngineStage::kMatch);
-      return core::deploy_matching(truth, config_.eval);
-    });
-    deployed = deployed_fut.get();
-    reference = reference_fut.get();
+  if (pool_ != nullptr) {
+    auto deployed_fut = pool_->submit([&] { return solve(predicted); });
+    auto reference_fut = pool_->submit([&] { return solve(truth); });
+    deployed_trace = deployed_fut.get();
+    reference_trace = reference_fut.get();
   } else {
-    deployed = core::deploy_matching(predicted, config_.eval);
-    reference = core::deploy_matching(truth, config_.eval);
+    deployed_trace = solve(predicted);
+    reference_trace = solve(truth);
   }
-  match_stage.close();
-  match_span.stop();
-  const double solve_seconds = solve_watch.seconds();
-  if (config_.attribution) {
-    // Only the traced solve exposes its iteration count.
-    flight(obs::FlightKind::kSolverIters, counters_.rounds,
-           deployed_trace.relaxed.iterations, tasks.size());
-  }
+  const double solve_seconds = match_span.stop();
+  const matching::Assignment& deployed = deployed_trace.assignment;
+  flight(obs::FlightKind::kSolverIters, counters_.rounds,
+         deployed_trace.relaxed.iterations, tasks.size());
 
   const core::MatchOutcome outcome =
-      core::evaluate_assignment(truth, deployed, reference);
+      core::evaluate_assignment(truth, deployed, reference_trace.assignment);
 
   // Per-task predict + match spans, now that assignments are known.
   if (any_traced) {
@@ -856,7 +805,7 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
       p.name = "predict";
       p.start_hours = clock_hours_;
       p.end_hours = clock_hours_;
-      p.duration_ns = static_cast<std::uint64_t>(predict_ns);
+      p.duration_ns = static_cast<std::uint64_t>(predict_seconds * 1e9);
       config_.task_traces->append(batch[j].id, std::move(p));
       obs::TaskSpan m_span;
       m_span.name = "match";
@@ -882,16 +831,11 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
   }
 
   // Dispatch for real: sample success/failure on the assigned clusters.
-  Stopwatch dispatch_watch;
   obs::ScopedSpan dispatch_span(telemetry_.dispatch, "dispatch",
-                                config_.trace);
-  obs::StageScope dispatch_stage(obs::EngineStage::kDispatch);
+                                config_.trace, obs::EngineStage::kDispatch);
   const sim::ExecutionOutcome run = sim::execute_assignment(
       platform_, tasks, deployed, dispatch_rng_, /*max_attempts=*/2);
-  dispatch_stage.close();
-  dispatch_span.stop();
-  const double dispatch_ns =
-      any_traced ? dispatch_watch.seconds() * 1e9 : 0.0;
+  const double dispatch_seconds = dispatch_span.stop();
   std::size_t dispatch_ok = 0;
   for (const bool ok : run.succeeded) {
     dispatch_ok += ok ? 1 : 0;
@@ -929,7 +873,7 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
       d.name = "dispatch";
       d.start_hours = clock_hours_;
       d.end_hours = clock_hours_;
-      d.duration_ns = static_cast<std::uint64_t>(dispatch_ns);
+      d.duration_ns = static_cast<std::uint64_t>(dispatch_seconds * 1e9);
       d.detail = run.succeeded[j] ? "ok" : "failed";
       config_.task_traces->append(batch[j].id, std::move(d));
       obs::TaskSpan f;
@@ -1001,8 +945,7 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
 
   if (config_.attribution) {
     obs::ScopedSpan attr_span(telemetry_.attribute, "attribute",
-                              config_.trace);
-    obs::StageScope attr_stage(obs::EngineStage::kAttribute);
+                              config_.trace, obs::EngineStage::kAttribute);
     core::AttributionConfig acfg;
     // Admission counterfactual: every arrival lost since the previous
     // round (capacity drops + deadline expiries), priced at its best-case
@@ -1044,22 +987,6 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
   flight(obs::FlightKind::kRoundEnd, rec.round, rec.batch,
          rec.batch - dispatch_ok);
   return rec;
-}
-
-void OnlineEngine::checkpoint(const std::string& path) {
-  refresh_counters();
-  save_checkpoint(path, predictor_, counters_);
-}
-
-void OnlineEngine::restore(const std::string& path) {
-  counters_ = load_checkpoint(path, predictor_);
-  clock_hours_ = counters_.sim_time_hours;
-  restored_base_ = counters_;
-  // rounds is the best available proxy for rounds observed by the
-  // trainer — observe_round runs once per closed round when online
-  // retraining is enabled — so periodic retrain schedules keep their
-  // phase across a restore instead of restarting the count at zero.
-  trainer_.restore_schedule(counters_.rounds, counters_.retrains);
 }
 
 RecoveryReport OnlineEngine::recover(GatewayLink* link) {

@@ -272,12 +272,6 @@ class OnlineEngine {
   /// scheduling makes serve() runs nondeterministic by construction.
   EngineResult serve(GatewayLink& link, const ServeConfig& serve_config);
 
-  /// Checkpoints the predictor weights plus current engine counters.
-  void checkpoint(const std::string& path);
-
-  /// Restores predictor weights and counters from a checkpoint.
-  void restore(const std::string& path);
-
   /// Crash recovery from EngineConfig::storage, before run()/serve():
   /// restores the newest valid snapshot generation (predictor weights,
   /// counters, simulated clock, retrain schedule), then replays every
@@ -309,6 +303,10 @@ class OnlineEngine {
   };
 
   void advance_clock(double to_hours);
+  /// Admits one arrival stamped at the current clock (run() and serve()
+  /// alike): expiry sweep, token-bucket check, WAL acceptance, queue push,
+  /// and a size-triggered round when the batch is full.
+  void admit(Arrival arrival, RunLog& log);
   RoundRecord run_round(RoundTrigger trigger);
   /// Deterministic per-task sampling decision (see trace_sample_rate).
   [[nodiscard]] bool task_traced(std::uint64_t task_id) const noexcept;
@@ -394,7 +392,7 @@ class OnlineEngine {
   std::uint64_t rk_expired_seen_ = 0;    // ratekeeper's own expiry watermark
   std::uint64_t rk_throttled_seen_ = 0;  // exported-counter watermark
   EngineCounters counters_;
-  /// Counter totals restored by restore()/recover(): the queue restarts
+  /// Counter totals restored by recover(): the queue restarts
   /// at zero, so refresh_counters() adds its stats onto this base.
   EngineCounters restored_base_;
   Telemetry telemetry_;

@@ -8,9 +8,8 @@
 #include <optional>
 
 #include "net/json.hpp"
-#include "obs/build_info.hpp"
+#include "obs/http_exporter.hpp"
 #include "obs/sinks.hpp"
-#include "support/stopwatch.hpp"
 
 namespace mfcp::net {
 namespace {
@@ -108,7 +107,11 @@ std::optional<std::uint64_t> parse_task_id(std::string_view path) {
     if (c < '0' || c > '9') {
       return std::nullopt;
     }
-    id = id * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (id > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;  // above UINT64_MAX: must not wrap
+    }
+    id = id * 10 + digit;
   }
   return id;
 }
@@ -202,36 +205,6 @@ HttpResponse handle_ratekeeper(const control::Ratekeeper* ratekeeper,
       200, ratekeeper_status_json(ratekeeper->status(), *buckets));
 }
 
-HttpResponse handle_debug_flight(const HttpRequest& request,
-                                 const obs::FlightRecorder* flight) {
-  if (flight == nullptr) {
-    return error_json(404, "flight recorder disabled");
-  }
-  const obs::FlightQuery query = obs::parse_flight_query(request.path);
-  if (!query.valid) {
-    return error_json(
-        400, "bad flight filter (thread=<n>&kind=<name>&limit=<n>)");
-  }
-  return json_response(200, obs::flight_events_json(*flight, query));
-}
-
-HttpResponse handle_debug_threads(const obs::FlightRecorder* flight) {
-  if (flight == nullptr) {
-    return error_json(404, "flight recorder disabled");
-  }
-  return json_response(200, obs::flight_threads_json(*flight));
-}
-
-HttpResponse handle_debug_profile(const HttpRequest& request,
-                                  obs::SamplingProfiler* profiler) {
-  // profile_route owns the whole status mapping (404 disabled, 400
-  // malformed query, 409 concurrent session, 200 folded stacks); the
-  // body is text/plain folded-flamegraph lines, not JSON.
-  obs::ProfileRouteResult result =
-      obs::profile_route(profiler, request.path);
-  return text_response(result.status, std::move(result.body));
-}
-
 /// Parses "/journal?from=<h>&to=<h>" (either bound optional). Returns
 /// false on a malformed pair or an unknown key.
 bool parse_journal_query(std::string_view path, double& from, double& to) {
@@ -312,10 +285,6 @@ HttpResponse handle_debug_storage(const storage::StorageManager* storage) {
   out += ",\"chunks_evicted\":" + fmt_u64(st.chunks_evicted);
   out += "}\n";
   return json_response(200, std::move(out));
-}
-
-HttpResponse handle_debug_build() {
-  return json_response(200, obs::build_info_json());
 }
 
 }  // namespace
@@ -578,60 +547,39 @@ HttpResponse route_gateway_request(const HttpRequest& request,
     }
     return handle_submit(request, link);
   }
-  if (request.method != "GET") {
-    HttpResponse r = text_response(405, "method not allowed\n");
-    r.headers.emplace_back("Allow", "GET");
-    return r;
-  }
-  if (request.path.rfind("/task/", 0) == 0) {
-    return handle_task(request, link);
-  }
-  if (request.path.rfind("/trace/", 0) == 0) {
-    return handle_trace(request, traces);
-  }
-  if (request.path == "/alerts") {
-    return handle_alerts(link, slo);
-  }
-  if (request.path == "/ratekeeper") {
-    return handle_ratekeeper(ratekeeper, buckets);
-  }
-  if (request.path == "/debug/flight" ||
-      request.path.rfind("/debug/flight?", 0) == 0) {
-    return handle_debug_flight(request, flight);
-  }
-  if (request.path == "/debug/threads") {
-    return handle_debug_threads(flight);
-  }
-  if (request.path == "/debug/profile" ||
-      request.path.rfind("/debug/profile?", 0) == 0) {
-    return handle_debug_profile(request, profiler);
-  }
-  if (request.path == "/debug/build") {
-    return handle_debug_build();
-  }
-  if (request.path == "/debug/storage") {
-    return handle_debug_storage(storage);
-  }
-  if (request.path == "/journal" ||
-      request.path.rfind("/journal?", 0) == 0) {
-    return handle_journal(request, storage);
-  }
-  if (request.path == "/stats") {
-    return json_response(200, service_stats_json(link.stats()));
-  }
-  if (request.path == "/healthz") {
-    return text_response(200, "ok\n");
-  }
-  if (request.path == "/metrics") {
-    if (registry == nullptr) {
-      return text_response(404, "no metrics registry\n");
+  if (request.method == "GET") {
+    if (request.path.rfind("/task/", 0) == 0) {
+      return handle_task(request, link);
     }
-    HttpResponse r = text_response(200, obs::to_prometheus(
-                                            registry->snapshot()));
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    return r;
+    if (request.path.rfind("/trace/", 0) == 0) {
+      return handle_trace(request, traces);
+    }
+    if (request.path == "/alerts") {
+      return handle_alerts(link, slo);
+    }
+    if (request.path == "/ratekeeper") {
+      return handle_ratekeeper(ratekeeper, buckets);
+    }
+    if (request.path == "/debug/storage") {
+      return handle_debug_storage(storage);
+    }
+    if (request.path == "/journal" ||
+        request.path.rfind("/journal?", 0) == 0) {
+      return handle_journal(request, storage);
+    }
+    if (request.path == "/stats") {
+      return json_response(200, service_stats_json(link.stats()));
+    }
   }
-  return text_response(404, "not found\n");
+  // Everything else — the observability routes, 404 and 405 — is the
+  // table the metrics exporter serves too.
+  obs::DebugSources sources;
+  if (registry != nullptr) {
+    sources.snapshot = [registry] { return registry->snapshot(); };
+  }
+  sources.flight = flight;
+  sources.profiler = profiler;
+  return obs::route_debug_request(request, sources);
 }
 
 PlatformGateway::PlatformGateway(engine::GatewayLink& link,
@@ -660,23 +608,16 @@ PlatformGateway::PlatformGateway(engine::GatewayLink& link,
 }
 
 HttpResponse PlatformGateway::handle(const HttpRequest& request) {
-  HttpResponse response;
   const bool is_submit = request.valid && request.path == "/submit" &&
                          request.method == "POST";
-  if (is_submit) {
-    const Stopwatch submit_watch;
-    obs::ScopedSpan span(submit_seconds_, "gateway_submit", trace_);
-    response = route_gateway_request(request, link_, registry_, slo_,
-                                     traces_, ratekeeper_, buckets_, flight_,
-                                     profiler_, storage_);
-    span.stop();
-    if (slo_ != nullptr) {
-      slo_->observe_submit(link_.sim_time_hours(), submit_watch.seconds());
-    }
-  } else {
-    response = route_gateway_request(request, link_, registry_, slo_,
-                                     traces_, ratekeeper_, buckets_, flight_,
-                                     profiler_, storage_);
+  obs::ScopedSpan span(is_submit ? submit_seconds_ : nullptr,
+                       "gateway_submit", is_submit ? trace_ : nullptr);
+  HttpResponse response = route_gateway_request(
+      request, link_, registry_, slo_, traces_, ratekeeper_, buckets_,
+      flight_, profiler_, storage_);
+  const double seconds = span.stop();
+  if (is_submit && slo_ != nullptr) {
+    slo_->observe_submit(link_.sim_time_hours(), seconds);
   }
   if (registry_ != nullptr) {
     registry_

@@ -17,18 +17,6 @@
 //                       when the Ratekeeper is disabled
 //   GET  /stats      -> 200 flat JSON: queue depth, round cadence,
 //                       cumulative regret, task-state counts
-//   GET  /debug/flight[?thread=&kind=&limit=]
-//                    -> 200 recent flight-recorder events (black box),
-//                       400 malformed filter, 404 recorder disabled
-//   GET  /debug/threads
-//                    -> 200 per-thread heartbeat ages + stall flags
-//   GET  /debug/profile[?seconds=&hz=]
-//                    -> 200 folded CPU profile from an on-demand sampling
-//                       session, 400 malformed params, 404 profiler
-//                       disabled, 409 while another session runs
-//   GET  /debug/build
-//                    -> 200 build provenance JSON (git sha, compiler,
-//                       build type, sanitizers)
 //   GET  /journal[?from=&to=]
 //                    -> 200 NDJSON round/task records from the chunked
 //                       on-disk journal whose close_hours fall in
@@ -40,8 +28,12 @@
 //                       bytes/fsyncs/segments, recovery counts,
 //                       checkpoint generation, chunk census; 404
 //                       storage disabled
-//   GET  /metrics    -> 200 Prometheus exposition of the shared registry
-//   GET  /healthz    -> 200 "ok\n"
+//   GET  /metrics, /healthz, /debug/flight, /debug/threads,
+//        /debug/profile, /debug/build
+//                    -> the shared observability table
+//                       (obs::route_debug_request, also mounted by
+//                       obs::HttpExporter); /metrics reads the shared
+//                       registry
 //
 // The request -> response mapping is a pure function over the parsed
 // request (route_gateway_request), so every route is unit-testable
@@ -119,10 +111,12 @@ struct SubmitParse {
     const control::TokenBucketTable& buckets);
 
 /// Maps one parsed request to its response — the socket-free core of the
-/// gateway. `registry` backs GET /metrics and may be null (404 then);
-/// `slo` backs GET /alerts, `traces` GET /trace/<id>, and
-/// `ratekeeper`+`buckets` GET /ratekeeper — all optional (404 when
-/// absent) so pre-existing call sites keep working unchanged.
+/// gateway. Its own routes come first; every other request falls through
+/// to obs::route_debug_request. `registry` backs GET /metrics, `flight`
+/// GET /debug/flight and /debug/threads, `profiler` GET /debug/profile,
+/// `slo` GET /alerts, `traces` GET /trace/<id>, `ratekeeper`+`buckets`
+/// GET /ratekeeper, and `storage` GET /journal and /debug/storage — all
+/// optional (404 when absent).
 [[nodiscard]] HttpResponse route_gateway_request(
     const HttpRequest& request, engine::GatewayLink& link,
     obs::MetricsRegistry* registry, obs::SloMonitor* slo = nullptr,

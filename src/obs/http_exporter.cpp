@@ -1,6 +1,6 @@
 #include "obs/http_exporter.hpp"
 
-#include "net/http.hpp"
+#include "net/json.hpp"
 #include "obs/build_info.hpp"
 #include "obs/sinks.hpp"
 
@@ -8,92 +8,73 @@ namespace mfcp::obs {
 
 namespace {
 
-/// The exporter's whole route table, socket-free. Shared by the live
-/// server handler and the static respond() below (which passes a null
-/// recorder, so its pre-flight response bytes are unchanged).
-net::HttpResponse route(const std::string& method, const std::string& path,
-                        const HttpExporter::SnapshotFn& snapshot,
-                        const FlightRecorder* flight,
-                        SamplingProfiler* profiler) {
-  if (method != "GET") {
+net::HttpResponse error_json(int status, std::string_view message) {
+  return net::json_response(
+      status, "{\"error\":" + net::json_quote(message) + "}\n");
+}
+
+/// True for `path` itself and for `path?<query>`.
+bool matches_route(const std::string& path, std::string_view route) {
+  return path.compare(0, route.size(), route) == 0 &&
+         (path.size() == route.size() || path[route.size()] == '?');
+}
+
+}  // namespace
+
+net::HttpResponse route_debug_request(const net::HttpRequest& request,
+                                      const DebugSources& sources) {
+  if (request.method != "GET") {
     net::HttpResponse r = net::text_response(405, "method not allowed\n");
     r.headers.emplace_back("Allow", "GET");
     return r;
   }
+  const std::string& path = request.path;
   if (path == "/metrics") {
-    net::HttpResponse r = net::text_response(
-        200, to_prometheus(snapshot ? snapshot() : RegistrySnapshot{}));
+    if (!sources.snapshot) {
+      return net::text_response(404, "no metrics registry\n");
+    }
+    net::HttpResponse r =
+        net::text_response(200, to_prometheus(sources.snapshot()));
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
     return r;
   }
   if (path == "/healthz") {
     return net::text_response(200, "ok\n");
   }
-  if (flight != nullptr &&
-      (path == "/debug/flight" ||
-       path.rfind("/debug/flight?", 0) == 0)) {
+  if (matches_route(path, "/debug/flight")) {
+    if (sources.flight == nullptr) {
+      return error_json(404, "flight recorder disabled");
+    }
     const FlightQuery query = parse_flight_query(path);
     if (!query.valid) {
-      return net::text_response(400, "bad flight filter\n");
+      return error_json(
+          400, "bad flight filter (thread=<n>&kind=<name>&limit=<n>)");
     }
-    net::HttpResponse r =
-        net::text_response(200, flight_events_json(*flight, query));
-    r.content_type = "application/json";
-    return r;
+    return net::json_response(200,
+                              flight_events_json(*sources.flight, query));
   }
-  if (flight != nullptr && path == "/debug/threads") {
-    net::HttpResponse r =
-        net::text_response(200, flight_threads_json(*flight));
-    r.content_type = "application/json";
-    return r;
+  if (path == "/debug/threads") {
+    if (sources.flight == nullptr) {
+      return error_json(404, "flight recorder disabled");
+    }
+    return net::json_response(200, flight_threads_json(*sources.flight));
   }
-  if (profiler != nullptr &&
-      (path == "/debug/profile" ||
-       path.rfind("/debug/profile?", 0) == 0)) {
-    // Blocks this worker for the session duration by design: the other
-    // worker keeps serving scrapes, and concurrent profile requests are
-    // refused with 409 inside profile_route.
-    ProfileRouteResult result = profile_route(profiler, path);
+  if (matches_route(path, "/debug/profile")) {
+    // profile_route owns the whole status mapping (404 disabled, 400
+    // malformed query, 409 concurrent session, 200 folded stacks); the
+    // body is text/plain folded-flamegraph lines, not JSON. It blocks
+    // this worker for the session by design: other workers keep serving.
+    ProfileRouteResult result = profile_route(sources.profiler, path);
     return net::text_response(result.status, std::move(result.body));
   }
   if (path == "/debug/build") {
-    net::HttpResponse r = net::text_response(200, build_info_json());
-    r.content_type = "application/json";
-    return r;
+    return net::json_response(200, build_info_json());
   }
   return net::text_response(404, "not found\n");
 }
 
-}  // namespace
-
-HttpExporter::Request HttpExporter::parse_request_line(
-    std::string_view line) {
-  const net::HttpRequest parsed = net::parse_request_head(line);
-  Request req;
-  if (!parsed.valid) {
-    return req;
-  }
-  req.method = parsed.method;
-  req.path = parsed.path;
-  req.valid = true;
-  return req;
-}
-
-std::string HttpExporter::respond(const Request& request,
-                                  const SnapshotFn& snapshot) {
-  if (!request.valid) {
-    // Pre-rebase behavior, kept: a line that does not parse is a 404.
-    return net::serialize_response(
-        net::text_response(404, "bad request\n"));
-  }
-  return net::serialize_response(
-      route(request.method, request.path, snapshot, nullptr, nullptr));
-}
-
 HttpExporter::HttpExporter(SnapshotFn snapshot, HttpExporterConfig config)
-    : snapshot_(std::move(snapshot)),
-      flight_(config.flight),
-      profiler_(config.profiler) {
+    : sources_{std::move(snapshot), config.flight, config.profiler} {
   net::HttpServerConfig server_config;
   server_config.bind_address = std::move(config.bind_address);
   server_config.port = config.port;
@@ -103,8 +84,7 @@ HttpExporter::HttpExporter(SnapshotFn snapshot, HttpExporterConfig config)
   server_config.observer = config.observer;
   server_ = std::make_unique<net::HttpServer>(
       [this](const net::HttpRequest& request) {
-        return route(request.method, request.path, snapshot_, flight_,
-                     profiler_);
+        return route_debug_request(request, sources_);
       },
       server_config);
 }

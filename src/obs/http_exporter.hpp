@@ -1,36 +1,39 @@
-// Live-metrics HTTP endpoint, rebased on the shared net::HttpServer core
-// (PR 4) — the exporter is now a thin route table:
+// Observability HTTP surface: one route table, two servers.
+//
+// route_debug_request is the socket-free table every HTTP server in the
+// platform mounts for process introspection:
 //
 //   GET /metrics        -> 200, Prometheus text exposition of a snapshot
+//                          (404 without a snapshot source)
 //   GET /healthz        -> 200, "ok\n"
-//   GET /debug/flight   -> 200, recent flight-recorder events (when a
-//                          recorder is configured; filterable via
-//                          ?thread=&kind=&limit=, 400 on a bad filter)
+//   GET /debug/flight   -> 200, recent flight-recorder events
+//                          (?thread=&kind=&limit=; 400 on a bad filter,
+//                          404 without a recorder)
 //   GET /debug/threads  -> 200, per-thread heartbeat ages + stall flags
-//   GET /debug/profile  -> 200, folded CPU profile (?seconds=&hz=; when a
-//                          profiler is configured; 400 on bad params,
-//                          409 while another session runs)
+//                          (404 without a recorder)
+//   GET /debug/profile  -> 200, folded CPU profile (?seconds=&hz=; 400 on
+//                          bad params, 409 while another session runs,
+//                          404 without a profiler)
 //   GET /debug/build    -> 200, build provenance (git sha, compiler, ...)
-//   GET <other>         -> 404;  non-GET -> 405
+//   GET <other>         -> 404;  non-GET -> 405 (Allow: GET)
+//
+// Error bodies are flat JSON ({"error":...}). HttpExporter serves exactly
+// this table on its own net::HttpServer; net::PlatformGateway answers its
+// task routes first and falls through to the same table.
 //
 // The exporter pulls: each scrape invokes the caller-supplied snapshot
 // function, so the running engine never blocks on the exporter — scrapes
 // pay the snapshot cost (summing sharded atomics), the instrumented hot
 // path pays nothing. Accepting, backlog bounding, timeouts, and graceful
-// shutdown all live in net::HttpServer now; this class only decides what
-// a scrape returns.
-//
-// The static parse_request_line/respond pair remains the socket-free,
-// unit-testable protocol surface (delegating to net/http.hpp), with the
-// exact response bytes the pre-rebase exporter produced.
+// shutdown all live in net::HttpServer.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 
+#include "net/http.hpp"
 #include "net/http_server.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -52,8 +55,7 @@ struct HttpExporterConfig {
   /// without reserving more threads.
   std::size_t worker_threads = 2;
   /// Flight recorder behind GET /debug/flight and /debug/threads.
-  /// Borrowed, optional (404 when absent — the static respond() surface
-  /// never sees these routes, so its pinned bytes are untouched).
+  /// Borrowed, optional (404 when absent).
   const FlightRecorder* flight = nullptr;
   /// Sampling profiler behind GET /debug/profile. Borrowed, optional
   /// (404 when absent); mutable because a scrape runs a session.
@@ -63,12 +65,26 @@ struct HttpExporterConfig {
   net::ServerObserver* observer = nullptr;
 };
 
+/// Produces the snapshot a scrape renders. Called on a server worker
+/// thread once per /metrics request; must be thread-safe.
+using SnapshotFn = std::function<RegistrySnapshot()>;
+
+/// What the shared routes read. Every source is optional; a route whose
+/// source is absent answers 404.
+struct DebugSources {
+  SnapshotFn snapshot;                     // GET /metrics
+  const FlightRecorder* flight = nullptr;  // GET /debug/flight, /threads
+  SamplingProfiler* profiler = nullptr;    // GET /debug/profile
+};
+
+/// The shared route table (see file comment). Pure over the request
+/// except /debug/profile, which blocks the calling worker for the
+/// sampling session.
+[[nodiscard]] net::HttpResponse route_debug_request(
+    const net::HttpRequest& request, const DebugSources& sources);
+
 class HttpExporter {
  public:
-  /// Produces the snapshot a scrape renders. Called on a server worker
-  /// thread once per /metrics request; must be thread-safe.
-  using SnapshotFn = std::function<RegistrySnapshot()>;
-
   /// Binds, listens, and starts the server threads. Throws ContractError
   /// when the socket cannot be created or bound.
   explicit HttpExporter(SnapshotFn snapshot, HttpExporterConfig config = {});
@@ -92,24 +108,8 @@ class HttpExporter {
   /// Idempotent early shutdown (also run by the destructor).
   void stop() { server_->stop(); }
 
-  /// First line of an HTTP request, split. `valid` is false when the line
-  /// is not "METHOD SP PATH SP VERSION".
-  struct Request {
-    std::string method;
-    std::string path;
-    bool valid = false;
-  };
-  static Request parse_request_line(std::string_view line);
-
-  /// Full HTTP/1.1 response (status line + headers + body) for `request`.
-  /// `snapshot` is only invoked for GET /metrics.
-  static std::string respond(const Request& request,
-                             const SnapshotFn& snapshot);
-
  private:
-  SnapshotFn snapshot_;
-  const FlightRecorder* flight_ = nullptr;
-  SamplingProfiler* profiler_ = nullptr;
+  DebugSources sources_;
   std::unique_ptr<net::HttpServer> server_;
 };
 

@@ -13,10 +13,11 @@
 //   initialisation (which may allocate) happens outside any handler.
 //
 // Stage attribution
-//   The engine brackets each round stage (embed / predict / match /
-//   attribute / dispatch) with a StageScope alongside its existing
-//   ScopedSpan; the scope is a plain thread_local store, so profiles
-//   decompose along the same axis as mfcp_engine_stage_seconds. While a
+//   Each engine round stage (embed / predict / match / attribute /
+//   dispatch) opens one ScopedSpan (obs/span.hpp) carrying its stage tag,
+//   which enters a StageScope for the stage; the scope is a plain
+//   thread_local store, so profiles decompose along the same axis as
+//   mfcp_engine_stage_seconds. While a
 //   session is active the scope transitions additionally accumulate
 //   exact per-stage thread-CPU nanoseconds, which the folded output
 //   renders as `[stage_totals];<stage> <n>` anchor lines (n in
@@ -35,8 +36,9 @@
 //   Collapsed-stack ("folded") text, one `frame;frame;... count` line
 //   per distinct stack, directly consumable by flamegraph.pl /
 //   inferno / speedscope. Symbolization (dladdr) happens at drain
-//   time, off every hot path. Exposed via GET /debug/profile on the
-//   gateway and metrics exporter, `exp_online_engine --profile`, and
+//   time, off every hot path. Exposed via GET /debug/profile (the
+//   shared route table of the gateway and the metrics exporter),
+//   `exp_online_engine --profile`, and
 //   validated by `tools/obs_selfcheck --profile`.
 #pragma once
 
@@ -265,8 +267,8 @@ void set_default_profiler(SamplingProfiler* profiler) noexcept;
 /// the resolved pointer compare generations before reuse.
 [[nodiscard]] std::uint64_t default_profiler_generation() noexcept;
 
-/// Status + body of the GET /debug/profile route, shared by the
-/// gateway and the metrics exporter: 404 when `profiler` is null, 400
+/// Status + body of the GET /debug/profile route in the shared table
+/// (obs::route_debug_request): 404 when `profiler` is null, 400
 /// on a malformed query, 409 when a session is already running, else
 /// 200 with the folded profile as text/plain.
 struct ProfileRouteResult {

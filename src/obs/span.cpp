@@ -68,17 +68,20 @@ void TraceRing::clear() {
   recorded_ = 0;
 }
 
-void ScopedSpan::stop() noexcept {
-  if (done_ || (hist_ == nullptr && ring_ == nullptr)) {
-    done_ = true;
-    return;
+double ScopedSpan::stop() noexcept {
+  if (done_) {
+    return seconds_;
   }
   done_ = true;
+  if (stage_.has_value()) {
+    stage_->close();
+  }
   const Clock::time_point end = Clock::now();
   const auto ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_);
+  seconds_ = static_cast<double>(ns.count()) * 1e-9;
   if (hist_ != nullptr) {
-    hist_->observe(static_cast<double>(ns.count()) * 1e-9);
+    hist_->observe(seconds_);
   }
   if (ring_ != nullptr) {
     SpanRecord rec;
@@ -91,6 +94,7 @@ void ScopedSpan::stop() noexcept {
     rec.thread = static_cast<std::uint32_t>(shard_index());
     ring_->record(rec);
   }
+  return seconds_;
 }
 
 }  // namespace mfcp::obs

@@ -1,22 +1,26 @@
-// RAII span tracing for per-stage latency accounting.
+// RAII stage guard: one per-stage measurement for every sink.
 //
-// A ScopedSpan measures the wall time between its construction and its
-// destruction (or an explicit stop()) on the steady clock — the same
-// clock discipline as support/stopwatch — and records it twice:
-//   - into a Histogram (per-stage latency distribution, e.g.
-//     engine_stage_seconds{stage="embed"}), and
-//   - optionally into a bounded in-memory TraceRing of SpanRecords for
-//     after-the-fact inspection of the most recent activity.
-// Both sinks are optional pointers; when both are null the span never
-// reads the clock, so disabled instrumentation is a branch, not a syscall.
+// A ScopedSpan reads the steady clock once when it opens and once when it
+// closes (destructor or an explicit stop(), which returns the elapsed
+// seconds), and hands that one duration to every sink it was given:
+//   - a Histogram (per-stage latency distribution, e.g.
+//     engine_stage_seconds{stage="embed"}),
+//   - a bounded in-memory TraceRing of SpanRecords for after-the-fact
+//     inspection of the most recent activity, and
+//   - an optional profiler EngineStage tag, entered at open and restored
+//     at close, so CPU samples decompose along the same stages.
+// Every sink is optional; callers that only need the duration (task-span
+// wall times, SLO latency samples) read it from stop().
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 
 namespace mfcp::obs {
 
@@ -65,15 +69,17 @@ class TraceRing {
   std::uint64_t recorded_ = 0;
 };
 
-/// Scoped wall-time measurement; see file comment. Move-only is not
-/// needed — instrumentation sites construct it on the stack.
+/// Scoped stage guard; see file comment. Instrumentation sites construct
+/// it on the stack.
 class ScopedSpan {
  public:
   ScopedSpan(Histogram* seconds_histogram, const char* name,
-             TraceRing* ring = nullptr) noexcept
+             TraceRing* ring = nullptr,
+             std::optional<EngineStage> stage = std::nullopt) noexcept
       : hist_(seconds_histogram), ring_(ring), name_(name) {
-    if (hist_ != nullptr || ring_ != nullptr) {
-      start_ = Clock::now();
+    start_ = Clock::now();
+    if (stage.has_value()) {
+      stage_.emplace(*stage);
     }
   }
 
@@ -82,15 +88,19 @@ class ScopedSpan {
 
   ~ScopedSpan() { stop(); }
 
-  /// Ends the span early (idempotent; the destructor becomes a no-op).
-  void stop() noexcept;
+  /// Ends the span early and returns its wall time in seconds. Idempotent:
+  /// later calls (and the destructor) record nothing and return the same
+  /// duration.
+  double stop() noexcept;
 
  private:
   using Clock = std::chrono::steady_clock;
   Histogram* hist_;
   TraceRing* ring_;
   const char* name_;
+  std::optional<StageScope> stage_;
   Clock::time_point start_{};
+  double seconds_ = 0.0;
   bool done_ = false;
 };
 

@@ -453,48 +453,6 @@ TEST(Engine, DriftEventChangesThePlatformMidRun) {
   EXPECT_EQ(f.platform.cluster(1).profile().base_seconds_per_unit, before);
 }
 
-TEST(Engine, CheckpointRestoreRoundTripsWeightsBitExactly) {
-  EngineFixture fa(123);
-  EngineConfig cfg = small_engine_config();
-  cfg.online_retraining = true;
-  cfg.trainer.retrain_epochs = 5;
-  cfg.trainer.drift.ratio_threshold = 1.1;  // make retrains likely
-  OnlineEngine eng(cfg, fa.platform, fa.embedder, fa.predictor);
-  (void)eng.run();
-
-  const std::string path = ::testing::TempDir() + "engine_ckpt_test.txt";
-  eng.checkpoint(path);
-
-  // Restore into a predictor with different (freshly initialized) weights.
-  EngineFixture fb(456);
-  OnlineEngine eng2(small_engine_config(), fb.platform, fb.embedder,
-                    fb.predictor);
-  eng2.restore(path);
-  std::remove(path.c_str());
-
-  EXPECT_EQ(eng2.counters(), eng.counters());
-  for (std::size_t i = 0; i < 3; ++i) {
-    auto pa = fa.predictor.cluster(i).time_model().parameters();
-    auto pb = fb.predictor.cluster(i).time_model().parameters();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t p = 0; p < pa.size(); ++p) {
-      const auto& va = pa[p].value();
-      const auto& vb = pb[p].value();
-      ASSERT_EQ(va.size(), vb.size());
-      for (std::size_t x = 0; x < va.size(); ++x) {
-        EXPECT_EQ(va[x], vb[x]);  // bit-identical
-      }
-    }
-    auto ra = fa.predictor.cluster(i).reliability_model().parameters();
-    auto rb = fb.predictor.cluster(i).reliability_model().parameters();
-    for (std::size_t p = 0; p < ra.size(); ++p) {
-      for (std::size_t x = 0; x < ra[p].value().size(); ++x) {
-        EXPECT_EQ(ra[p].value()[x], rb[p].value()[x]);
-      }
-    }
-  }
-}
-
 TEST(Engine, CheckpointRejectsMismatchedArchitecture) {
   EngineFixture f;
   OnlineEngine eng(small_engine_config(), f.platform, f.embedder,
@@ -681,6 +639,27 @@ TEST(Engine, JournalIsByteIdenticalWithFlightRecorderAttached) {
   const std::string recorded = journal_run(true);
   EXPECT_GT(recorder.events_total(), 0u);
   EXPECT_EQ(plain, recorded);
+}
+
+TEST(Engine, SolverIterationsAreRecordedEveryRoundWithoutAttribution) {
+  obs::FlightConfig flight_cfg;
+  flight_cfg.ring_capacity = 4096;  // the whole run, nothing overwritten
+  obs::FlightRecorder recorder(flight_cfg);
+  EngineFixture f;
+  EngineConfig cfg = small_engine_config();
+  cfg.attribution = false;
+  cfg.flight = &recorder;
+  OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
+  const EngineResult result = eng.run();
+  ASSERT_GT(result.rounds.size(), 0u);
+  const std::vector<obs::FlightEvent> iters =
+      recorder.snapshot(-1, obs::FlightKind::kSolverIters);
+  ASSERT_EQ(iters.size(), result.rounds.size());
+  for (std::size_t k = 0; k < iters.size(); ++k) {
+    EXPECT_EQ(iters[k].a0, result.rounds[k].round);
+    EXPECT_GT(iters[k].a1, 0u);  // the deploy solve's iteration count
+    EXPECT_EQ(iters[k].a2, result.rounds[k].batch);
+  }
 }
 
 TEST(Engine, JournalIsByteIdenticalWithProfilerSampling) {
@@ -1063,6 +1042,55 @@ TEST(Engine, JournalIsByteIdenticalWithStorageAttached) {
     chunked += '\n';
   }
   EXPECT_EQ(chunked, with);
+}
+
+TEST(Engine, CheckpointRestoreRoundTripsWeightsBitExactly) {
+  // The one persistence path: finalize() publishes a snapshot generation
+  // through the StorageManager, and recover() on a fresh engine restores
+  // it into a predictor with different (freshly initialized) weights.
+  StorageTempDir dir("checkpoint_roundtrip");
+  EngineFixture fa(123);
+  EngineCounters saved;
+  {
+    storage::StorageManager storage(storage::StorageConfig{dir.str()});
+    EngineConfig cfg = small_engine_config();
+    cfg.online_retraining = true;
+    cfg.trainer.retrain_epochs = 5;
+    cfg.trainer.drift.ratio_threshold = 1.1;  // make retrains likely
+    cfg.storage = &storage;
+    OnlineEngine eng(cfg, fa.platform, fa.embedder, fa.predictor);
+    (void)eng.run();
+    saved = eng.counters();
+  }
+
+  storage::StorageManager storage(storage::StorageConfig{dir.str()});
+  EngineFixture fb(456);
+  EngineConfig cfg = small_engine_config();
+  cfg.storage = &storage;
+  OnlineEngine eng2(cfg, fb.platform, fb.embedder, fb.predictor);
+  ASSERT_TRUE(eng2.recover().checkpoint_loaded);
+
+  EXPECT_EQ(eng2.counters(), saved);
+  for (std::size_t i = 0; i < 3; ++i) {
+    auto pa = fa.predictor.cluster(i).time_model().parameters();
+    auto pb = fb.predictor.cluster(i).time_model().parameters();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t p = 0; p < pa.size(); ++p) {
+      const auto& va = pa[p].value();
+      const auto& vb = pb[p].value();
+      ASSERT_EQ(va.size(), vb.size());
+      for (std::size_t x = 0; x < va.size(); ++x) {
+        EXPECT_EQ(va[x], vb[x]);  // bit-identical
+      }
+    }
+    auto ra = fa.predictor.cluster(i).reliability_model().parameters();
+    auto rb = fb.predictor.cluster(i).reliability_model().parameters();
+    for (std::size_t p = 0; p < ra.size(); ++p) {
+      for (std::size_t x = 0; x < ra[p].value().size(); ++x) {
+        EXPECT_EQ(ra[p].value()[x], rb[p].value()[x]);
+      }
+    }
+  }
 }
 
 TEST(Engine, RecoverRestartRoundTripRestoresStateAndContinues) {

@@ -23,6 +23,7 @@
 #include "net/json.hpp"
 #include "obs/alert_webhook.hpp"
 #include "obs/flight.hpp"
+#include "obs/http_exporter.hpp"
 #include "obs/profiler.hpp"
 
 namespace mfcp::net {
@@ -260,10 +261,15 @@ TEST(GatewayRoute, ValidationAndMethodErrors) {
   ASSERT_EQ(wrong_method.headers.size(), 1u);
   EXPECT_EQ(wrong_method.headers[0].first, "Allow");
   EXPECT_EQ(wrong_method.headers[0].second, "POST");
-  EXPECT_EQ(route_gateway_request(make_request("GET", "/task/abc"), link,
-                                  nullptr)
-                .status,
-            400);
+  // Non-digits and ids above UINT64_MAX (which must not wrap onto a
+  // small id) are both malformed.
+  for (const char* path : {"/task/abc", "/task/18446744073709551617"}) {
+    EXPECT_EQ(
+        route_gateway_request(make_request("GET", path), link, nullptr)
+            .status,
+        400)
+        << path;
+  }
   EXPECT_EQ(route_gateway_request(make_request("GET", "/task/42"), link,
                                   nullptr)
                 .status,
@@ -992,6 +998,40 @@ TEST(GatewayRoute, BuildRouteReportsProvenance) {
   EXPECT_NE(build.body.find("\"compiler\":\""), std::string::npos);
   EXPECT_NE(build.body.find("\"build_type\":\""), std::string::npos);
   EXPECT_NE(build.body.find("\"sanitizers\":\""), std::string::npos);
+}
+
+TEST(GatewayRoute, SharedRoutesAnswerLikeTheExporterTable) {
+  // The gateway mounts obs::route_debug_request for every route it does
+  // not own, so each shared route answers the same status on both
+  // servers for the same wiring.
+  engine::GatewayLink link;
+  obs::FlightRecorder recorder;
+  struct Case {
+    const char* path;
+    const obs::FlightRecorder* flight;
+    int status;
+  };
+  const Case cases[] = {
+      {"/debug/flight", nullptr, 404},
+      {"/debug/threads", nullptr, 404},
+      {"/debug/profile", nullptr, 404},
+      {"/debug/flight?kind=bogus", &recorder, 400},
+      {"/debug/build", nullptr, 200},
+      {"/healthz", nullptr, 200},
+      {"/nope", nullptr, 404},
+  };
+  for (const Case& c : cases) {
+    const HttpRequest request = make_request("GET", c.path);
+    obs::DebugSources sources;
+    sources.flight = c.flight;
+    const HttpResponse exporter = obs::route_debug_request(request, sources);
+    const HttpResponse gateway = route_gateway_request(
+        request, link, nullptr, nullptr, nullptr, nullptr, nullptr,
+        c.flight);
+    EXPECT_EQ(exporter.status, c.status) << c.path;
+    EXPECT_EQ(gateway.status, c.status) << c.path;
+    EXPECT_EQ(gateway.body, exporter.body) << c.path;
+  }
 }
 
 // ------------------------------------------------- webhook delivery --

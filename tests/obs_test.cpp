@@ -332,8 +332,9 @@ TEST(ScopedSpan, RecordsIntoHistogramAndRing) {
   TraceRing ring(8);
   {
     ScopedSpan span(&hist, "stage", &ring);
-    span.stop();
-    span.stop();  // idempotent: the destructor must not double-record
+    const double seconds = span.stop();
+    // Idempotent: the destructor must not double-record.
+    EXPECT_EQ(span.stop(), seconds);
   }
   EXPECT_EQ(hist.count(), 1u);
   const auto spans = ring.snapshot();
@@ -343,7 +344,25 @@ TEST(ScopedSpan, RecordsIntoHistogramAndRing) {
 
 TEST(ScopedSpan, NullSinksRecordNothing) {
   ScopedSpan span(nullptr, "noop", nullptr);
-  span.stop();  // must not crash or touch any state
+  const double seconds = span.stop();  // must not crash or touch any state
+  EXPECT_GE(seconds, 0.0);
+  EXPECT_EQ(span.stop(), seconds);  // idempotent: the same duration
+}
+
+TEST(ScopedSpan, EntersAndRestoresItsStageTag) {
+  ASSERT_EQ(current_stage(), EngineStage::kNone);
+  {
+    ScopedSpan outer(nullptr, "outer", nullptr, EngineStage::kMatch);
+    EXPECT_EQ(current_stage(), EngineStage::kMatch);
+    {
+      ScopedSpan inner(nullptr, "inner", nullptr, EngineStage::kDispatch);
+      EXPECT_EQ(current_stage(), EngineStage::kDispatch);
+    }
+    EXPECT_EQ(current_stage(), EngineStage::kMatch);
+    outer.stop();
+    EXPECT_EQ(current_stage(), EngineStage::kNone);
+  }
+  EXPECT_EQ(current_stage(), EngineStage::kNone);
 }
 
 TEST(TraceRing, KeepsNewestSpansOldestFirst) {
@@ -815,54 +834,48 @@ TEST(SloSummaryTable, RendersOneRowPerSli) {
 
 // ------------------------------------------------------- http exporter --
 
-TEST(HttpExporter, ParsesWellFormedRequestLines) {
-  const auto req = HttpExporter::parse_request_line("GET /metrics HTTP/1.1");
-  EXPECT_TRUE(req.valid);
-  EXPECT_EQ(req.method, "GET");
-  EXPECT_EQ(req.path, "/metrics");
-  const auto crlf =
-      HttpExporter::parse_request_line("GET /healthz HTTP/1.0\r");
-  EXPECT_TRUE(crlf.valid);
-  EXPECT_EQ(crlf.path, "/healthz");
+net::HttpRequest get(const std::string& path,
+                     const std::string& method = "GET") {
+  net::HttpRequest request;
+  request.method = method;
+  request.path = path;
+  request.valid = true;
+  return request;
 }
 
-TEST(HttpExporter, RejectsMalformedRequestLines) {
-  EXPECT_FALSE(HttpExporter::parse_request_line("").valid);
-  EXPECT_FALSE(HttpExporter::parse_request_line("GET").valid);
-  EXPECT_FALSE(HttpExporter::parse_request_line("GET /metrics").valid);
-  EXPECT_FALSE(HttpExporter::parse_request_line("GET  HTTP/1.1").valid);
-  EXPECT_FALSE(
-      HttpExporter::parse_request_line("GET /a HTTP/1.1 junk").valid);
-}
-
-TEST(HttpExporter, RespondRoutesAndStatusCodes) {
+TEST(DebugRoutes, MetricsHealthzAndUnknownPaths) {
   MetricsRegistry registry;
   registry.counter("pings_total").add(2);
-  const auto snapshot = [&registry] { return registry.snapshot(); };
+  DebugSources sources;
+  sources.snapshot = [&registry] { return registry.snapshot(); };
 
-  const std::string metrics = HttpExporter::respond(
-      HttpExporter::parse_request_line("GET /metrics HTTP/1.1"), snapshot);
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("pings_total 2"), std::string::npos);
+  const net::HttpResponse metrics =
+      route_debug_request(get("/metrics"), sources);
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_EQ(metrics.content_type, "text/plain; version=0.0.4; charset=utf-8");
+  EXPECT_NE(metrics.body.find("pings_total 2"), std::string::npos);
 
-  const std::string health = HttpExporter::respond(
-      HttpExporter::parse_request_line("GET /healthz HTTP/1.1"), snapshot);
-  EXPECT_NE(health.find("200 OK"), std::string::npos);
-  EXPECT_NE(health.find("ok\n"), std::string::npos);
+  const net::HttpResponse health =
+      route_debug_request(get("/healthz"), sources);
+  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.body, "ok\n");
 
-  const std::string missing = HttpExporter::respond(
-      HttpExporter::parse_request_line("GET /nope HTTP/1.1"), snapshot);
-  EXPECT_NE(missing.find("404 Not Found"), std::string::npos);
+  EXPECT_EQ(route_debug_request(get("/nope"), sources).status, 404);
+  // Without a snapshot source /metrics is absent, not empty.
+  EXPECT_EQ(route_debug_request(get("/metrics"), DebugSources{}).status, 404);
+}
 
-  const std::string post = HttpExporter::respond(
-      HttpExporter::parse_request_line("POST /metrics HTTP/1.1"), snapshot);
-  EXPECT_NE(post.find("405 Method Not Allowed"), std::string::npos);
-  EXPECT_NE(post.find("Allow: GET"), std::string::npos);
-
-  const std::string bad =
-      HttpExporter::respond(HttpExporter::parse_request_line(""), snapshot);
-  EXPECT_NE(bad.find("404"), std::string::npos);
+TEST(DebugRoutes, NonGetIs405WithAllowHeader) {
+  DebugSources sources;
+  const net::HttpResponse post =
+      route_debug_request(get("/metrics", "POST"), sources);
+  EXPECT_EQ(post.status, 405);
+  ASSERT_EQ(post.headers.size(), 1u);
+  EXPECT_EQ(post.headers[0].first, "Allow");
+  EXPECT_EQ(post.headers[0].second, "GET");
+  const std::string wire = net::serialize_response(post);
+  EXPECT_NE(wire.find("405 Method Not Allowed"), std::string::npos);
+  EXPECT_NE(wire.find("Allow: GET"), std::string::npos);
 }
 
 /// One real scrape through the socket path: connect to the ephemeral
