@@ -71,8 +71,9 @@
 #include "control/token_bucket.hpp"
 #include "engine/engine.hpp"
 #include "mfcp/trainer_tsm.hpp"
+#include "net/http_server.hpp"
+#include "obs/debug_routes.hpp"
 #include "obs/flight.hpp"
-#include "obs/http_exporter.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sinks.hpp"
 #include "obs/slo.hpp"
@@ -186,16 +187,22 @@ double timed_run(const Scenario& scenario,
   // per-round regret attribution AND a live /metrics exporter accepting
   // scrapes, so the 5% budget prices everything at once.
   cfg.attribution = registry != nullptr;
-  std::unique_ptr<obs::HttpExporter> exporter;
+  std::unique_ptr<net::HttpServer> exporter;
   // The instrumented arm also prices task tracing (sampled) and the SLO
   // burn-rate monitor, so the budget covers the full stack.
-  obs::TraceStore task_traces(1024);
+  obs::TraceStore task_traces(1024, 0.25);
   obs::SloMonitor slo;
   if (registry != nullptr) {
-    exporter = std::make_unique<obs::HttpExporter>(
-        [registry] { return registry->snapshot(); });
+    obs::DebugSources sources;
+    sources.snapshot = [registry] { return registry->snapshot(); };
+    net::HttpServerConfig http_cfg;
+    http_cfg.worker_threads = 2;
+    exporter = std::make_unique<net::HttpServer>(
+        [sources](const net::HttpRequest& request) {
+          return obs::route_debug_request(request, sources);
+        },
+        http_cfg);
     cfg.task_traces = &task_traces;
-    cfg.trace_sample_rate = 0.25;
     cfg.slo = &slo;
   }
   // The flight arm prices the whole recorder path: engine events via the
@@ -346,7 +353,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::TraceStore> task_traces;
   std::unique_ptr<obs::JsonlWriter> tasktraces_out;
   if (trace_sample > 0.0) {
-    task_traces = std::make_unique<obs::TraceStore>(4096);
+    task_traces = std::make_unique<obs::TraceStore>(4096, trace_sample);
     if (journal_enabled) {
       tasktraces_out =
           std::make_unique<obs::JsonlWriter>(journal_path + ".tasktraces");
@@ -378,7 +385,6 @@ int main(int argc, char** argv) {
     run_cfg.attribution = true;
     run_cfg.trace = trace_ring.get();
     run_cfg.task_traces = task_traces.get();
-    run_cfg.trace_sample_rate = trace_sample;
     run_cfg.flight = flight_rec.get();
     obs::SloMonitor slo;
     run_cfg.slo = &slo;

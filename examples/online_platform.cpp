@@ -63,9 +63,10 @@
 #include "engine/engine.hpp"
 #include "mfcp/trainer_tsm.hpp"
 #include "net/gateway.hpp"
+#include "net/http_server.hpp"
 #include "obs/alert_webhook.hpp"
+#include "obs/debug_routes.hpp"
 #include "obs/flight.hpp"
-#include "obs/http_exporter.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sinks.hpp"
 #include "obs/slo.hpp"
@@ -242,10 +243,9 @@ int main(int argc, char** argv) {
     slo_cfg = *loaded;
     std::printf("SLO targets loaded from %s\n", slo_config_path.c_str());
   }
-  obs::TraceStore task_traces(4096);
+  obs::TraceStore task_traces(4096, trace_sample);
   obs::SloMonitor slo(slo_cfg);
   cfg.task_traces = &task_traces;
-  cfg.trace_sample_rate = trace_sample;
   cfg.slo = &slo;
 
   // Append-only alert stream: one JSONL record per SLO rule transition
@@ -342,8 +342,9 @@ int main(int argc, char** argv) {
     cfg.storage = &*storage;
     std::printf("storage armed: %s (wal fsync every %zu, checkpoint every "
                 "%zu rounds, %.1fh chunks)\n",
-                data_dir.c_str(), st_cfg.wal_fsync_every,
-                st_cfg.checkpoint_every_rounds, st_cfg.chunk_hours);
+                data_dir.c_str(), storage::StorageConfig::wal_fsync_every,
+                storage::StorageConfig::checkpoint_every_rounds,
+                storage::ChunkStoreConfig{}.chunk_hours);
   }
   if (retrain_every > 0) {
     std::printf("periodic retraining: every %d rounds (plus drift "
@@ -371,7 +372,6 @@ int main(int argc, char** argv) {
     // in real time; /metrics and /healthz ride on the same server.
     engine::GatewayLinkConfig link_cfg;
     link_cfg.traces = &task_traces;
-    link_cfg.trace_sample_rate = trace_sample;
     link_cfg.buckets = buckets.has_value() ? &*buckets : nullptr;
     // Durability point: the link WAL-logs each acceptance before its 200.
     link_cfg.wal = storage.has_value() ? &storage->wal() : nullptr;
@@ -460,22 +460,29 @@ int main(int argc, char** argv) {
   } else {
     // Live scrape endpoint: the exporter snapshots the registry on every
     // GET /metrics, so a scraper watches the run converge in real time.
-    obs::HttpExporterConfig http_cfg;
+    obs::DebugSources sources;
+    sources.snapshot = [&registry] { return registry.snapshot(); };
+    net::HttpServerConfig http_cfg;
     http_cfg.port = static_cast<std::uint16_t>(serve_port);
+    // Scrapes are rare and cheap; two workers cover an overlapping scrape.
+    http_cfg.worker_threads = 2;
     std::optional<obs::FlightServerObserver> http_observer;
     if (flight.has_value()) {
-      http_cfg.flight = &*flight;
+      sources.flight = &*flight;
     }
     if (profiler.has_value()) {
-      http_cfg.profiler = &*profiler;
+      sources.profiler = &*profiler;
     }
     if (flight.has_value() || profiler.has_value()) {
       http_observer.emplace(flight.has_value() ? &*flight : nullptr,
                             "exporter");
       http_cfg.observer = &*http_observer;
     }
-    obs::HttpExporter exporter(
-        [&registry] { return registry.snapshot(); }, http_cfg);
+    net::HttpServer exporter(
+        [&sources](const net::HttpRequest& request) {
+          return obs::route_debug_request(request, sources);
+        },
+        http_cfg);
     std::printf("exporter listening on http://127.0.0.1:%u\n",
                 static_cast<unsigned>(exporter.port()));
     std::fflush(stdout);

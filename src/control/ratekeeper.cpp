@@ -8,6 +8,18 @@
 
 namespace mfcp::control {
 
+namespace {
+/// Multiplicative decrease applied while pressure exceeds 1.0.
+constexpr double kDecreaseFactor = 0.8;
+/// Hysteresis release point: calm means every signal below this fraction
+/// of its trip threshold.
+constexpr double kReleaseFraction = 0.7;
+/// Queue utilization (depth / capacity) treated as pressure 1.0.
+constexpr double kQueueTargetFraction = 0.75;
+/// Sensor time constant for all smoothed inputs.
+constexpr double kSmoothingHours = 0.1;
+}  // namespace
+
 std::string to_string(LimitingSignal signal) {
   switch (signal) {
     case LimitingSignal::kNone:
@@ -28,26 +40,19 @@ Ratekeeper::Ratekeeper(RatekeeperConfig config, const obs::SloConfig& slo)
     : config_(config),
       expiry_budget_(std::max(1e-6, 1.0 - slo.expiry_objective)),
       burn_threshold_(std::max(1e-6, slo.burn_threshold)),
-      queue_signal_(config.smoothing_hours),
-      wait_signal_(config.smoothing_hours),
-      expiry_signal_(config.smoothing_hours),
-      burn_signal_(config.smoothing_hours),
-      admitted_rate_(config.smoothing_hours),
+      queue_signal_(kSmoothingHours),
+      wait_signal_(kSmoothingHours),
+      expiry_signal_(kSmoothingHours),
+      burn_signal_(kSmoothingHours),
+      admitted_rate_(kSmoothingHours),
       rate_per_hour_(std::clamp(config.initial_rate_per_hour,
                                 config.min_rate_per_hour,
                                 config.max_rate_per_hour)) {
   MFCP_CHECK(config_.min_rate_per_hour > 0.0 &&
                  config_.max_rate_per_hour >= config_.min_rate_per_hour,
              "rate clamp must satisfy 0 < min <= max");
-  MFCP_CHECK(config_.decrease_factor > 0.0 && config_.decrease_factor < 1.0,
-             "decrease factor must lie in (0, 1)");
   MFCP_CHECK(config_.recovery_step_per_hour > 0.0,
              "recovery step must be positive");
-  MFCP_CHECK(config_.release_fraction > 0.0 &&
-                 config_.release_fraction < 1.0,
-             "release fraction must lie in (0, 1)");
-  MFCP_CHECK(config_.queue_target_fraction > 0.0,
-             "queue target fraction must be positive");
   status_.rate_per_hour = rate_per_hour_;
 }
 
@@ -76,7 +81,7 @@ double Ratekeeper::tick(const RatekeeperSignals& signals) {
   }
 
   const double queue_pressure =
-      queue_signal_.value() / config_.queue_target_fraction;
+      queue_signal_.value() / kQueueTargetFraction;
   const double wait_pressure =
       config_.wait_target_hours > 0.0 ? wait_signal_.value() : 0.0;
   const double expiry_pressure = expiry_signal_.value() / expiry_budget_;
@@ -102,10 +107,10 @@ double Ratekeeper::tick(const RatekeeperSignals& signals) {
   const double previous_rate = rate_per_hour_;
   if (pressure > 1.0) {
     rate_per_hour_ = std::max(config_.min_rate_per_hour,
-                              rate_per_hour_ * config_.decrease_factor);
+                              rate_per_hour_ * kDecreaseFactor);
     calm_ticks_ = 0;
     decreases = 1;
-  } else if (pressure < config_.release_fraction) {
+  } else if (pressure < kReleaseFraction) {
     limiting = LimitingSignal::kNone;
     ++calm_ticks_;
     if (calm_ticks_ >= config_.recovery_ticks) {

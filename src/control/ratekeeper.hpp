@@ -12,11 +12,11 @@
 //
 // Control law, per tick:
 //   pressure = max(normalized signals)
-//   pressure > 1.0            -> rate *= decrease_factor   (back off fast)
-//   pressure < release_fraction
+//   pressure > 1.0            -> rate *= 0.8               (back off fast)
+//   pressure < 0.7
 //     for >= recovery_ticks   -> rate += recovery_step     (probe slowly)
 //   otherwise                 -> hold                      (dead band)
-// The dead band between release_fraction and 1.0 is the hysteresis that
+// The dead band between the 0.7 release point and 1.0 is the hysteresis that
 // keeps the controller from flapping when a signal hovers at the
 // threshold: decreases need pressure above the trip point, recoveries
 // need *sustained* calm strictly below the release point.
@@ -57,23 +57,14 @@ struct RatekeeperConfig {
   double min_rate_per_hour = 4.0;
   double max_rate_per_hour = 1e6;
 
-  /// Multiplicative decrease applied while pressure exceeds 1.0.
-  double decrease_factor = 0.8;
   /// Additive recovery per calm tick once calm has been sustained.
   double recovery_step_per_hour = 8.0;
   /// Consecutive calm ticks required before recovery starts.
   std::size_t recovery_ticks = 3;
-  /// Hysteresis release point: calm means every signal below this
-  /// fraction of its trip threshold. Must be < 1.
-  double release_fraction = 0.7;
 
-  /// Queue utilization (depth / capacity) treated as pressure 1.0.
-  double queue_target_fraction = 0.75;
   /// Round max-wait (simulated hours) treated as pressure 1.0. <= 0
   /// disables the wait signal (callers derive it from the batcher).
   double wait_target_hours = 0.5;
-  /// Sensor time constant for all smoothed inputs.
-  double smoothing_hours = 0.1;
 };
 
 /// One round's worth of observed platform state.

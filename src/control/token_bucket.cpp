@@ -7,6 +7,14 @@
 
 namespace mfcp::control {
 
+namespace {
+/// Weight applied to clients without an explicit set_weight entry.
+constexpr double kDefaultWeight = 1.0;
+/// A client counts as active (and earns a rate share) while it was seen
+/// within this window.
+constexpr double kActivityWindowHours = 0.25;
+}  // namespace
+
 double replenish_seconds(double deficit, double rate_per_second,
                          double floor_seconds) {
   // One hour caps the advice: a zero or vanishing rate means the
@@ -26,9 +34,6 @@ TokenBucketTable::TokenBucketTable(TokenBucketConfig config)
   MFCP_CHECK(config_.burst_hours > 0.0, "burst window must be positive");
   MFCP_CHECK(config_.min_burst_tokens >= 1.0,
              "a bucket must be able to hold at least one token");
-  MFCP_CHECK(config_.default_weight > 0.0, "default weight must be positive");
-  MFCP_CHECK(config_.activity_window_hours > 0.0,
-             "activity window must be positive");
 }
 
 void TokenBucketTable::set_global_rate(double rate_per_hour,
@@ -56,11 +61,11 @@ void TokenBucketTable::set_weight(std::string_view client, double weight) {
 
 double TokenBucketTable::weight_locked(const std::string& client) const {
   const auto it = weights_.find(client);
-  return it == weights_.end() ? config_.default_weight : it->second;
+  return it == weights_.end() ? kDefaultWeight : it->second;
 }
 
 double TokenBucketTable::active_weight_locked(double now_hours) const {
-  const double cutoff = now_hours - config_.activity_window_hours;
+  const double cutoff = now_hours - kActivityWindowHours;
   double total = 0.0;
   for (const auto& [name, bucket] : buckets_) {
     if (bucket.last_seen_hours >= cutoff) {
@@ -178,7 +183,7 @@ std::vector<BucketView> TokenBucketTable::snapshot() const {
   for (const BucketView& v : out) {
     latest = std::max(latest, v.last_seen_hours);
   }
-  const double cutoff = latest - config_.activity_window_hours;
+  const double cutoff = latest - kActivityWindowHours;
   for (const BucketView& v : out) {
     if (v.last_seen_hours >= cutoff) {
       active += v.weight;

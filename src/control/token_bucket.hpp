@@ -46,11 +46,6 @@ struct TokenBucketConfig {
   /// tolerance), but never below min_burst_tokens.
   double burst_hours = 0.05;
   double min_burst_tokens = 2.0;
-  /// Weight applied to clients without an explicit set_weight entry.
-  double default_weight = 1.0;
-  /// A client counts as active (and earns a rate share) while it was seen
-  /// within this window.
-  double activity_window_hours = 0.25;
   /// Rate before the Ratekeeper publishes one: effectively unthrottled.
   double initial_rate_per_hour = 1e12;
 };

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
-#include <limits>
 #include <numeric>
 #include <sstream>
 #include <unordered_set>
@@ -114,18 +113,15 @@ OnlineEngine::OnlineEngine(EngineConfig config, sim::Platform platform,
 
 bool OnlineEngine::task_traced(std::uint64_t task_id) const noexcept {
   return config_.task_traces != nullptr &&
-         obs::trace_sampled(
-             obs::mint_trace_id(task_id, config_.trace_salt),
-             config_.trace_sample_rate);
+         config_.task_traces->sampled(obs::mint_trace_id(task_id));
 }
 
 void OnlineEngine::maybe_begin_trace(const Arrival& arrival) {
   if (config_.task_traces == nullptr || arrival.id >= kExternalIdBase) {
     return;  // external tasks were opened at POST /submit
   }
-  const std::uint64_t trace_id =
-      obs::mint_trace_id(arrival.id, config_.trace_salt);
-  if (!obs::trace_sampled(trace_id, config_.trace_sample_rate)) {
+  const std::uint64_t trace_id = obs::mint_trace_id(arrival.id);
+  if (!config_.task_traces->sampled(trace_id)) {
     return;
   }
   if (config_.task_traces->begin(arrival.id, trace_id, arrival.time_hours)) {
@@ -270,9 +266,8 @@ void OnlineEngine::publish_checkpoint() {
 }
 
 void OnlineEngine::maybe_publish_checkpoint() {
-  const std::size_t every =
-      config_.storage->config().checkpoint_every_rounds;
-  if (every == 0 || counters_.rounds == 0 || counters_.rounds % every != 0) {
+  const std::size_t every = storage::StorageConfig::checkpoint_every_rounds;
+  if (counters_.rounds == 0 || counters_.rounds % every != 0) {
     return;
   }
   publish_checkpoint();
@@ -542,10 +537,6 @@ EngineResult OnlineEngine::run() {
     } else if (next_timeout.has_value()) {
       advance_clock(*next_timeout);
       finish_round(RoundTrigger::kTimeout, log);
-    } else if (!queue_.empty()) {
-      // Stream exhausted with a partial batch waiting: drain immediately
-      // instead of simulating out the timeout.
-      finish_round(RoundTrigger::kFlush, log);
     } else {
       break;
     }
@@ -593,7 +584,6 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
   const auto sim_now = [&] {
     return base_hours + wall.seconds() * serve_config.hours_per_second;
   };
-  bool stream_active = serve_config.synthetic_arrivals;
 
   for (;;) {
     pulse.beat();
@@ -603,25 +593,6 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
          config_.stop_flag->load(std::memory_order_relaxed));
     if (stopping) {
       link.request_stop();  // idempotent; submit() starts rejecting
-    }
-
-    // Synthetic arrivals that are due on the simulated clock (a stopping
-    // platform stops its own stream first). Stream times are relative to
-    // the serve start (= the recovered clock), like run()'s stream_base.
-    while (stream_active && !stopping) {
-      const std::optional<double> t = arrivals_.peek_time();
-      if (!t.has_value()) {
-        stream_active = false;
-        break;
-      }
-      if (*t + base_hours > sim_now()) {
-        break;
-      }
-      advance_clock(*t + base_hours);
-      Arrival arrival = *arrivals_.next();
-      arrival.time_hours += base_hours;
-      arrival.deadline_hours += base_hours;
-      admit(std::move(arrival), log);
     }
 
     // External submissions, stamped at the current simulated time. Even
@@ -655,19 +626,13 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
       break;
     }
 
-    // Sleep until the next scheduled simulated event; submissions (and
-    // stop requests via their own poll bound) wake the loop early.
-    double next_hours = std::numeric_limits<double>::infinity();
-    if (!queue_.empty()) {
-      next_hours = batcher_.timeout_at(queue_.oldest_arrival_time());
-    }
-    if (stream_active) {
-      if (const std::optional<double> t = arrivals_.peek_time()) {
-        next_hours = std::min(next_hours, *t + base_hours);
-      }
-    }
+    // Sleep until the next batch timeout on the simulated clock;
+    // submissions (and stop requests via their own poll bound) wake the
+    // loop early.
     int wait_ms = serve_config.poll_ms;
-    if (std::isfinite(next_hours)) {
+    if (!queue_.empty()) {
+      const double next_hours =
+          batcher_.timeout_at(queue_.oldest_arrival_time());
       const double ms = (next_hours - sim_now()) /
                         serve_config.hours_per_second * 1000.0;
       wait_ms = static_cast<int>(std::clamp(

@@ -118,15 +118,13 @@ struct EngineConfig {
   /// Task-lifecycle tracing: sampled tasks accumulate per-stage spans
   /// (submit → queue_wait → batch → predict → match → dispatch →
   /// feedback, or a terminal expired/rejected) in `task_traces`. The
-  /// sampling decision is a pure function of (task id, trace_salt,
-  /// trace_sample_rate) — no RNG draw, no effect on decisions — so the
-  /// round journal stays byte-identical with tracing on or off, and the
-  /// gateway mints the same ids for external submissions. Null disables
+  /// store's sample rate decides which tasks, as a pure function of the
+  /// task id — no RNG draw, no effect on decisions — so the round journal
+  /// stays byte-identical with tracing on or off, and the gateway link
+  /// asks the same store for external submissions. Null disables
   /// tracing; span sim-time endpoints are deterministic, wall durations
   /// are diagnostic only.
   obs::TraceStore* task_traces = nullptr;
-  double trace_sample_rate = 0.0;
-  std::uint64_t trace_salt = 0;
 
   /// Black-box flight recorder: the round loop records
   /// round/batch/admission/queue events onto the calling thread's ring
@@ -242,9 +240,6 @@ struct ServeConfig {
   /// Upper bound on one condition-variable wait, bounding how stale the
   /// stop flag / signal check can get. Submissions wake the loop early.
   int poll_ms = 20;
-  /// Also consume the config's synthetic arrival stream on the same
-  /// simulated clock (external + synthetic traffic interleave).
-  bool synthetic_arrivals = false;
 };
 
 class OnlineEngine {
@@ -308,7 +303,7 @@ class OnlineEngine {
   /// and a size-triggered round when the batch is full.
   void admit(Arrival arrival, RunLog& log);
   RoundRecord run_round(RoundTrigger trigger);
-  /// Deterministic per-task sampling decision (see trace_sample_rate).
+  /// Deterministic per-task sampling decision (see task_traces).
   [[nodiscard]] bool task_traced(std::uint64_t task_id) const noexcept;
   /// Opens the trace (+ submit span) for a sampled synthetic arrival;
   /// external ids are opened by the gateway link at POST /submit.

@@ -152,9 +152,14 @@ double DriftDetector::baseline_mean() const noexcept {
 
 // ------------------------------------------------------------ trainer --
 
+namespace {
+/// Replay-buffer bound: the newest experiences a retrain burst draws on.
+constexpr std::size_t kReplayCapacity = 512;
+}  // namespace
+
 OnlineTrainer::OnlineTrainer(const OnlineTrainerConfig& config)
     : config_(config),
-      replay_(config.replay_capacity),
+      replay_(kReplayCapacity),
       detector_(config.drift),
       rng_(config.seed) {
   MFCP_CHECK(config_.retrain_epochs > 0, "retrain burst needs epochs");

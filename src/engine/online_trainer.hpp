@@ -142,7 +142,6 @@ class DriftDetector {
 };
 
 struct OnlineTrainerConfig {
-  std::size_t replay_capacity = 512;
   /// Recency half-life for replay sampling, in insertions: when > 0, a
   /// retrain minibatch draws experience `a` insertions old with weight
   /// 2^(-a / half_life), so post-drift evidence dominates the burst while

@@ -10,6 +10,13 @@
 
 namespace mfcp::engine {
 
+namespace {
+/// Deadline (patience) applied when a submission does not name one.
+constexpr double kDefaultDeadlineHours = 2.0;
+/// Retry-After never reports below this (seconds).
+constexpr double kRetryAfterFloorSeconds = 1.0;
+}  // namespace
+
 std::string to_string(TaskState state) {
   switch (state) {
     case TaskState::kQueued:
@@ -157,8 +164,6 @@ GatewayLink::GatewayLink(GatewayLinkConfig config)
     : config_(config), table_(config.status_capacity) {
   MFCP_CHECK(config_.max_pending > 0, "gateway inbox must be bounded > 0");
   MFCP_CHECK(config_.high_water > 0, "gateway high water must be positive");
-  MFCP_CHECK(config_.default_deadline_hours > 0.0,
-             "default deadline must be positive");
 }
 
 std::size_t GatewayLink::pressure() const {
@@ -183,7 +188,7 @@ double GatewayLink::retry_after_seconds(std::size_t pressure) const {
   const double drain_per_second = static_cast<double>(batch) / cadence;
   return control::replenish_seconds(static_cast<double>(excess),
                                     drain_per_second,
-                                    config_.retry_after_floor_seconds);
+                                    kRetryAfterFloorSeconds);
 }
 
 SubmitTicket GatewayLink::submit(const sim::TaskDescriptor& task,
@@ -193,7 +198,7 @@ SubmitTicket GatewayLink::submit(const sim::TaskDescriptor& task,
   if (stop_requested()) {
     // Draining: the platform no longer accepts work. Pressure 0 keeps the
     // Retry-After at its floor — a restarted platform is ready at once.
-    ticket.retry_after_seconds = config_.retry_after_floor_seconds;
+    ticket.retry_after_seconds = kRetryAfterFloorSeconds;
     rejected_busy_.fetch_add(1, std::memory_order_relaxed);
     return ticket;
   }
@@ -208,14 +213,14 @@ SubmitTicket GatewayLink::submit(const sim::TaskDescriptor& task,
       ticket.throttled = true;
       ticket.retry_after_seconds = control::replenish_seconds(
           1.0 - decision.tokens, decision.rate_per_hour * hps,
-          config_.retry_after_floor_seconds);
+          kRetryAfterFloorSeconds);
       ticket.pressure = pressure();
       rejected_throttled_.fetch_add(1, std::memory_order_relaxed);
       return ticket;
     }
   }
   const double deadline =
-      deadline_hours > 0.0 ? deadline_hours : config_.default_deadline_hours;
+      deadline_hours > 0.0 ? deadline_hours : kDefaultDeadlineHours;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const std::size_t depth =
@@ -247,11 +252,11 @@ SubmitTicket GatewayLink::submit(const sim::TaskDescriptor& task,
     config_.wal->append(rec);
   }
   // Trace identity is minted outside the inbox lock: deterministic in
-  // (id, salt), so the engine recomputes the same decision on its side.
-  ticket.trace_id = obs::mint_trace_id(ticket.id, config_.trace_salt);
+  // the id, so the engine recomputes the same decision on its side.
+  ticket.trace_id = obs::mint_trace_id(ticket.id);
   ticket.trace_sampled =
-      obs::trace_sampled(ticket.trace_id, config_.trace_sample_rate);
-  if (ticket.trace_sampled && config_.traces != nullptr) {
+      config_.traces != nullptr && config_.traces->sampled(ticket.trace_id);
+  if (ticket.trace_sampled) {
     const double now = sim_time_hours_.load(std::memory_order_relaxed);
     config_.traces->begin(ticket.id, ticket.trace_id, now);
     obs::TaskSpan span;

@@ -164,20 +164,14 @@ struct GatewayLinkConfig {
   std::size_t max_pending = 256;
   /// Reject new submissions once inbox + engine queue depth reaches this.
   std::size_t high_water = 48;
-  /// Deadline applied when a submission does not name one.
-  double default_deadline_hours = 2.0;
-  /// Retry-After never reports below this (seconds).
-  double retry_after_floor_seconds = 1.0;
   /// Status-table bound: terminal entries past this are evicted FIFO and
   /// GET /task/<id> answers 410 for them. 0 = unbounded.
   std::size_t status_capacity = 65536;
 
-  /// Task-lifecycle tracing (null store disables it entirely). Sampling
-  /// is deterministic in (task id, trace_salt, trace_sample_rate); the
-  /// engine recomputes the same decision for its side of the chain.
+  /// Task-lifecycle tracing (null store disables it entirely). The
+  /// store's sample rate decides, deterministically in the task id; the
+  /// engine asks the same store for its side of the chain.
   obs::TraceStore* traces = nullptr;
-  double trace_sample_rate = 0.0;
-  std::uint64_t trace_salt = 0;
 
   /// Ratekeeper enforcement point: when set, every submit first spends a
   /// token from the caller's bucket (shared with the engine, which both
@@ -224,8 +218,8 @@ class GatewayLink {
 
   // ----- gateway (HTTP worker) side --------------------------------------
 
-  /// Admission decision + registration. `deadline_hours <= 0` applies the
-  /// configured default. Rejects when draining, when the client's token
+  /// Admission decision + registration. `deadline_hours <= 0` applies a
+  /// 2 h default. Rejects when draining, when the client's token
   /// bucket is dry (buckets configured; empty `client` uses the anonymous
   /// bucket), or over high water — in that order.
   SubmitTicket submit(const sim::TaskDescriptor& task,

@@ -3,12 +3,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 
 #include "net/json.hpp"
-#include "obs/http_exporter.hpp"
+#include "obs/debug_routes.hpp"
 #include "obs/sinks.hpp"
 
 namespace mfcp::net {
@@ -99,26 +98,10 @@ std::string_view route_label(const HttpRequest& request) {
 
 std::optional<std::uint64_t> parse_task_id(std::string_view path) {
   constexpr std::string_view kPrefix = "/task/";
-  if (path.size() <= kPrefix.size() || path.rfind(kPrefix, 0) != 0) {
+  if (path.rfind(kPrefix, 0) != 0) {
     return std::nullopt;
   }
-  std::uint64_t id = 0;
-  for (const char c : path.substr(kPrefix.size())) {
-    if (c < '0' || c > '9') {
-      return std::nullopt;
-    }
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (id > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      return std::nullopt;  // above UINT64_MAX: must not wrap
-    }
-    id = id * 10 + digit;
-  }
-  return id;
-}
-
-HttpResponse error_json(int status, std::string_view message) {
-  return json_response(
-      status, "{\"error\":" + json_quote(message) + "}\n");
+  return parse_u64(path.substr(kPrefix.size()));
 }
 
 HttpResponse handle_submit(const HttpRequest& request,
@@ -206,35 +189,21 @@ HttpResponse handle_ratekeeper(const control::Ratekeeper* ratekeeper,
 }
 
 /// Parses "/journal?from=<h>&to=<h>" (either bound optional). Returns
-/// false on a malformed pair or an unknown key.
+/// false on a malformed pair, an unknown key, or from > to.
 bool parse_journal_query(std::string_view path, double& from, double& to) {
-  const std::size_t q = path.find('?');
-  if (q == std::string_view::npos) {
-    return true;
+  const auto params = parse_query(path);
+  if (!params.has_value()) {
+    return false;
   }
-  std::string_view rest = path.substr(q + 1);
-  while (!rest.empty()) {
-    const std::size_t amp = rest.find('&');
-    const std::string_view pair =
-        amp == std::string_view::npos ? rest : rest.substr(0, amp);
-    rest = amp == std::string_view::npos ? std::string_view{}
-                                         : rest.substr(amp + 1);
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) {
+  for (const QueryParam& param : *params) {
+    const std::optional<double> v = parse_finite_double(param.value);
+    if (!v.has_value()) {
       return false;
     }
-    const std::string_view key = pair.substr(0, eq);
-    const std::string value(pair.substr(eq + 1));
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() ||
-        !std::isfinite(v)) {
-      return false;
-    }
-    if (key == "from") {
-      from = v;
-    } else if (key == "to") {
-      to = v;
+    if (param.key == "from") {
+      from = *v;
+    } else if (param.key == "to") {
+      to = *v;
     } else {
       return false;
     }

@@ -32,8 +32,8 @@
 //        /debug/profile, /debug/build
 //                    -> the shared observability table
 //                       (obs::route_debug_request, also mounted by
-//                       obs::HttpExporter); /metrics reads the shared
-//                       registry
+//                       scrape-only servers); /metrics reads the
+//                       shared registry
 //
 // The request -> response mapping is a pure function over the parsed
 // request (route_gateway_request), so every route is unit-testable

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
+
+#include "net/json.hpp"
 
 namespace mfcp::net {
 
@@ -172,6 +176,53 @@ HttpResponse json_response(int status, std::string body) {
   r.content_type = "application/json";
   r.body = std::move(body);
   return r;
+}
+
+HttpResponse error_json(int status, std::string_view message) {
+  return json_response(status,
+                       "{\"error\":" + json_quote(message) + "}\n");
+}
+
+std::optional<std::vector<QueryParam>> parse_query(std::string_view path) {
+  std::vector<QueryParam> params;
+  const std::size_t qpos = path.find('?');
+  if (qpos == std::string_view::npos) {
+    return params;
+  }
+  std::string_view rest = path.substr(qpos + 1);
+  while (!rest.empty()) {
+    const std::size_t amp = rest.find('&');
+    const std::string_view pair = rest.substr(0, amp);
+    rest = amp == std::string_view::npos ? std::string_view{}
+                                         : rest.substr(amp + 1);
+    const std::size_t eq = pair.find('=');
+    if (eq == std::string_view::npos || eq + 1 == pair.size()) {
+      return std::nullopt;
+    }
+    params.push_back({pair.substr(0, eq), pair.substr(eq + 1)});
+  }
+  return params;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) {
+    return std::nullopt;  // also rejects values above UINT64_MAX
+  }
+  return value;
+}
+
+std::optional<double> parse_finite_double(std::string_view text) {
+  const std::string value(text);
+  char* end = nullptr;
+  const double number = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(number)) {
+    return std::nullopt;
+  }
+  return number;
 }
 
 }  // namespace mfcp::net

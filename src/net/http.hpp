@@ -9,6 +9,7 @@
 // unit-testable without ever opening a listener.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -60,5 +61,29 @@ struct HttpResponse {
 /// Convenience constructors for the common response shapes.
 [[nodiscard]] HttpResponse text_response(int status, std::string body);
 [[nodiscard]] HttpResponse json_response(int status, std::string body);
+/// Flat JSON error body: {"error":"<message>"}.
+[[nodiscard]] HttpResponse error_json(int status, std::string_view message);
+
+/// One `key=value` pair of a request path's query string.
+struct QueryParam {
+  std::string_view key;
+  std::string_view value;
+};
+
+/// Splits the `?k=v&k=v` suffix of `path` into pairs, in order (no '?'
+/// yields none). nullopt when a pair has no '=' or an empty value. The
+/// views point into `path`; keys are not interpreted here.
+[[nodiscard]] std::optional<std::vector<QueryParam>> parse_query(
+    std::string_view path);
+
+/// Unsigned decimal digits that fit in 64 bits; nullopt for an empty
+/// string, any other character, or overflow.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(
+    std::string_view text) noexcept;
+
+/// A finite double spelled by the whole of `text` (strtod syntax);
+/// nullopt for an empty string, trailing characters, inf or nan.
+[[nodiscard]] std::optional<double> parse_finite_double(
+    std::string_view text);
 
 }  // namespace mfcp::net

@@ -15,6 +15,15 @@ namespace mfcp::net {
 
 namespace {
 
+/// Kernel listen(2) backlog.
+constexpr int kListenBacklog = 64;
+/// Accepted connections waiting for a worker beyond which the server
+/// sheds load with an immediate 503.
+constexpr std::size_t kMaxQueuedConnections = 128;
+/// Receive timeout per connection, so one stalled client costs at most
+/// one worker for this long.
+constexpr int kReceiveTimeoutMs = 2000;
+
 void send_all(int fd, std::string_view data) noexcept {
   std::size_t sent = 0;
   while (sent < data.size()) {
@@ -47,7 +56,7 @@ HttpServer::HttpServer(Handler handler, HttpServerConfig config)
              "http server: bad bind address");
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, config_.listen_backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const int err = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -123,7 +132,7 @@ void HttpServer::accept_loop() {
     bool shed = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (accepted_.size() >= config_.max_queued_connections) {
+      if (accepted_.size() >= kMaxQueuedConnections) {
         shed = true;
       } else {
         accepted_.push_back(client);
@@ -173,8 +182,8 @@ void HttpServer::worker_loop(std::size_t worker) {
 
 void HttpServer::serve_connection(int fd, std::size_t worker) {
   timeval timeout{};
-  timeout.tv_sec = config_.receive_timeout_ms / 1000;
-  timeout.tv_usec = (config_.receive_timeout_ms % 1000) * 1000;
+  timeout.tv_sec = kReceiveTimeoutMs / 1000;
+  timeout.tv_usec = (kReceiveTimeoutMs % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
 
   // Read the request head, then however much of the declared body is
@@ -184,7 +193,7 @@ void HttpServer::serve_connection(int fd, std::size_t worker) {
   char buf[4096];
   bool too_large = false;
   while ((head_end = data.find("\r\n\r\n")) == std::string::npos) {
-    if (data.size() > config_.max_request_bytes) {
+    if (data.size() > kMaxRequestBytes) {
       too_large = true;
       break;
     }
@@ -208,7 +217,7 @@ void HttpServer::serve_connection(int fd, std::size_t worker) {
     } else {
       const std::size_t body_start = head_end + 4;
       const std::size_t want = request.content_length().value_or(0);
-      if (want > config_.max_request_bytes) {
+      if (want > kMaxRequestBytes) {
         response = text_response(413, "request too large\n");
       } else {
         while (data.size() - body_start < want) {

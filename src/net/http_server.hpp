@@ -1,7 +1,7 @@
 // Multi-threaded HTTP/1.1 server core on plain POSIX sockets.
 //
-// Factored out of obs/http_exporter (PR 3) and promoted into the shared
-// ingress path for the platform gateway:
+// The one server behind every HTTP surface: the platform gateway and
+// scrape-only servers that mount obs::route_debug_request:
 //
 //   accept thread ──> bounded accepted-connection queue ──> worker pool
 //
@@ -59,24 +59,17 @@ class ServerObserver {
   }
 };
 
+/// Requests whose head or declared body exceed this are answered 413.
+inline constexpr std::size_t kMaxRequestBytes = 1 << 20;
+
 struct HttpServerConfig {
   /// Loopback by default: these servers expose process introspection and
   /// a demo ingress, not an authenticated public endpoint.
   std::string bind_address = "127.0.0.1";
   /// 0 asks the kernel for an ephemeral port; read the result via port().
   std::uint16_t port = 0;
-  /// Kernel listen(2) backlog.
-  int listen_backlog = 64;
   /// Worker threads serving accepted connections.
   std::size_t worker_threads = 4;
-  /// Accepted connections waiting for a worker beyond which the server
-  /// sheds load with an immediate 503.
-  std::size_t max_queued_connections = 128;
-  /// Receive timeout per connection, so one stalled client costs at most
-  /// one worker for this long.
-  int receive_timeout_ms = 2000;
-  /// Requests whose head + body exceed this are answered 413.
-  std::size_t max_request_bytes = 1 << 20;
   /// Borrowed worker-lifecycle hooks; null = no observation. Must outlive
   /// the server.
   ServerObserver* observer = nullptr;

@@ -1,17 +1,11 @@
-#include "obs/http_exporter.hpp"
+#include "obs/debug_routes.hpp"
 
-#include "net/json.hpp"
 #include "obs/build_info.hpp"
 #include "obs/sinks.hpp"
 
 namespace mfcp::obs {
 
 namespace {
-
-net::HttpResponse error_json(int status, std::string_view message) {
-  return net::json_response(
-      status, "{\"error\":" + net::json_quote(message) + "}\n");
-}
 
 /// True for `path` itself and for `path?<query>`.
 bool matches_route(const std::string& path, std::string_view route) {
@@ -43,11 +37,11 @@ net::HttpResponse route_debug_request(const net::HttpRequest& request,
   }
   if (matches_route(path, "/debug/flight")) {
     if (sources.flight == nullptr) {
-      return error_json(404, "flight recorder disabled");
+      return net::error_json(404, "flight recorder disabled");
     }
     const FlightQuery query = parse_flight_query(path);
     if (!query.valid) {
-      return error_json(
+      return net::error_json(
           400, "bad flight filter (thread=<n>&kind=<name>&limit=<n>)");
     }
     return net::json_response(200,
@@ -55,7 +49,7 @@ net::HttpResponse route_debug_request(const net::HttpRequest& request,
   }
   if (path == "/debug/threads") {
     if (sources.flight == nullptr) {
-      return error_json(404, "flight recorder disabled");
+      return net::error_json(404, "flight recorder disabled");
     }
     return net::json_response(200, flight_threads_json(*sources.flight));
   }
@@ -72,23 +66,5 @@ net::HttpResponse route_debug_request(const net::HttpRequest& request,
   }
   return net::text_response(404, "not found\n");
 }
-
-HttpExporter::HttpExporter(SnapshotFn snapshot, HttpExporterConfig config)
-    : sources_{std::move(snapshot), config.flight, config.profiler} {
-  net::HttpServerConfig server_config;
-  server_config.bind_address = std::move(config.bind_address);
-  server_config.port = config.port;
-  server_config.listen_backlog = config.listen_backlog;
-  server_config.receive_timeout_ms = config.receive_timeout_ms;
-  server_config.worker_threads = config.worker_threads;
-  server_config.observer = config.observer;
-  server_ = std::make_unique<net::HttpServer>(
-      [this](const net::HttpRequest& request) {
-        return route_debug_request(request, sources_);
-      },
-      server_config);
-}
-
-HttpExporter::~HttpExporter() { stop(); }
 
 }  // namespace mfcp::obs

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "net/http.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sinks.hpp"
 #include "obs/slo.hpp"
@@ -17,6 +18,9 @@
 namespace mfcp::obs {
 
 namespace {
+
+/// Heartbeat slots (long-running loops, not per-event threads).
+constexpr std::size_t kMaxHeartbeats = 64;
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
@@ -182,7 +186,7 @@ FlightRecorder::FlightRecorder(FlightConfig config)
     rings_.push_back(std::make_unique<FlightRing>(config_.ring_capacity));
   }
   heartbeats_ =
-      std::make_unique<HeartbeatHandle::Slot[]>(config_.max_heartbeats);
+      std::make_unique<HeartbeatHandle::Slot[]>(kMaxHeartbeats);
 }
 
 FlightRecorder::~FlightRecorder() { stop_watchdog(); }
@@ -290,7 +294,7 @@ HeartbeatHandle FlightRecorder::register_heartbeat(std::string_view name) {
   // instead of burning a new one. Names are per-thread-unique, so no two
   // threads race to claim the same slot here.
   const std::size_t used = std::min(
-      heartbeat_count_.load(std::memory_order_acquire), config_.max_heartbeats);
+      heartbeat_count_.load(std::memory_order_acquire), kMaxHeartbeats);
   for (std::size_t i = 0; i < used; ++i) {
     HeartbeatHandle::Slot& slot = heartbeats_[i];
     if (slot.ready.load(std::memory_order_acquire) != 0 &&
@@ -302,7 +306,7 @@ HeartbeatHandle FlightRecorder::register_heartbeat(std::string_view name) {
   }
   const std::size_t idx =
       heartbeat_count_.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= config_.max_heartbeats) {
+  if (idx >= kMaxHeartbeats) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return HeartbeatHandle{};
   }
@@ -319,7 +323,7 @@ HeartbeatHandle FlightRecorder::register_heartbeat(std::string_view name) {
 std::vector<ThreadHealth> FlightRecorder::heartbeat_ages() const {
   const std::uint64_t now = now_ns();
   const std::size_t used = std::min(
-      heartbeat_count_.load(std::memory_order_relaxed), config_.max_heartbeats);
+      heartbeat_count_.load(std::memory_order_relaxed), kMaxHeartbeats);
   std::vector<ThreadHealth> out;
   out.reserve(used);
   for (std::size_t i = 0; i < used; ++i) {
@@ -381,7 +385,7 @@ void FlightRecorder::watchdog_scan() {
   const auto budget_ns =
       static_cast<std::uint64_t>(config_.stall_budget_seconds * 1e9);
   const std::size_t used = std::min(
-      heartbeat_count_.load(std::memory_order_relaxed), config_.max_heartbeats);
+      heartbeat_count_.load(std::memory_order_relaxed), kMaxHeartbeats);
   for (std::size_t i = 0; i < used; ++i) {
     HeartbeatHandle::Slot& slot = heartbeats_[i];
     if (slot.ready.load(std::memory_order_acquire) == 0) {
@@ -606,58 +610,31 @@ void install_crash_handlers(FlightRecorder* recorder, const char* path) {
 
 FlightQuery parse_flight_query(std::string_view path) {
   FlightQuery query;
-  const std::size_t qpos = path.find('?');
-  if (qpos == std::string_view::npos) {
-    return query;
+  FlightQuery invalid;
+  invalid.valid = false;
+  const auto params = net::parse_query(path);
+  if (!params.has_value()) {
+    return invalid;
   }
-  std::string_view rest = path.substr(qpos + 1);
-  while (!rest.empty() && query.valid) {
-    const std::size_t amp = rest.find('&');
-    const std::string_view pair =
-        amp == std::string_view::npos ? rest : rest.substr(0, amp);
-    rest = amp == std::string_view::npos ? std::string_view{}
-                                         : rest.substr(amp + 1);
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) {
-      query.valid = false;
-      break;
-    }
-    const std::string_view key = pair.substr(0, eq);
-    const std::string_view value = pair.substr(eq + 1);
-    if (value.empty()) {
-      query.valid = false;
-      break;
-    }
-    std::uint64_t number = 0;
-    bool numeric = !value.empty();
-    for (const char c : value) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      number = number * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (key == "thread") {
-      if (!numeric || number > 0xFFFF) {
-        query.valid = false;
-      } else {
-        query.thread = static_cast<int>(number);
-      }
-    } else if (key == "kind") {
-      const auto kind = parse_flight_kind(value);
+  for (const net::QueryParam& param : *params) {
+    if (param.key == "kind") {
+      const auto kind = parse_flight_kind(param.value);
       if (!kind.has_value()) {
-        query.valid = false;
-      } else {
-        query.kind = *kind;
+        return invalid;
       }
-    } else if (key == "limit") {
-      if (!numeric) {
-        query.valid = false;
-      } else {
-        query.limit = static_cast<std::size_t>(number);
-      }
+      query.kind = *kind;
+      continue;
+    }
+    const auto number = net::parse_u64(param.value);
+    if (!number.has_value()) {
+      return invalid;
+    }
+    if (param.key == "thread" && *number <= 0xFFFF) {
+      query.thread = static_cast<int>(*number);
+    } else if (param.key == "limit") {
+      query.limit = static_cast<std::size_t>(*number);
     } else {
-      query.valid = false;
+      return invalid;
     }
   }
   return query;

@@ -162,7 +162,7 @@ class FlightRecorder;
 /// Cheap value handle to one heartbeat slot. beat() marks the thread busy
 /// and refreshes the timestamp; idle() marks it parked (a blocked wait is
 /// not a stall). Both are two relaxed atomic stores. An invalid handle
-/// (default-constructed, or registration past max_heartbeats) no-ops.
+/// (default-constructed, or registration past the 64 slots) no-ops.
 /// The owning FlightRecorder must outlive every use.
 class HeartbeatHandle {
  public:
@@ -185,8 +185,6 @@ struct FlightConfig {
   /// Threads that can register rings; later threads drop their events
   /// into `dropped_total` instead of silently aliasing a ring.
   std::size_t max_threads = 32;
-  /// Heartbeat slots (long-running loops, not per-event threads).
-  std::size_t max_heartbeats = 64;
   /// A busy heartbeat older than this is a stall.
   double stall_budget_seconds = 2.0;
   /// Watchdog wake-up cadence.
@@ -236,7 +234,7 @@ class FlightRecorder {
       std::size_t limit = 0) const;
 
   /// Registers a named heartbeat for a long-running loop. Returns an
-  /// invalid handle past max_heartbeats (counted into dropped_total).
+  /// invalid handle past 64 heartbeats (counted into dropped_total).
   [[nodiscard]] HeartbeatHandle register_heartbeat(std::string_view name);
 
   /// Ages of every registered heartbeat, registration order.

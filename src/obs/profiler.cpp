@@ -21,6 +21,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "net/http.hpp"
 #include "support/check.hpp"
 
 // glibc spells the SIGEV_THREAD_ID target field through a union member;
@@ -575,46 +576,23 @@ void set_default_profiler(SamplingProfiler* profiler) noexcept {
 
 ProfileQuery parse_profile_query(std::string_view path) {
   ProfileQuery query;
-  const std::size_t qpos = path.find('?');
-  if (qpos == std::string_view::npos) {
-    return query;
+  ProfileQuery invalid;
+  invalid.valid = false;
+  const auto params = net::parse_query(path);
+  if (!params.has_value()) {
+    return invalid;
   }
-  std::string_view rest = path.substr(qpos + 1);
-  while (!rest.empty() && query.valid) {
-    const std::size_t amp = rest.find('&');
-    const std::string_view pair =
-        amp == std::string_view::npos ? rest : rest.substr(0, amp);
-    rest = amp == std::string_view::npos ? std::string_view{}
-                                         : rest.substr(amp + 1);
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) {
-      query.valid = false;
-      break;
+  for (const net::QueryParam& param : *params) {
+    const auto number = net::parse_finite_double(param.value);
+    if (!number.has_value()) {
+      return invalid;
     }
-    const std::string_view key = pair.substr(0, eq);
-    const std::string value(pair.substr(eq + 1));
-    if (value.empty()) {
-      query.valid = false;
-      break;
-    }
-    char* end = nullptr;
-    const double number = std::strtod(value.c_str(), &end);
-    const bool numeric = end != value.c_str() && *end == '\0' &&
-                         std::isfinite(number);
-    if (key == "seconds") {
-      if (!numeric || number <= 0.0 || number > 30.0) {
-        query.valid = false;
-      } else {
-        query.seconds = number;
-      }
-    } else if (key == "hz") {
-      if (!numeric || number < 1.0 || number > 1000.0) {
-        query.valid = false;
-      } else {
-        query.hz = number;
-      }
+    if (param.key == "seconds" && *number > 0.0 && *number <= 30.0) {
+      query.seconds = *number;
+    } else if (param.key == "hz" && *number >= 1.0 && *number <= 1000.0) {
+      query.hz = *number;
     } else {
-      query.valid = false;
+      return invalid;
     }
   }
   return query;

@@ -12,7 +12,7 @@ namespace {
 // splitmix64 finalizer: full-avalanche 64-bit mix (public-domain constant
 // schedule, same mix the engine's seeded RNGs build on conceptually but
 // with no shared state — tracing must never advance a decision RNG).
-std::uint64_t mix64(std::uint64_t x) noexcept {
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -21,8 +21,11 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 
 }  // namespace
 
-std::uint64_t mint_trace_id(std::uint64_t task_id, std::uint64_t salt) noexcept {
-  const std::uint64_t id = mix64(task_id ^ mix64(salt));
+std::uint64_t mint_trace_id(std::uint64_t task_id) noexcept {
+  // The mix64(0) term is part of the id format (pinned by a test):
+  // dropping it would change every trace id and `.tasktraces` byte.
+  constexpr std::uint64_t kSalt = mix64(0);
+  const std::uint64_t id = mix64(task_id ^ kSalt);
   return id == 0 ? 1 : id;  // 0 is the "no trace" sentinel
 }
 
@@ -77,16 +80,6 @@ std::optional<std::uint64_t> parse_trace_id(std::string_view text) noexcept {
   return id;
 }
 
-TraceContext make_trace_context(std::uint64_t task_id, std::uint64_t salt,
-                                double rate) noexcept {
-  const std::uint64_t id = mint_trace_id(task_id, salt);
-  TraceContext ctx;
-  if (trace_sampled(id, rate)) {
-    ctx.trace_id = id;
-  }
-  return ctx;
-}
-
 // ------------------------------------------------------------ TaskTrace --
 
 std::string TaskTrace::chain() const {
@@ -102,7 +95,8 @@ std::string TaskTrace::chain() const {
 
 // ------------------------------------------------------------ TraceStore --
 
-TraceStore::TraceStore(std::size_t capacity) : capacity_(capacity) {
+TraceStore::TraceStore(std::size_t capacity, double sample_rate)
+    : capacity_(capacity), sample_rate_(sample_rate) {
   MFCP_CHECK(capacity_ > 0, "trace store capacity must be positive");
 }
 
@@ -184,15 +178,6 @@ std::optional<TaskTrace> TraceStore::find_by_trace(
     return std::nullopt;
   }
   const auto it = traces_.find(mapped->second);
-  if (it == traces_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-std::optional<TaskTrace> TraceStore::find_by_task(std::uint64_t task_id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = traces_.find(task_id);
   if (it == traces_.end()) {
     return std::nullopt;
   }

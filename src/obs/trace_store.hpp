@@ -5,12 +5,13 @@
 // Identity and sampling are deterministic so that the trace layer never
 // perturbs the engine's decision stream and two seeded runs export
 // byte-identical `.tasktraces` journals:
-//   - mint_trace_id(task_id, salt) is a splitmix64-style hash of the task
-//     id under a run-level salt — no RNG draw, no clock read.
+//   - mint_trace_id(task_id) is a splitmix64-style hash of the task id —
+//     no RNG draw, no clock read.
 //   - trace_sampled(trace_id, rate) re-hashes the trace id and compares
 //     against rate * 2^64, so the sampled subset is a pure function of
-//     (task id, salt, rate). The gateway and the engine both recompute it
-//     locally; no per-task sampling state crosses the boundary.
+//     (task id, rate). The rate lives in the TraceStore; the gateway link
+//     and the engine both ask the store, so no per-task sampling state
+//     crosses the boundary.
 //
 // Spans carry two time disciplines. Simulated-time endpoints
 // (start_hours/end_hours) are deterministic and are what the JSONL export
@@ -36,10 +37,9 @@ namespace mfcp::obs {
 
 class JsonlWriter;
 
-/// Deterministic 64-bit trace id for a task (splitmix64 over id ^ salt).
+/// Deterministic 64-bit trace id for a task (splitmix64 of the id).
 /// Never returns 0 — 0 is the "no trace" sentinel.
-[[nodiscard]] std::uint64_t mint_trace_id(std::uint64_t task_id,
-                                          std::uint64_t salt) noexcept;
+[[nodiscard]] std::uint64_t mint_trace_id(std::uint64_t task_id) noexcept;
 
 /// Deterministic sampling decision: true iff hash(trace_id) falls below
 /// rate * 2^64. rate >= 1 always samples, rate <= 0 never does.
@@ -53,20 +53,6 @@ class JsonlWriter;
 /// input (wrong length, non-hex) or the zero sentinel.
 [[nodiscard]] std::optional<std::uint64_t> parse_trace_id(
     std::string_view text) noexcept;
-
-/// Propagation context minted at admission (gateway submit or sampled
-/// synthetic arrival). trace_id == 0 means "not sampled, record nothing".
-struct TraceContext {
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;  // span ordinal the next span nests under
-
-  [[nodiscard]] bool sampled() const noexcept { return trace_id != 0; }
-};
-
-/// Mints the context for one task under the run's sampling policy.
-[[nodiscard]] TraceContext make_trace_context(std::uint64_t task_id,
-                                              std::uint64_t salt,
-                                              double rate) noexcept;
 
 /// One lifecycle stage of a traced task. Sim-time endpoints are
 /// deterministic; duration_ns is wall clock (0 when not measured).
@@ -97,7 +83,14 @@ struct TaskTrace {
 /// sampled) or already evicted, so call sites do not branch on sampling.
 class TraceStore {
  public:
-  explicit TraceStore(std::size_t capacity = 4096);
+  /// `sample_rate` is the share of tasks traced (see trace_sampled); the
+  /// default 0 samples nothing.
+  explicit TraceStore(std::size_t capacity = 4096, double sample_rate = 0.0);
+
+  /// Whether the task with this trace id is sampled at the store's rate.
+  [[nodiscard]] bool sampled(std::uint64_t trace_id) const noexcept {
+    return trace_sampled(trace_id, sample_rate_);
+  }
 
   /// Opens a trace for `task_id` (idempotent — a second begin for a live
   /// task id is ignored). Evicts per the policy above when full.
@@ -114,8 +107,6 @@ class TraceStore {
 
   [[nodiscard]] std::optional<TaskTrace> find_by_trace(
       std::uint64_t trace_id) const;
-  [[nodiscard]] std::optional<TaskTrace> find_by_task(
-      std::uint64_t task_id) const;
 
   /// All resident traces, oldest begin first.
   [[nodiscard]] std::vector<TaskTrace> snapshot() const;
@@ -137,6 +128,7 @@ class TraceStore {
   void evict_one_locked();
 
   std::size_t capacity_;
+  double sample_rate_;
   mutable std::mutex mutex_;
   // Keyed by task id; order_ holds begin order for eviction + export.
   std::unordered_map<std::uint64_t, TaskTrace> traces_;

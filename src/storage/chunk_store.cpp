@@ -19,6 +19,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// The JSON key whose numeric value timestamps a record: queries filter
+/// on it per record, and a restart rebuilds footers from it.
+constexpr std::string_view kTimeKey = "\"close_hours\":";
+
 /// Parses "chunk-%08lld.jsonl"; returns false for anything else.
 bool parse_chunk_name(const std::string& name, std::int64_t& k) {
   if (name.rfind("chunk-", 0) != 0 || name.size() < 13 ||
@@ -63,14 +67,13 @@ std::string ChunkStore::chunk_path(std::int64_t k) const {
 }
 
 bool ChunkStore::line_hours(std::string_view line, double& hours) const {
-  const std::string key = "\"" + config_.time_field + "\":";
-  const std::size_t pos = line.find(key);
+  const std::size_t pos = line.find(kTimeKey);
   if (pos == std::string_view::npos) {
     return false;
   }
   // The value is a bare JSON number; strtod stops at the delimiter.
   char buf[64];
-  const std::size_t start = pos + key.size();
+  const std::size_t start = pos + kTimeKey.size();
   const std::size_t n = std::min(line.size() - start, sizeof(buf) - 1);
   std::memcpy(buf, line.data() + start, n);
   buf[n] = '\0';
@@ -115,8 +118,6 @@ ChunkStore::ChunkStore(ChunkStoreConfig config)
       ++meta.records;
       meta.payload_bytes += line.size() + 1;
     }
-    meta.file_bytes = static_cast<std::uint64_t>(
-        fs::file_size(entry.path(), ec));
     chunks_[k] = meta;
   }
   // The newest chunk reopens for appends: strip its footer (sealing is
@@ -127,7 +128,6 @@ ChunkStore::ChunkStore(ChunkStoreConfig config)
     if (meta.sealed) {
       fs::resize_file(chunk_path(newest), meta.payload_bytes, ec);
       meta.sealed = false;
-      meta.file_bytes = meta.payload_bytes;
     }
     open_chunk_ = newest;
   }
@@ -179,24 +179,13 @@ void ChunkStore::seal_chunk_locked() {
   ::close(fd_);
   fd_ = -1;
   meta.sealed = true;
-  meta.file_bytes = meta.payload_bytes + static_cast<std::uint64_t>(n);
   ++sealed_;
   open_chunk_ = -1;
 }
 
 void ChunkStore::enforce_retention_locked() {
   std::error_code ec;
-  for (;;) {
-    std::size_t count = chunks_.size();
-    std::uint64_t bytes = 0;
-    for (const auto& [k, meta] : chunks_) {
-      bytes += meta.file_bytes;
-    }
-    const bool over_count = config_.max_chunks > 0 && count > config_.max_chunks;
-    const bool over_bytes = config_.max_bytes > 0 && bytes > config_.max_bytes;
-    if ((!over_count && !over_bytes) || chunks_.empty()) {
-      return;
-    }
+  while (config_.max_chunks > 0 && chunks_.size() > config_.max_chunks) {
     const std::int64_t oldest = chunks_.begin()->first;
     if (oldest == open_chunk_) {
       return;  // never evict the chunk still receiving appends
@@ -235,7 +224,6 @@ void ChunkStore::append(double hours, std::string_view jsonl_line) {
   meta.max_hours = meta.records == 0 ? hours : std::max(meta.max_hours, hours);
   ++meta.records;
   meta.payload_bytes += line.size();
-  meta.file_bytes += line.size();
   ++appended_;
 }
 

@@ -11,8 +11,8 @@
 //       max_hours=<b> payload_bytes=<c>         (one line on disk)
 //
 // and the next chunk opens. Retention evicts whole chunks, oldest first,
-// past a chunk-count or total-byte budget — dropping a chunk loses a
-// bounded, known time window, never a record in the middle of one.
+// past a chunk-count budget — dropping a chunk loses a bounded, known
+// time window, never a record in the middle of one.
 //
 // Chunk ids derive from absolute simulated time, so a restarted process
 // (whose clock resumes from the recovered checkpoint) lands back in the
@@ -38,13 +38,8 @@ struct ChunkStoreConfig {
   std::string dir;           // created if missing
   double chunk_hours = 1.0;  // fixed sim-time width per chunk
   /// Retention: evict oldest chunks past this many on disk (0 = keep
-  /// all), or once their files total more than max_bytes (0 = no byte
-  /// budget). The open chunk is never evicted.
+  /// all). The open chunk is never evicted.
   std::size_t max_chunks = 64;
-  std::uint64_t max_bytes = 0;
-  /// JSON key whose numeric value timestamps a record; used to filter
-  /// queries per record and to rebuild footers after a restart.
-  std::string time_field = "close_hours";
 };
 
 inline constexpr const char* kChunkFooterMagic = "#mfcp-chunk-index v1";
@@ -60,7 +55,7 @@ class ChunkStore {
   /// Timestamps must be nondecreasing across calls. Thread-safe.
   void append(double hours, std::string_view jsonl_line);
 
-  /// Every stored record with time_field in [from_hours, to_hours],
+  /// Every stored record with close_hours in [from_hours, to_hours],
   /// oldest first, across chunk boundaries. Records in evicted chunks
   /// are gone (bounded retention is the contract, see above).
   [[nodiscard]] std::vector<std::string> query(double from_hours,
@@ -97,7 +92,6 @@ class ChunkStore {
     std::uint64_t payload_bytes = 0;
     double min_hours = 0.0;
     double max_hours = 0.0;
-    std::uint64_t file_bytes = 0;  // payload + footer, for the byte budget
     bool sealed = false;
   };
 
@@ -106,7 +100,7 @@ class ChunkStore {
   void open_chunk_locked(std::int64_t k);
   void seal_chunk_locked();
   void enforce_retention_locked();
-  /// Extracts the time_field value from a JSONL line; false if absent.
+  /// Extracts the close_hours value from a JSONL line; false if absent.
   [[nodiscard]] bool line_hours(std::string_view line,
                                 double& hours) const;
 

@@ -14,8 +14,7 @@ WalConfig make_wal_config(const StorageConfig& config,
                           const WalScanResult& scan) {
   WalConfig wal;
   wal.dir = (fs::path(config.dir) / "wal").string();
-  wal.segment_bytes = config.wal_segment_bytes;
-  wal.fsync_every = config.wal_fsync_every;
+  wal.fsync_every = StorageConfig::wal_fsync_every;
   wal.start_seq = scan.last_seq + 1;
   wal.start_segment = scan.next_segment;
   return wal;
@@ -24,16 +23,12 @@ WalConfig make_wal_config(const StorageConfig& config,
 CheckpointConfig make_checkpoint_config(const StorageConfig& config) {
   CheckpointConfig ckpt;
   ckpt.dir = (fs::path(config.dir) / "checkpoints").string();
-  ckpt.retain = config.checkpoint_retain;
   return ckpt;
 }
 
 ChunkStoreConfig make_chunk_config(const StorageConfig& config) {
   ChunkStoreConfig chunk;
   chunk.dir = (fs::path(config.dir) / "journal").string();
-  chunk.chunk_hours = config.chunk_hours;
-  chunk.max_chunks = config.chunk_max_chunks;
-  chunk.max_bytes = config.chunk_max_bytes;
   return chunk;
 }
 

@@ -32,17 +32,13 @@ namespace mfcp::storage {
 
 struct StorageConfig {
   std::string dir;  // data directory root (created if missing)
-  // WAL knobs (see WalConfig).
-  std::size_t wal_fsync_every = 32;
-  std::size_t wal_segment_bytes = 4u << 20;
-  // Checkpoint cadence (engine rounds between publishes; 0 disables the
-  // periodic publish — a final checkpoint still lands at shutdown).
-  std::size_t checkpoint_every_rounds = 64;
-  std::size_t checkpoint_retain = 3;
-  // Chunked journal knobs (see ChunkStoreConfig).
-  double chunk_hours = 1.0;
-  std::size_t chunk_max_chunks = 64;
-  std::uint64_t chunk_max_bytes = 0;
+  // Fixed cadences, not settable: the WAL's group commit (see WalConfig)
+  // and the engine rounds between checkpoint publishes (a final
+  // checkpoint also lands at shutdown). Named like fields because
+  // perfbench reads them as `StorageConfig{}.wal_fsync_every`. The
+  // components' other knobs keep their own config defaults.
+  static constexpr std::size_t wal_fsync_every = 32;
+  static constexpr std::size_t checkpoint_every_rounds = 64;
 };
 
 /// Point-in-time storage state for /debug/storage and shutdown prints.

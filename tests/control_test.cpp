@@ -227,7 +227,7 @@ TEST(Ratekeeper, MultiplicativeDecreaseUnderQueuePressure) {
   RatekeeperSignals s = calm_at(0.0);
   s.queue_depth = 100;  // full queue: pressure 1/0.75 > 1 from tick one
   const double r1 = rk.tick(s);
-  EXPECT_DOUBLE_EQ(r1, 100.0 * cfg.decrease_factor);
+  EXPECT_DOUBLE_EQ(r1, 100.0 * 0.8);  // the fixed decrease factor
   s.now_hours = 0.1;
   const double r2 = rk.tick(s);
   EXPECT_LT(r2, r1);

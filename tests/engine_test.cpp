@@ -580,10 +580,9 @@ TEST(Engine, JournalLabelTagsTheRun) {
 TEST(Engine, TaskTracesAreByteIdenticalAcrossSeededRuns) {
   const auto traced_run = [] {
     EngineFixture f;
-    obs::TraceStore traces(4096);
+    obs::TraceStore traces(4096, 0.5);
     EngineConfig cfg = small_engine_config();
     cfg.task_traces = &traces;
-    cfg.trace_sample_rate = 0.5;
     OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
     eng.run();
     std::ostringstream out;
@@ -602,12 +601,11 @@ TEST(Engine, JournalIsByteIdenticalWithTracingOnOrOff) {
     EngineFixture f;
     std::ostringstream out;
     obs::JsonlWriter journal(out);
-    obs::TraceStore traces(4096);
+    obs::TraceStore traces(4096, rate);
     EngineConfig cfg = small_engine_config();
     cfg.journal = &journal;
     if (rate > 0.0) {
       cfg.task_traces = &traces;
-      cfg.trace_sample_rate = rate;
     }
     OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
     eng.run();
@@ -714,10 +712,9 @@ TEST(Engine, JournalIsByteIdenticalWithProfilerSampling) {
 
 TEST(Engine, DispatchedTraceHasTheCompleteSpanChain) {
   EngineFixture f;
-  obs::TraceStore traces(4096);
+  obs::TraceStore traces(4096, 1.0);
   EngineConfig cfg = small_engine_config();
   cfg.task_traces = &traces;
-  cfg.trace_sample_rate = 1.0;
   OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
   const EngineResult result = eng.run();
   ASSERT_GT(result.queue.dispatched, 0u);

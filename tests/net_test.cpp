@@ -5,6 +5,11 @@
 // forward-only status transitions.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -22,8 +27,8 @@
 #include "net/http_server.hpp"
 #include "net/json.hpp"
 #include "obs/alert_webhook.hpp"
+#include "obs/debug_routes.hpp"
 #include "obs/flight.hpp"
-#include "obs/http_exporter.hpp"
 #include "obs/profiler.hpp"
 
 namespace mfcp::net {
@@ -68,6 +73,39 @@ TEST(HttpParse, ContentLengthRejectsNonNumeric) {
       "GET / HTTP/1.1\r\nContent-Length: twelve\r\n\r\n");
   ASSERT_TRUE(r.valid);
   EXPECT_FALSE(r.content_length().has_value());
+}
+
+TEST(HttpParse, QueryStringSplitsIntoPairsOrFails) {
+  const auto none = parse_query("/journal");
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->empty());
+  const auto pairs = parse_query("/journal?from=1.5&to=3&");
+  ASSERT_TRUE(pairs.has_value());
+  ASSERT_EQ(pairs->size(), 2u);  // a trailing '&' adds nothing
+  EXPECT_EQ((*pairs)[0].key, "from");
+  EXPECT_EQ((*pairs)[0].value, "1.5");
+  EXPECT_EQ((*pairs)[1].key, "to");
+  EXPECT_EQ((*pairs)[1].value, "3");
+  EXPECT_FALSE(parse_query("/journal?from").has_value());     // no '='
+  EXPECT_FALSE(parse_query("/journal?from=").has_value());    // empty
+  EXPECT_FALSE(parse_query("/journal?a=1&&b=2").has_value()); // empty pair
+}
+
+TEST(HttpParse, NumbersAreCheckedNotWrapped) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), ~0ULL);
+  EXPECT_FALSE(parse_u64("18446744073709551616").has_value());
+  EXPECT_FALSE(parse_u64("").has_value());
+  EXPECT_FALSE(parse_u64("-1").has_value());
+  EXPECT_FALSE(parse_u64("+1").has_value());
+  EXPECT_FALSE(parse_u64("12a").has_value());
+  EXPECT_EQ(parse_finite_double("-2.5"), -2.5);
+  EXPECT_EQ(parse_finite_double("1e3"), 1000.0);
+  EXPECT_FALSE(parse_finite_double("").has_value());
+  EXPECT_FALSE(parse_finite_double("1.5x").has_value());
+  EXPECT_FALSE(parse_finite_double("inf").has_value());
+  EXPECT_FALSE(parse_finite_double("nan").has_value());
+  EXPECT_FALSE(parse_finite_double("1e999").has_value());
 }
 
 TEST(HttpParse, SerializeResponseCarriesHeadersAndLength) {
@@ -421,10 +459,9 @@ TEST(GatewayRoute, MetricsAndHealthRideTheSameRouter) {
 // ---------------------------------------------- tracing + slo routes --
 
 TEST(GatewayRoute, SubmitMintsTraceAndTraceRouteServesIt) {
-  obs::TraceStore traces(64);
+  obs::TraceStore traces(64, 1.0);
   engine::GatewayLinkConfig cfg;
   cfg.traces = &traces;
-  cfg.trace_sample_rate = 1.0;
   engine::GatewayLink link(cfg);
 
   const HttpResponse submit = route_gateway_request(
@@ -599,6 +636,53 @@ TEST(HttpServerLive, MalformedRequestLineGets400BeforeHandler) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.status, 400);
   EXPECT_EQ(handled.load(), 0);
+}
+
+/// Sends `wire` verbatim (no client-side framing) and parses the reply.
+ClientResponse raw_call(std::uint16_t port, const std::string& wire) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  EXPECT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  std::string reply;
+  char buf[1024];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return parse_response(reply);
+}
+
+TEST(HttpServerLive, OversizedDeclaredBodyGets413BeforeHandler) {
+  std::atomic<int> handled{0};
+  HttpServer server([&handled](const HttpRequest&) {
+    handled.fetch_add(1);
+    return text_response(200, "ok");
+  });
+  // The head alone declares a body one byte over the limit: the server
+  // refuses it without reading (or waiting for) a single body byte.
+  const ClientResponse r = raw_call(
+      server.port(), "POST /submit HTTP/1.1\r\nContent-Length: " +
+                         std::to_string(kMaxRequestBytes + 1) +
+                         "\r\n\r\n");
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.status, 413);
+  EXPECT_EQ(handled.load(), 0);
+  // At the limit the body is read and handed over as usual.
+  const ClientResponse at_limit = http_call(
+      "127.0.0.1", server.port(), "POST", "/submit",
+      std::string(kMaxRequestBytes, 'x'));
+  ASSERT_TRUE(at_limit.ok) << at_limit.error;
+  EXPECT_EQ(at_limit.status, 200);
+  EXPECT_EQ(handled.load(), 1);
 }
 
 TEST(HttpServerLive, HandlerExceptionBecomes500) {
@@ -1016,6 +1100,9 @@ TEST(GatewayRoute, SharedRoutesAnswerLikeTheExporterTable) {
       {"/debug/threads", nullptr, 404},
       {"/debug/profile", nullptr, 404},
       {"/debug/flight?kind=bogus", &recorder, 400},
+      // Past UINT64_MAX: rejected, never wrapped to thread 0 / limit 1.
+      {"/debug/flight?thread=18446744073709551616", &recorder, 400},
+      {"/debug/flight?limit=18446744073709551617", &recorder, 400},
       {"/debug/build", nullptr, 200},
       {"/healthz", nullptr, 200},
       {"/nope", nullptr, 404},

@@ -25,9 +25,10 @@
 #include <thread>
 #include <vector>
 
+#include "net/http_server.hpp"
 #include "obs/build_info.hpp"
+#include "obs/debug_routes.hpp"
 #include "obs/flight.hpp"
-#include "obs/http_exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sinks.hpp"
@@ -501,15 +502,17 @@ TEST(Prometheus, QuantileGaugesFollowHistogramsWithoutInterleaving) {
 // -------------------------------------------------------- trace ids --
 
 TEST(TraceId, MintIsDeterministicAndNeverZero) {
-  EXPECT_EQ(mint_trace_id(7, 0xabc), mint_trace_id(7, 0xabc));
-  EXPECT_NE(mint_trace_id(7, 0xabc), mint_trace_id(8, 0xabc));
-  EXPECT_NE(mint_trace_id(7, 0xabc), mint_trace_id(7, 0xabd));
+  EXPECT_EQ(mint_trace_id(7), mint_trace_id(7));
+  EXPECT_NE(mint_trace_id(7), mint_trace_id(8));
+  // Pinned: `.tasktraces` exports and X-Trace-Id headers carry these
+  // ids, so the hash must not drift between builds.
+  EXPECT_EQ(mint_trace_id(7), 0x64bf61b512ffabe7ULL);
   // The zero input must still mint a usable (nonzero) id.
-  EXPECT_NE(mint_trace_id(0, 0), 0u);
+  EXPECT_NE(mint_trace_id(0), 0u);
 }
 
 TEST(TraceId, FormatParsesBackAndRejectsMalformed) {
-  const std::uint64_t id = mint_trace_id(42, 1);
+  const std::uint64_t id = mint_trace_id(42);
   const std::string hex = format_trace_id(id);
   EXPECT_EQ(hex.size(), 16u);
   ASSERT_TRUE(parse_trace_id(hex).has_value());
@@ -522,7 +525,7 @@ TEST(TraceId, FormatParsesBackAndRejectsMalformed) {
 
 TEST(TraceId, SamplingEdgesAndDeterminism) {
   for (std::uint64_t task = 0; task < 64; ++task) {
-    const std::uint64_t id = mint_trace_id(task, 0x5a17);
+    const std::uint64_t id = mint_trace_id(task);
     EXPECT_TRUE(trace_sampled(id, 1.0));
     EXPECT_TRUE(trace_sampled(id, 2.0));   // clamps above 1
     EXPECT_FALSE(trace_sampled(id, 0.0));
@@ -533,19 +536,10 @@ TEST(TraceId, SamplingEdgesAndDeterminism) {
   // At rate 0.5 some tasks sample and some do not (the hash spreads).
   std::size_t sampled = 0;
   for (std::uint64_t task = 0; task < 256; ++task) {
-    sampled += trace_sampled(mint_trace_id(task, 0x5a17), 0.5) ? 1 : 0;
+    sampled += trace_sampled(mint_trace_id(task), 0.5) ? 1 : 0;
   }
   EXPECT_GT(sampled, 0u);
   EXPECT_LT(sampled, 256u);
-}
-
-TEST(TraceContext, UnsampledContextIsTheZeroSentinel) {
-  const TraceContext on = make_trace_context(3, 0x5a17, 1.0);
-  EXPECT_TRUE(on.sampled());
-  EXPECT_EQ(on.trace_id, mint_trace_id(3, 0x5a17));
-  const TraceContext off = make_trace_context(3, 0x5a17, 0.0);
-  EXPECT_FALSE(off.sampled());
-  EXPECT_EQ(off.trace_id, 0u);
 }
 
 // -------------------------------------------------------- trace store --
@@ -560,7 +554,7 @@ TaskSpan span_named(const char* name, double t) {
 
 TEST(TraceStore, BeginAppendFinishAndLookups) {
   TraceStore store(8);
-  const std::uint64_t trace_id = mint_trace_id(11, 0);
+  const std::uint64_t trace_id = mint_trace_id(11);
   EXPECT_TRUE(store.begin(11, trace_id, 0.5));
   EXPECT_FALSE(store.begin(11, trace_id, 0.6));  // idempotent for live ids
   EXPECT_TRUE(store.append(11, span_named("submit", 0.5)));
@@ -576,29 +570,41 @@ TEST(TraceStore, BeginAppendFinishAndLookups) {
   EXPECT_EQ(by_trace->chain(), "submit>queue_wait");
 
   EXPECT_TRUE(store.finish(11, "dispatched"));
-  const auto by_task = store.find_by_task(11);
-  ASSERT_TRUE(by_task.has_value());
-  EXPECT_EQ(by_task->final_state, "dispatched");
-  EXPECT_TRUE(by_task->finished());
+  const auto finished = store.find_by_trace(trace_id);
+  ASSERT_TRUE(finished.has_value());
+  EXPECT_EQ(finished->final_state, "dispatched");
+  EXPECT_TRUE(finished->finished());
+}
+
+TEST(TraceStore, SamplesAtItsConstructorRate) {
+  const TraceStore off(8);  // default rate: nothing is sampled
+  const TraceStore all(8, 1.0);
+  const TraceStore half(8, 0.5);
+  for (std::uint64_t task = 0; task < 64; ++task) {
+    const std::uint64_t id = mint_trace_id(task);
+    EXPECT_FALSE(off.sampled(id));
+    EXPECT_TRUE(all.sampled(id));
+    EXPECT_EQ(half.sampled(id), trace_sampled(id, 0.5));
+  }
 }
 
 TEST(TraceStore, EvictionPrefersOldestFinishedTrace) {
   TraceStore store(2);
-  store.begin(1, mint_trace_id(1, 0), 0.0);  // stays in flight
-  store.begin(2, mint_trace_id(2, 0), 1.0);
+  store.begin(1, mint_trace_id(1), 0.0);  // stays in flight
+  store.begin(2, mint_trace_id(2), 1.0);
   store.finish(2, "dispatched");
   // Full. The next begin must evict task 2 (oldest *finished*), keeping
   // the older but still-live task 1.
-  store.begin(3, mint_trace_id(3, 0), 2.0);
+  store.begin(3, mint_trace_id(3), 2.0);
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.find_by_task(1).has_value());
-  EXPECT_FALSE(store.find_by_task(2).has_value());
-  EXPECT_TRUE(store.find_by_task(3).has_value());
+  EXPECT_TRUE(store.find_by_trace(mint_trace_id(1)).has_value());
+  EXPECT_FALSE(store.find_by_trace(mint_trace_id(2)).has_value());
+  EXPECT_TRUE(store.find_by_trace(mint_trace_id(3)).has_value());
   // Nothing finished: eviction falls back to the oldest outright.
-  store.begin(4, mint_trace_id(4, 0), 3.0);
-  EXPECT_FALSE(store.find_by_task(1).has_value());
-  EXPECT_TRUE(store.find_by_task(3).has_value());
-  EXPECT_TRUE(store.find_by_task(4).has_value());
+  store.begin(4, mint_trace_id(4), 3.0);
+  EXPECT_FALSE(store.find_by_trace(mint_trace_id(1)).has_value());
+  EXPECT_TRUE(store.find_by_trace(mint_trace_id(3)).has_value());
+  EXPECT_TRUE(store.find_by_trace(mint_trace_id(4)).has_value());
   EXPECT_EQ(store.evicted(), 2u);
   EXPECT_EQ(store.begun(), 4u);
 }
@@ -606,7 +612,7 @@ TEST(TraceStore, EvictionPrefersOldestFinishedTrace) {
 TEST(TraceStore, SurvivesChurnFarPastCapacity) {
   TraceStore store(16);
   for (std::uint64_t id = 0; id < 500; ++id) {
-    store.begin(id, mint_trace_id(id, 7), static_cast<double>(id));
+    store.begin(id, mint_trace_id(id), static_cast<double>(id));
     store.append(id, span_named("submit", static_cast<double>(id)));
     if (id % 2 == 0) {
       store.finish(id, "dispatched");
@@ -616,19 +622,19 @@ TEST(TraceStore, SurvivesChurnFarPastCapacity) {
   EXPECT_EQ(store.begun(), 500u);
   EXPECT_EQ(store.evicted(), 500u - 16u);
   // The newest trace is always queryable after churn.
-  EXPECT_TRUE(store.find_by_task(499).has_value());
+  EXPECT_TRUE(store.find_by_trace(mint_trace_id(499)).has_value());
 }
 
 TEST(TraceStore, DrainWritesDeterministicFieldsAndClears) {
   TraceStore store(8);
-  store.begin(5, mint_trace_id(5, 0), 0.25);
+  store.begin(5, mint_trace_id(5), 0.25);
   TaskSpan s = span_named("submit", 0.25);
   s.duration_ns = 12345;  // wall clock: must NOT reach the JSONL
   s.value = 1.5;
   s.detail = "gpu-a";
   store.append(5, s);
   store.finish(5, "dispatched");
-  store.begin(6, mint_trace_id(6, 0), 0.5);  // drained while in flight
+  store.begin(6, mint_trace_id(6), 0.5);  // drained while in flight
 
   std::ostringstream out;
   JsonlWriter writer(out);
@@ -639,7 +645,7 @@ TEST(TraceStore, DrainWritesDeterministicFieldsAndClears) {
   const std::string text = out.str();
   EXPECT_NE(text.find("\"mode\":\"online\""), std::string::npos);
   EXPECT_NE(text.find("\"trace_id\":\"" + format_trace_id(
-                          mint_trace_id(5, 0)) + "\""),
+                          mint_trace_id(5)) + "\""),
             std::string::npos);
   EXPECT_NE(text.find("\"state\":\"dispatched\""), std::string::npos);
   EXPECT_NE(text.find("\"state\":\"in_flight\""), std::string::npos);
@@ -901,10 +907,21 @@ std::string scrape(std::uint16_t port, const std::string& request) {
   return response;
 }
 
-TEST(HttpExporter, ServesLiveSnapshotsOverRealSockets) {
+/// A scrape-only server: net::HttpServer mounting the debug route table,
+/// the way the example's batch mode and the engine bench serve it.
+net::HttpServer debug_server(const MetricsRegistry& registry,
+                             DebugSources sources = {}) {
+  sources.snapshot = [&registry] { return registry.snapshot(); };
+  return net::HttpServer(
+      [sources = std::move(sources)](const net::HttpRequest& request) {
+        return route_debug_request(request, sources);
+      });
+}
+
+TEST(DebugRoutes, ServesLiveSnapshotsOverRealSockets) {
   MetricsRegistry registry;
   registry.counter("live_total").add(1);
-  HttpExporter exporter([&registry] { return registry.snapshot(); });
+  net::HttpServer exporter = debug_server(registry);
   ASSERT_GT(exporter.port(), 0);  // ephemeral port was bound
 
   const std::string first =
@@ -1030,6 +1047,12 @@ TEST(FlightQuery, ParsesFiltersAndRejectsMalformedOnes) {
   EXPECT_FALSE(parse_flight_query("/debug/flight?thread=abc").valid);
   EXPECT_FALSE(parse_flight_query("/debug/flight?limit=").valid);
   EXPECT_FALSE(parse_flight_query("/debug/flight?bogus=1").valid);
+  // Values past UINT64_MAX are rejected, not wrapped (2^64 would read as
+  // thread 0, 2^64 + 1 as limit 1).
+  EXPECT_FALSE(
+      parse_flight_query("/debug/flight?thread=18446744073709551616").valid);
+  EXPECT_FALSE(
+      parse_flight_query("/debug/flight?limit=18446744073709551617").valid);
 }
 
 /// Test sink capturing every alert transition it is handed.
@@ -1203,7 +1226,7 @@ TEST(FlightCrash, ForkedChildSegfaultLeavesAParsableRawDump) {
   std::remove(dump_path.c_str());
 }
 
-TEST(HttpExporter, ServesFlightDebugRoutesWhenConfigured) {
+TEST(DebugRoutes, ServesFlightDebugRoutesWhenConfigured) {
   FlightConfig flight_cfg;
   flight_cfg.ring_capacity = 16;
   FlightRecorder recorder(flight_cfg);
@@ -1212,9 +1235,9 @@ TEST(HttpExporter, ServesFlightDebugRoutesWhenConfigured) {
   pulse.beat();
 
   MetricsRegistry registry;
-  HttpExporterConfig cfg;
-  cfg.flight = &recorder;
-  HttpExporter exporter([&registry] { return registry.snapshot(); }, cfg);
+  DebugSources sources;
+  sources.flight = &recorder;
+  net::HttpServer exporter = debug_server(registry, sources);
 
   const std::string events =
       scrape(exporter.port(), "GET /debug/flight HTTP/1.1\r\n\r\n");
@@ -1234,9 +1257,9 @@ TEST(HttpExporter, ServesFlightDebugRoutesWhenConfigured) {
   exporter.stop();
 }
 
-TEST(HttpExporter, FlightRoutesAre404WithoutARecorder) {
+TEST(DebugRoutes, FlightRoutesAre404WithoutARecorder) {
   MetricsRegistry registry;
-  HttpExporter exporter([&registry] { return registry.snapshot(); });
+  net::HttpServer exporter = debug_server(registry);
   const std::string events =
       scrape(exporter.port(), "GET /debug/flight HTTP/1.1\r\n\r\n");
   EXPECT_NE(events.find("404"), std::string::npos);
@@ -1501,14 +1524,13 @@ TEST(BuildInfo, CarriesProvenanceFields) {
   EXPECT_FALSE(build_compiler().empty());
 }
 
-TEST(HttpExporter, ServesProfileAndBuildRoutes) {
+TEST(DebugRoutes, ServesProfileAndBuildRoutes) {
   MetricsRegistry registry;
   SamplingProfiler profiler;
   profiler.register_current_thread("exporter_test");
-  HttpExporterConfig config;
-  config.profiler = &profiler;
-  HttpExporter exporter([&registry] { return registry.snapshot(); },
-                        config);
+  DebugSources sources;
+  sources.profiler = &profiler;
+  net::HttpServer exporter = debug_server(registry, sources);
   ASSERT_GT(exporter.port(), 0);
 
   const std::string build =
@@ -1529,9 +1551,9 @@ TEST(HttpExporter, ServesProfileAndBuildRoutes) {
   profiler.unregister_current_thread();
 }
 
-TEST(HttpExporter, ProfileRouteAnswers404WithoutAProfiler) {
+TEST(DebugRoutes, ProfileRouteAnswers404WithoutAProfiler) {
   MetricsRegistry registry;
-  HttpExporter exporter([&registry] { return registry.snapshot(); });
+  net::HttpServer exporter = debug_server(registry);
   const std::string none =
       scrape(exporter.port(), "GET /debug/profile HTTP/1.1\r\n\r\n");
   EXPECT_NE(none.find("404"), std::string::npos);
