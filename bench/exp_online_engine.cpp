@@ -12,11 +12,6 @@
 // online engine's rolling regret drops back toward the pre-drift level
 // while the frozen engine's stays elevated.
 //
-// The harness also prices the telemetry layer itself: a paired run of the
-// same engine with instrumentation off vs fully on (registry + trace ring
-// + default registry for solver/pool metrics) reports the wall-time
-// overhead against the 5% budget.
-//
 // Run:  ./build/bench/exp_online_engine             (writes online_engine.csv)
 //       ./build/bench/exp_online_engine --quick     (short stream, no CSV)
 //       ./build/bench/exp_online_engine --journal [path]
@@ -42,14 +37,6 @@
 //           The recorder is write-only telemetry, so the round journal
 //           stays byte-identical with it on — the CI determinism guard
 //           compares a --flight journal against the plain baseline.
-//       ./build/bench/exp_online_engine --bench-json <path>
-//           writes a one-record machine-readable summary (rounds/s per
-//           mode, stage latency p50/p99, mean regret-attribution terms,
-//           telemetry + flight + profiler + storage overhead percentages)
-//           for CI archiving. The storage arm reruns the engine with the
-//           full durability stack (WAL + checkpoints + chunked journal)
-//           writing into a scratch dir and prices it against the same 5%
-//           budget as the telemetry stack.
 //       ./build/bench/exp_online_engine --profile <path>
 //           samples the online-mode run at 97 Hz with the in-process CPU
 //           profiler and writes the folded flamegraph (stack lines +
@@ -57,12 +44,9 @@
 //           so the round journal stays byte-identical with it on — the CI
 //           determinism guard compares a --profile journal against the
 //           plain baseline.
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -71,8 +55,7 @@
 #include "control/token_bucket.hpp"
 #include "engine/engine.hpp"
 #include "mfcp/trainer_tsm.hpp"
-#include "net/http_server.hpp"
-#include "obs/debug_routes.hpp"
+#include "net/http.hpp"
 #include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sinks.hpp"
@@ -80,7 +63,6 @@
 #include "obs/trace_store.hpp"
 #include "nn/serialize.hpp"
 #include "sim/dataset.hpp"
-#include "storage/storage.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 
@@ -165,68 +147,6 @@ double mean_regret_after(const std::vector<engine::RoundRecord>& rounds,
   return s.mean();
 }
 
-/// One frozen-mode engine run for the overhead measurement; returns the
-/// engine's own wall-clock seconds. `instrumented` turns on every layer
-/// of telemetry at once: explicit registry + trace ring on the engine,
-/// plus the process-wide default registry feeding solver and pool metrics.
-double timed_run(const Scenario& scenario,
-                 core::PlatformPredictor& pretrained,
-                 const engine::EngineConfig& base_cfg, ThreadPool& pool,
-                 obs::MetricsRegistry* registry, obs::TraceRing* trace,
-                 obs::FlightRecorder* flight = nullptr,
-                 storage::StorageManager* storage = nullptr) {
-  Rng clone_init(0x5eedULL);
-  core::PredictorConfig pred_cfg;
-  core::PlatformPredictor predictor(pretrained.num_clusters(), pred_cfg,
-                                    clone_init);
-  clone_weights(pretrained, predictor);
-  engine::EngineConfig cfg = base_cfg;
-  cfg.registry = registry;
-  cfg.trace = trace;
-  // The instrumented arm carries the full decision-observability stack:
-  // per-round regret attribution AND a live /metrics exporter accepting
-  // scrapes, so the 5% budget prices everything at once.
-  cfg.attribution = registry != nullptr;
-  std::unique_ptr<net::HttpServer> exporter;
-  // The instrumented arm also prices task tracing (sampled) and the SLO
-  // burn-rate monitor, so the budget covers the full stack.
-  obs::TraceStore task_traces(1024, 0.25);
-  obs::SloMonitor slo;
-  if (registry != nullptr) {
-    obs::DebugSources sources;
-    sources.snapshot = [registry] { return registry->snapshot(); };
-    net::HttpServerConfig http_cfg;
-    http_cfg.worker_threads = 2;
-    exporter = std::make_unique<net::HttpServer>(
-        [sources](const net::HttpRequest& request) {
-          return obs::route_debug_request(request, sources);
-        },
-        http_cfg);
-    cfg.task_traces = &task_traces;
-    cfg.slo = &slo;
-  }
-  // The flight arm prices the whole recorder path: engine events via the
-  // explicit config pointer plus pool heartbeats / ratekeeper events via
-  // the process-wide default.
-  cfg.flight = flight;
-  if (flight != nullptr) {
-    obs::set_default_flight(flight);
-  }
-  // The storage arm prices the full durability write path: WAL appends
-  // with group-commit fsyncs, periodic checkpoint publication, and the
-  // chunked journal mirror of every round record.
-  cfg.storage = storage;
-  obs::set_default_registry(registry);
-  engine::OnlineEngine eng(cfg, scenario.platform, scenario.embedder,
-                           predictor, &pool);
-  const engine::EngineResult result = eng.run();
-  obs::set_default_registry(nullptr);
-  if (flight != nullptr) {
-    obs::set_default_flight(nullptr);
-  }
-  return result.wall_seconds;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -235,9 +155,16 @@ int main(int argc, char** argv) {
   bool ratekeeper_enabled = false;
   bool flight_enabled = false;
   std::string journal_path = "online_engine.jsonl";
-  std::string bench_json_path;
   std::string profile_path;
   double trace_sample = 0.0;
+  const auto usage = [argv] {
+    std::fprintf(stderr,
+                 "usage: %s [--quick] [--journal [path]] "
+                 "[--trace-sample <rate in [0,1]>] [--ratekeeper] [--flight] "
+                 "[--profile <path>]\n",
+                 argv[0]);
+    return 2;
+  };
   for (int k = 1; k < argc; ++k) {
     if (std::strcmp(argv[k], "--quick") == 0) {
       quick = true;
@@ -250,19 +177,16 @@ int main(int argc, char** argv) {
       if (k + 1 < argc && argv[k + 1][0] != '-') {
         journal_path = argv[++k];
       }
-    } else if (std::strcmp(argv[k], "--bench-json") == 0 && k + 1 < argc) {
-      bench_json_path = argv[++k];
     } else if (std::strcmp(argv[k], "--profile") == 0 && k + 1 < argc) {
       profile_path = argv[++k];
     } else if (std::strcmp(argv[k], "--trace-sample") == 0 && k + 1 < argc) {
-      trace_sample = std::strtod(argv[++k], nullptr);
+      const auto rate = net::parse_finite_double(argv[++k]);
+      if (!rate || *rate < 0.0 || *rate > 1.0) {
+        return usage();
+      }
+      trace_sample = *rate;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--journal [path]] "
-                   "[--trace-sample <rate>] [--ratekeeper] [--flight] "
-                   "[--bench-json <path>] [--profile <path>]\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
   const std::size_t num_clusters = 3;
@@ -324,13 +248,11 @@ int main(int argc, char** argv) {
     flight_rec = std::make_unique<obs::FlightRecorder>();
     obs::set_default_flight(flight_rec.get());
   }
-  // In-process sampling profiler: the subject of both the --profile
-  // capture and the profiler-overhead measurement below, so it always
-  // exists. Declared before the pool (same ordering discipline as the
-  // flight recorder) so workers quiesce before the per-thread entries go
-  // away. It only becomes the process default — and thus visible to the
-  // engine and pool workers — under --profile or inside the overhead
-  // arms.
+  // In-process sampling profiler for the --profile capture. Declared
+  // before the pool (same ordering discipline as the flight recorder) so
+  // workers quiesce before the per-thread entries go away. It only becomes
+  // the process default — and thus visible to the engine and pool
+  // workers — under --profile.
   obs::ProfilerConfig prof_cfg;
   prof_cfg.max_threads = 64;
   obs::SamplingProfiler profiler(prof_cfg);
@@ -367,12 +289,6 @@ int main(int argc, char** argv) {
              "drift_stat", "retrained", "retrain_total", "pred_gap",
              "solver_gap", "rounding_gap", "admission_gap"});
   double post_drift_regret[2] = {0.0, 0.0};
-  // Per-mode facts the --bench-json summary reports.
-  double mode_wall_seconds[2] = {0.0, 0.0};
-  std::size_t mode_rounds[2] = {0, 0};
-  double mode_pred_gap[2] = {0.0, 0.0};
-  double mode_solver_gap[2] = {0.0, 0.0};
-  double mode_rounding_gap[2] = {0.0, 0.0};
   std::size_t mode_index = 0;
 
   for (const auto& [label, online] : modes) {
@@ -479,11 +395,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(result.throttled));
     }
 
-    mode_wall_seconds[mode_index] = watch.seconds();
-    mode_rounds[mode_index] = result.counters.rounds;
-    mode_pred_gap[mode_index] = pred_gap.mean();
-    mode_solver_gap[mode_index] = solver_gap.mean();
-    mode_rounding_gap[mode_index] = rounding_gap.mean();
     post_drift_regret[mode_index++] =
         mean_regret_after(result.rounds, drift_at);
     std::printf(
@@ -528,8 +439,6 @@ int main(int argc, char** argv) {
                 journal_path.c_str(), tasktraces_out->records_written());
   }
   if (!profile_path.empty()) {
-    // Render before the overhead block below: its active arm runs fresh
-    // sessions that would reset the rings and stage totals.
     const std::string folded = profiler.folded();
     FILE* out = std::fopen(profile_path.c_str(), "w");
     if (out == nullptr) {
@@ -548,242 +457,12 @@ int main(int argc, char** argv) {
     obs::set_default_profiler(nullptr);
   }
   if (flight_rec != nullptr) {
-    // Detach the process default before the overhead measurement below so
-    // its "off" arm really runs recorder-free.
     obs::set_default_flight(nullptr);
     std::printf("flight recorder: %llu events (%llu dropped) across %zu "
                 "threads\n",
                 static_cast<unsigned long long>(flight_rec->events_total()),
                 static_cast<unsigned long long>(flight_rec->dropped_total()),
                 flight_rec->threads_registered());
-  }
-
-  // Telemetry overhead: the same frozen-mode engine with instrumentation
-  // fully off vs fully on, interleaved, best-of-N each to shed scheduler
-  // noise. The budget is 5% (ISSUE acceptance criterion); disabled
-  // instrumentation is a null-pointer check, enabled instrumentation is
-  // sharded atomics plus a steady-clock read per stage.
-  double telemetry_overhead_pct = 0.0;
-  double flight_overhead_pct = 0.0;
-  double flight_off_best = 0.0;
-  double flight_on_best = 0.0;
-  double profiler_idle_overhead_pct = 0.0;
-  double profiler_active_overhead_pct = 0.0;
-  double storage_overhead_pct = 0.0;
-  double storage_off_best = 0.0;
-  double storage_on_best = 0.0;
-  obs::RegistrySnapshot stage_snapshot;
-  {
-    const engine::EngineConfig overhead_cfg =
-        engine_config(false, drift_at, max_arrivals, drift_cluster);
-    obs::MetricsRegistry registry;
-    obs::TraceRing trace(256);
-    const int reps = quick ? 2 : 3;
-    double off_best = 0.0;
-    double on_best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      const double off = timed_run(scenario, pretrained, overhead_cfg, pool,
-                                   nullptr, nullptr);
-      registry.reset();  // paired runs: zero values, keep registrations
-      const double on = timed_run(scenario, pretrained, overhead_cfg, pool,
-                                  &registry, &trace);
-      off_best = r == 0 ? off : std::min(off_best, off);
-      on_best = r == 0 ? on : std::min(on_best, on);
-    }
-    telemetry_overhead_pct = 100.0 * (on_best - off_best) / off_best;
-    std::printf("telemetry overhead: off %.3fs vs on %.3fs (%+.1f%%, "
-                "budget 5%%)%s\n",
-                off_best, on_best, telemetry_overhead_pct,
-                telemetry_overhead_pct > 5.0 ? " — OVER BUDGET" : "");
-
-    // Stage latency quantiles from the instrumented run's histograms —
-    // the same numbers a Prometheus scrape of /metrics would expose as
-    // the _quantile gauges.
-    stage_snapshot = registry.snapshot();
-    for (const auto& h : stage_snapshot.histograms) {
-      if (h.name.rfind("mfcp_engine_stage_seconds", 0) != 0 ||
-          h.count == 0) {
-        continue;
-      }
-      std::printf("  %-44s p50 %7.3fms  p90 %7.3fms  p99 %7.3fms  "
-                  "(n=%llu)\n",
-                  h.name.c_str(),
-                  1e3 * obs::histogram_quantile(h, 0.5),
-                  1e3 * obs::histogram_quantile(h, 0.9),
-                  1e3 * obs::histogram_quantile(h, 0.99),
-                  static_cast<unsigned long long>(h.count));
-    }
-
-    // Flight-recorder overhead: both arms run the fully instrumented
-    // engine, one with the black box attached (rings + heartbeats + the
-    // process default). The recorder's budget is 2% — recording is a
-    // handful of relaxed atomic stores, so it should price well under the
-    // telemetry stack itself. One recorder serves every rep (rings
-    // overwrite), so no heartbeat slot churn between reps.
-    {
-      obs::FlightRecorder recorder;
-      for (int r = 0; r < reps; ++r) {
-        registry.reset();
-        const double off = timed_run(scenario, pretrained, overhead_cfg,
-                                     pool, &registry, &trace, nullptr);
-        registry.reset();
-        const double on = timed_run(scenario, pretrained, overhead_cfg,
-                                    pool, &registry, &trace, &recorder);
-        flight_off_best = r == 0 ? off : std::min(flight_off_best, off);
-        flight_on_best = r == 0 ? on : std::min(flight_on_best, on);
-      }
-      flight_overhead_pct =
-          100.0 * (flight_on_best - flight_off_best) / flight_off_best;
-      std::printf("flight overhead: off %.3fs vs on %.3fs (%+.1f%%, "
-                  "budget 2%%; %llu events recorded)%s\n",
-                  flight_off_best, flight_on_best, flight_overhead_pct,
-                  static_cast<unsigned long long>(recorder.events_total()),
-                  flight_overhead_pct > 2.0 ? " — OVER BUDGET" : "");
-    }
-
-    // Sampling-profiler overhead, three interleaved arms over the same
-    // instrumented engine: no profiler at all; profiler armed but idle
-    // (thread registration + TLS stage markers, no session — the cost of
-    // shipping with --profile and never hitting /debug/profile); and a
-    // live 97 Hz session for the whole run. Budgets: armed-idle <= 1%,
-    // active sampling <= 3%.
-    {
-      const std::uint64_t samples_before = profiler.samples_total();
-      double off_best = 0.0;
-      double idle_best = 0.0;
-      double active_best = 0.0;
-      for (int r = 0; r < reps; ++r) {
-        obs::set_default_profiler(nullptr);
-        registry.reset();
-        const double off = timed_run(scenario, pretrained, overhead_cfg,
-                                     pool, &registry, &trace);
-        obs::set_default_profiler(&profiler);
-        registry.reset();
-        const double idle = timed_run(scenario, pretrained, overhead_cfg,
-                                      pool, &registry, &trace);
-        registry.reset();
-        profiler.start(97.0);
-        const double active = timed_run(scenario, pretrained, overhead_cfg,
-                                        pool, &registry, &trace);
-        profiler.stop();
-        off_best = r == 0 ? off : std::min(off_best, off);
-        idle_best = r == 0 ? idle : std::min(idle_best, idle);
-        active_best = r == 0 ? active : std::min(active_best, active);
-      }
-      obs::set_default_profiler(nullptr);
-      profiler_idle_overhead_pct =
-          100.0 * (idle_best - off_best) / off_best;
-      profiler_active_overhead_pct =
-          100.0 * (active_best - off_best) / off_best;
-      std::printf("profiler overhead: off %.3fs vs armed-idle %.3fs "
-                  "(%+.1f%%, budget 1%%)%s\n",
-                  off_best, idle_best, profiler_idle_overhead_pct,
-                  profiler_idle_overhead_pct > 1.0 ? " — OVER BUDGET" : "");
-      std::printf("profiler overhead: off %.3fs vs sampling@97Hz %.3fs "
-                  "(%+.1f%%, budget 3%%; %llu samples)%s\n",
-                  off_best, active_best, profiler_active_overhead_pct,
-                  static_cast<unsigned long long>(profiler.samples_total() -
-                                                  samples_before),
-                  profiler_active_overhead_pct > 3.0 ? " — OVER BUDGET"
-                                                     : "");
-    }
-
-    // Durability overhead: the same instrumented engine with the storage
-    // stack off vs fully on — WAL appends (group commit every 32),
-    // periodic + final checkpoint publication, and the chunked journal
-    // mirror of every round. The budget is 5% (ISSUE acceptance
-    // criterion). Each rep writes a fresh scratch dir so no arm pays
-    // recovery or disk-state carryover.
-    {
-      const std::filesystem::path scratch =
-          std::filesystem::temp_directory_path() /
-          ("mfcp_bench_storage_" + std::to_string(::getpid()));
-      std::error_code ec;
-      std::filesystem::remove_all(scratch, ec);
-      for (int r = 0; r < reps; ++r) {
-        registry.reset();
-        const double off = timed_run(scenario, pretrained, overhead_cfg,
-                                     pool, &registry, &trace);
-        registry.reset();
-        storage::StorageConfig storage_cfg;
-        storage_cfg.dir = (scratch / ("rep" + std::to_string(r))).string();
-        storage::StorageManager storage(storage_cfg);
-        const double on = timed_run(scenario, pretrained, overhead_cfg,
-                                    pool, &registry, &trace, nullptr,
-                                    &storage);
-        storage_off_best = r == 0 ? off : std::min(storage_off_best, off);
-        storage_on_best = r == 0 ? on : std::min(storage_on_best, on);
-      }
-      std::filesystem::remove_all(scratch, ec);
-      storage_overhead_pct =
-          100.0 * (storage_on_best - storage_off_best) / storage_off_best;
-      std::printf("storage overhead: off %.3fs vs durable %.3fs (%+.1f%%, "
-                  "budget 5%%)%s\n",
-                  storage_off_best, storage_on_best, storage_overhead_pct,
-                  storage_overhead_pct > 5.0 ? " — OVER BUDGET" : "");
-    }
-  }
-
-  // Machine-readable one-record summary for CI archiving: throughput per
-  // mode, stage latency quantiles, mean regret-attribution terms, and the
-  // two overhead measurements.
-  if (!bench_json_path.empty()) {
-    obs::JsonlWriter summary(bench_json_path);
-    summary.field("record", std::string_view("bench_summary"))
-        .field("bench", std::string_view("exp_online_engine"))
-        .field("quick", quick)
-        .field("arrivals", static_cast<std::uint64_t>(max_arrivals));
-    const char* mode_names[2] = {"frozen", "online"};
-    for (std::size_t m = 0; m < 2; ++m) {
-      const std::string prefix = mode_names[m];
-      summary
-          .field(prefix + "_rounds",
-                 static_cast<std::uint64_t>(mode_rounds[m]))
-          .field(prefix + "_wall_seconds", mode_wall_seconds[m])
-          .field(prefix + "_rounds_per_second",
-                 mode_wall_seconds[m] > 0.0
-                     ? static_cast<double>(mode_rounds[m]) /
-                           mode_wall_seconds[m]
-                     : 0.0)
-          .field(prefix + "_post_drift_regret", post_drift_regret[m])
-          .field(prefix + "_pred_gap_mean", mode_pred_gap[m])
-          .field(prefix + "_solver_gap_mean", mode_solver_gap[m])
-          .field(prefix + "_rounding_gap_mean", mode_rounding_gap[m]);
-    }
-    for (const auto& h : stage_snapshot.histograms) {
-      if (h.name.rfind("mfcp_engine_stage_seconds", 0) != 0 ||
-          h.count == 0) {
-        continue;
-      }
-      // h.name carries the label inline: ...{stage="match"}.
-      const std::string::size_type at = h.name.find("stage=\"");
-      if (at == std::string::npos) {
-        continue;
-      }
-      const std::string::size_type begin = at + 7;
-      const std::string::size_type end = h.name.find('"', begin);
-      if (end == std::string::npos) {
-        continue;
-      }
-      const std::string stage = h.name.substr(begin, end - begin);
-      summary
-          .field("stage_" + stage + "_p50_ms",
-                 1e3 * obs::histogram_quantile(h, 0.5))
-          .field("stage_" + stage + "_p99_ms",
-                 1e3 * obs::histogram_quantile(h, 0.99));
-    }
-    summary.field("telemetry_overhead_pct", telemetry_overhead_pct)
-        .field("flight_off_seconds", flight_off_best)
-        .field("flight_on_seconds", flight_on_best)
-        .field("flight_overhead_pct", flight_overhead_pct)
-        .field("profiler_idle_overhead_pct", profiler_idle_overhead_pct)
-        .field("profiler_active_overhead_pct", profiler_active_overhead_pct)
-        .field("storage_off_seconds", storage_off_best)
-        .field("storage_on_seconds", storage_on_best)
-        .field("storage_overhead_pct", storage_overhead_pct);
-    summary.end_record();
-    summary.flush();
-    std::printf("bench summary written to %s\n", bench_json_path.c_str());
   }
 
   std::printf("\npost-drift rolling regret: frozen %.4f vs online %.4f\n",

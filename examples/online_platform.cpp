@@ -63,6 +63,7 @@
 #include "engine/engine.hpp"
 #include "mfcp/trainer_tsm.hpp"
 #include "net/gateway.hpp"
+#include "net/http.hpp"
 #include "net/http_server.hpp"
 #include "obs/alert_webhook.hpp"
 #include "obs/debug_routes.hpp"
@@ -111,6 +112,21 @@ int main(int argc, char** argv) {
   std::string alert_webhook_url;
   std::string data_dir;   // empty = durability off
   int retrain_every = 0;  // 0 = drift-triggered retraining only
+  const auto usage = [argv] {
+    std::fprintf(stderr,
+                 "usage: %s [--serve-port N] [--linger-seconds S]\n"
+                 "          [--gateway-port N] [--serve-seconds S]\n"
+                 "          [--sim-hours-per-second X] "
+                 "[--trace-sample R in [0,1]]\n"
+                 "          [--ratekeeper] [--slo-config FILE] "
+                 "[--alert-log FILE]\n"
+                 "          [--alert-webhook http://host:port/path]\n"
+                 "          [--flight] [--stall-budget-seconds S] "
+                 "[--profile]\n"
+                 "          [--data-dir DIR] [--retrain-every N]\n",
+                 argv[0]);
+    return 2;
+  };
   for (int k = 1; k < argc; ++k) {
     if (std::strcmp(argv[k], "--serve-port") == 0 && k + 1 < argc) {
       serve_port = std::atoi(argv[++k]);
@@ -125,7 +141,11 @@ int main(int argc, char** argv) {
                k + 1 < argc) {
       hours_per_second = std::atof(argv[++k]);
     } else if (std::strcmp(argv[k], "--trace-sample") == 0 && k + 1 < argc) {
-      trace_sample = std::atof(argv[++k]);
+      const auto rate = net::parse_finite_double(argv[++k]);
+      if (!rate || *rate < 0.0 || *rate > 1.0) {
+        return usage();
+      }
+      trace_sample = *rate;
     } else if (std::strcmp(argv[k], "--ratekeeper") == 0) {
       ratekeeper_on = true;
     } else if (std::strcmp(argv[k], "--slo-config") == 0 && k + 1 < argc) {
@@ -147,19 +167,7 @@ int main(int argc, char** argv) {
                k + 1 < argc) {
       retrain_every = std::atoi(argv[++k]);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--serve-port N] [--linger-seconds S]\n"
-                   "          [--gateway-port N] [--serve-seconds S]\n"
-                   "          [--sim-hours-per-second X] "
-                   "[--trace-sample R]\n"
-                   "          [--ratekeeper] [--slo-config FILE] "
-                   "[--alert-log FILE]\n"
-                   "          [--alert-webhook http://host:port/path]\n"
-                   "          [--flight] [--stall-budget-seconds S] "
-                   "[--profile]\n"
-                   "          [--data-dir DIR] [--retrain-every N]\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
   const bool gateway_mode = gateway_port >= 0;

@@ -64,9 +64,9 @@ DeployTrace deploy_matching_traced(const matching::MatchingProblem& predicted,
 /// relaxed solve, warm-started from its output, to the stationary point
 /// that stands in for the converged optimum). The defaults are tuned for
 /// the always-on per-round path: a converged deploy solve passes the
-/// polish's first residual check, so attribution stays inside the 5%
-/// telemetry overhead budget; the decomposition telescopes exactly at ANY
-/// polish depth — deeper polish only sharpens the pred/solver split.
+/// polish's first residual check, so attribution stays cheap; the
+/// decomposition telescopes exactly at ANY polish depth — deeper polish
+/// only sharpens the pred/solver split.
 struct AttributionConfig {
   std::size_t polish_iterations = 16;
   /// <= 0 inherits the evaluation config's solver tolerance (the polish

@@ -143,10 +143,10 @@ void HttpServer::accept_loop() {
       // limit. Retry-After 1 is a hint, not a promise.
       HttpResponse overloaded = text_response(503, "overloaded\n");
       overloaded.headers.emplace_back("Retry-After", "1");
-      send_all(client, serialize_response(overloaded));
-      ::close(client);
       shed_.fetch_add(1, std::memory_order_relaxed);
       requests_.fetch_add(1, std::memory_order_relaxed);
+      send_all(client, serialize_response(overloaded));
+      ::close(client);
     } else {
       ready_.notify_one();
     }
@@ -243,10 +243,12 @@ void HttpServer::serve_connection(int fd, std::size_t worker) {
       }
     }
   }
+  // Counted before the send, so a client holding its answer always sees
+  // it in requests_served().
+  requests_.fetch_add(1, std::memory_order_relaxed);
   const std::string wire = serialize_response(response);
   send_all(fd, wire);
   ::close(fd);
-  requests_.fetch_add(1, std::memory_order_relaxed);
   if (config_.observer != nullptr) {
     config_.observer->on_request_end(worker, response.status, wire.size());
   }

@@ -28,12 +28,6 @@ std::uint64_t Counter::value() const noexcept {
   return total;
 }
 
-void Counter::reset() noexcept {
-  for (Shard& s : shards_) {
-    s.v.store(0, std::memory_order_relaxed);
-  }
-}
-
 // ----------------------------------------------------------- histogram --
 
 Histogram::Histogram(std::span<const double> upper_bounds)
@@ -121,15 +115,6 @@ double Histogram::sum() const noexcept {
     total += s.sum.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-void Histogram::reset() noexcept {
-  for (Shard& s : shards_) {
-    for (auto& b : s.buckets) {
-      b.store(0, std::memory_order_relaxed);
-    }
-    s.sum.store(0.0, std::memory_order_relaxed);
-  }
 }
 
 // ------------------------------------------------------------ snapshot --
@@ -246,19 +231,6 @@ RegistrySnapshot MetricsRegistry::snapshot() const {
     snap.histograms.push_back(std::move(hs));
   }
   return snap;  // std::map iteration is already name-sorted
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, c] : counters_) {
-    c->reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->reset();
-  }
 }
 
 MetricsRegistry* default_registry() noexcept {

@@ -17,9 +17,7 @@
 // Registration (`registry.counter("name")`) takes a mutex and is expected
 // once per site; instrumented components cache the returned pointer
 // (references are stable for the registry's lifetime — metrics live in
-// node-based maps and are never removed). reset() zeroes every value but
-// keeps registrations, which is what paired instrumented-vs-off benchmark
-// runs need.
+// node-based maps and are never removed).
 #pragma once
 
 #include <array>
@@ -53,8 +51,6 @@ class Counter {
   /// Sum over shards. Concurrent adds may or may not be included.
   [[nodiscard]] std::uint64_t value() const noexcept;
 
-  void reset() noexcept;
-
  private:
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> v{0};
@@ -71,7 +67,6 @@ class Gauge {
   [[nodiscard]] double value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { set(0.0); }
 
  private:
   std::atomic<double> v_{0.0};
@@ -106,8 +101,6 @@ class Histogram {
   [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
   [[nodiscard]] std::uint64_t count() const noexcept;
   [[nodiscard]] double sum() const noexcept;
-
-  void reset() noexcept;
 
  private:
   struct alignas(64) Shard {
@@ -157,10 +150,6 @@ class MetricsRegistry {
   [[nodiscard]] Histogram* find_histogram(std::string_view name);
 
   [[nodiscard]] RegistrySnapshot snapshot() const;
-
-  /// Zeroes every metric but keeps all registrations (cached pointers
-  /// into the registry stay valid) — for paired benchmark runs.
-  void reset();
 
  private:
   mutable std::mutex mutex_;

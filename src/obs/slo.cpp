@@ -125,6 +125,9 @@ std::optional<SloConfig> parse_slo_config(std::string_view text,
   if (!(config.burn_threshold > 0.0)) {
     return fail("burn_threshold must be positive");
   }
+  if (!(config.submit_latency_target_seconds > 0.0)) {
+    return fail("submit_latency_target_seconds must be positive");
+  }
   if (!(config.regret_gap_budget > 0.0)) {
     return fail("regret_gap_budget must be positive");
   }
@@ -157,6 +160,8 @@ SloMonitor::SloMonitor(SloConfig config) : config_(config) {
                  config_.slow_window_hours >= config_.fast_window_hours,
              "SLO windows must be positive with slow >= fast");
   MFCP_CHECK(config_.burn_threshold > 0.0, "burn threshold must be positive");
+  MFCP_CHECK(config_.submit_latency_target_seconds > 0.0,
+             "submit latency target must be positive");
   MFCP_CHECK(config_.regret_gap_budget > 0.0,
              "regret gap budget must be positive");
 }

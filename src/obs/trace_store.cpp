@@ -33,7 +33,7 @@ bool trace_sampled(std::uint64_t trace_id, double rate) noexcept {
   if (rate >= 1.0) {
     return true;
   }
-  if (rate <= 0.0) {
+  if (!(rate > 0.0)) {  // also NaN, which must not reach the cast below
     return false;
   }
   // Threshold compare in the full 64-bit space. Re-hash so the sampling

@@ -42,7 +42,7 @@ class JsonlWriter;
 [[nodiscard]] std::uint64_t mint_trace_id(std::uint64_t task_id) noexcept;
 
 /// Deterministic sampling decision: true iff hash(trace_id) falls below
-/// rate * 2^64. rate >= 1 always samples, rate <= 0 never does.
+/// rate * 2^64. rate >= 1 always samples; rate <= 0 or NaN never does.
 [[nodiscard]] bool trace_sampled(std::uint64_t trace_id, double rate) noexcept;
 
 /// Lower-case 16-hex-digit rendering of a trace id (the wire format used

@@ -398,6 +398,10 @@ TEST(SloConfigParse, ConstraintViolationsFail) {
       parse_slo_config("expiry_objective = 1.5\n", &error).has_value());
   EXPECT_FALSE(
       parse_slo_config("burn_threshold = -1\n", &error).has_value());
+  // A non-positive latency target is a parse error, not a start-up abort.
+  EXPECT_FALSE(parse_slo_config("submit_latency_target_seconds = 0\n",
+                                &error)
+                   .has_value());
 }
 
 TEST(SloAlertLog, WritesFireAndResolveTransitionsOnly) {

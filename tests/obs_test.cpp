@@ -62,14 +62,12 @@ TEST(Counter, ConcurrentAddsEqualSerialTotal) {
   EXPECT_EQ(counter.value(), kThreads * kPerThread);
 }
 
-TEST(Counter, AddWithArgumentAndReset) {
+TEST(Counter, AddWithArgument) {
   MetricsRegistry registry;
   Counter& counter = registry.counter("steps");
   counter.add(5);
   counter.add();  // default increment
   EXPECT_EQ(counter.value(), 6u);
-  counter.reset();
-  EXPECT_EQ(counter.value(), 0u);
 }
 
 // ------------------------------------------------------------- gauges --
@@ -81,8 +79,6 @@ TEST(Gauge, LastWriteWins) {
   gauge.set(1.25);
   gauge.set(-3.5);
   EXPECT_EQ(gauge.value(), -3.5);
-  gauge.reset();
-  EXPECT_EQ(gauge.value(), 0.0);
 }
 
 // --------------------------------------------------------- histograms --
@@ -188,30 +184,6 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableReferences) {
   Counter& first = registry.counter("same");
   Counter& second = registry.counter("same");
   EXPECT_EQ(&first, &second);
-}
-
-TEST(MetricsRegistry, ResetZeroesValuesButKeepsRegistrations) {
-  MetricsRegistry registry;
-  constexpr double kBounds[] = {1.0};
-  Counter& counter = registry.counter("c");
-  Gauge& gauge = registry.gauge("g");
-  Histogram& hist = registry.histogram("h", kBounds);
-  counter.add(5);
-  gauge.set(2.5);
-  hist.observe(0.5);
-
-  registry.reset();
-
-  // Cached pointers stay valid and land in the same (zeroed) metrics.
-  counter.add(1);
-  EXPECT_EQ(registry.counter("c").value(), 1u);
-  EXPECT_EQ(gauge.value(), 0.0);
-  EXPECT_EQ(hist.count(), 0u);
-  EXPECT_EQ(hist.sum(), 0.0);
-  const RegistrySnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.histograms.size(), 1u);
 }
 
 TEST(MetricsRegistry, DefaultRegistryStartsNullAndIsSettable) {
@@ -530,6 +502,7 @@ TEST(TraceId, SamplingEdgesAndDeterminism) {
     EXPECT_TRUE(trace_sampled(id, 2.0));   // clamps above 1
     EXPECT_FALSE(trace_sampled(id, 0.0));
     EXPECT_FALSE(trace_sampled(id, -0.5)); // clamps below 0
+    EXPECT_FALSE(trace_sampled(id, std::nan("")));  // NaN never samples
     // The decision is a pure function: recomputing never flips it.
     EXPECT_EQ(trace_sampled(id, 0.5), trace_sampled(id, 0.5));
   }

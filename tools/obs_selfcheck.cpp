@@ -69,14 +69,6 @@
 //                         match, attribute, dispatch), and that at least
 //                         one sampled stack carries a stage: tag.
 //
-//   --bench-diff <baseline> <fresh>
-//                         two bench-summary JSONL records (--bench-json
-//                         output). Prints WARN when a mode's rounds/s
-//                         dropped, or a stage p99 rose, by more than 15%
-//                         against the baseline. Warnings do not fail the
-//                         check (CI surfaces them without gating); only
-//                         malformed input does.
-//
 //   --storage <dir>       durability data directory (--data-dir of a
 //                         platform run). Validates all three stores
 //                         against re-implemented copies of their formats
@@ -982,88 +974,6 @@ int check_profile(const std::string& path) {
   return failures == 0 ? 0 : 1;
 }
 
-/// Reads the first bench_summary record of a --bench-json file.
-std::optional<std::string> read_bench_summary(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return std::nullopt;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto record = json_string_field(line, "record");
-    if (record.has_value() && *record == "bench_summary") {
-      return line;
-    }
-  }
-  return std::nullopt;
-}
-
-int check_bench_diff(const std::string& baseline_path,
-                     const std::string& fresh_path) {
-  const auto baseline = read_bench_summary(baseline_path);
-  const auto fresh = read_bench_summary(fresh_path);
-  if (!baseline.has_value()) {
-    std::fprintf(stderr, "no bench_summary record in %s\n",
-                 baseline_path.c_str());
-    return 2;
-  }
-  if (!fresh.has_value()) {
-    std::fprintf(stderr, "no bench_summary record in %s\n",
-                 fresh_path.c_str());
-    return 2;
-  }
-  constexpr double kWarnPct = 15.0;
-  std::size_t compared = 0;
-  std::size_t warned = 0;
-  // Throughput per mode: warn when the fresh run lost more than 15%.
-  for (const char* mode : {"frozen", "online"}) {
-    const std::string key = std::string(mode) + "_rounds_per_second";
-    const auto base = json_field(*baseline, key.c_str());
-    const auto now = json_field(*fresh, key.c_str());
-    if (!base.has_value() || !now.has_value()) {
-      fail("bench summary missing " + key, 1,
-           base.has_value() ? *fresh : *baseline);
-      continue;
-    }
-    ++compared;
-    if (*base > 0.0 && *now < *base * (1.0 - kWarnPct / 100.0)) {
-      ++warned;
-      std::printf("WARN: %s dropped %.1f%% (%.2f -> %.2f rounds/s, "
-                  "threshold %.0f%%)\n",
-                  key.c_str(), 100.0 * (1.0 - *now / *base), *base, *now,
-                  kWarnPct);
-    }
-  }
-  // Stage p99 latencies: warn when a stage got more than 15% slower.
-  // Keys come from the baseline so a stage vanishing reads as malformed,
-  // not silently skipped.
-  for (const char* stage :
-       {"embed", "predict", "match", "attribute", "dispatch"}) {
-    const std::string key = std::string("stage_") + stage + "_p99_ms";
-    const auto base = json_field(*baseline, key.c_str());
-    if (!base.has_value()) {
-      continue;  // baseline predates this stage's histogram; nothing to diff
-    }
-    const auto now = json_field(*fresh, key.c_str());
-    if (!now.has_value()) {
-      fail("fresh bench summary missing " + key, 1, *fresh);
-      continue;
-    }
-    ++compared;
-    if (*base > 0.0 && *now > *base * (1.0 + kWarnPct / 100.0)) {
-      ++warned;
-      std::printf("WARN: %s rose %.1f%% (%.3f -> %.3f ms, threshold "
-                  "%.0f%%)\n",
-                  key.c_str(), 100.0 * (*now / *base - 1.0), *base, *now,
-                  kWarnPct);
-    }
-  }
-  std::printf("bench diff %s vs %s: %zu series compared, %zu regression "
-              "warnings\n",
-              baseline_path.c_str(), fresh_path.c_str(), compared, warned);
-  return failures == 0 ? 0 : 1;
-}
-
 int check_flight(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
@@ -1387,8 +1297,6 @@ int main(int argc, char** argv) {
   std::string tasktraces_path;
   std::string flight_path;
   std::string profile_path;
-  std::string bench_baseline_path;
-  std::string bench_fresh_path;
   std::string storage_dir;
   bool require_attribution = false;
   bool require_gateway = false;
@@ -1404,9 +1312,6 @@ int main(int argc, char** argv) {
       flight_path = argv[++k];
     } else if (std::strcmp(argv[k], "--profile") == 0 && k + 1 < argc) {
       profile_path = argv[++k];
-    } else if (std::strcmp(argv[k], "--bench-diff") == 0 && k + 2 < argc) {
-      bench_baseline_path = argv[++k];
-      bench_fresh_path = argv[++k];
     } else if (std::strcmp(argv[k], "--storage") == 0 && k + 1 < argc) {
       storage_dir = argv[++k];
     } else if (std::strcmp(argv[k], "--require-attribution") == 0) {
@@ -1419,8 +1324,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--exposition <file>] [--journal <file>] "
                    "[--tasktraces <file>] [--flight <file>] "
-                   "[--profile <file>] [--bench-diff <baseline> <fresh>] "
-                   "[--storage <dir>] "
+                   "[--profile <file>] [--storage <dir>] "
                    "[--require-attribution] [--require-gateway] "
                    "[--require-slo]\n",
                    argv[0]);
@@ -1429,8 +1333,7 @@ int main(int argc, char** argv) {
   }
   if (exposition_path.empty() && journal_path.empty() &&
       tasktraces_path.empty() && flight_path.empty() &&
-      profile_path.empty() && bench_baseline_path.empty() &&
-      storage_dir.empty()) {
+      profile_path.empty() && storage_dir.empty()) {
     std::fprintf(stderr, "nothing to check (see --help usage)\n");
     return 2;
   }
@@ -1450,10 +1353,6 @@ int main(int argc, char** argv) {
   }
   if (!profile_path.empty()) {
     rc = std::max(rc, check_profile(profile_path));
-  }
-  if (!bench_baseline_path.empty()) {
-    rc = std::max(rc, check_bench_diff(bench_baseline_path,
-                                       bench_fresh_path));
   }
   if (!storage_dir.empty()) {
     rc = std::max(rc, check_storage(storage_dir));
