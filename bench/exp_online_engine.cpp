@@ -248,16 +248,14 @@ int main(int argc, char** argv) {
     flight_rec = std::make_unique<obs::FlightRecorder>();
     obs::set_default_flight(flight_rec.get());
   }
-  // In-process sampling profiler for the --profile capture. Declared
-  // before the pool (same ordering discipline as the flight recorder) so
-  // workers quiesce before the per-thread entries go away. It only becomes
-  // the process default — and thus visible to the engine and pool
-  // workers — under --profile.
-  obs::ProfilerConfig prof_cfg;
-  prof_cfg.max_threads = 64;
-  obs::SamplingProfiler profiler(prof_cfg);
+  // In-process sampling profiler for the --profile capture, made the
+  // process default so the engine and pool workers register with it.
+  // Declared before the pool (same ordering discipline as the flight
+  // recorder) so workers quiesce before the per-thread entries go away.
+  std::unique_ptr<obs::SamplingProfiler> profiler;
   if (!profile_path.empty()) {
-    obs::set_default_profiler(&profiler);
+    profiler = std::make_unique<obs::SamplingProfiler>();
+    obs::set_default_profiler(profiler.get());
   }
   ThreadPool pool;
   std::unique_ptr<obs::JsonlWriter> journal;
@@ -326,15 +324,15 @@ int main(int argc, char** argv) {
     // every thread through registration (pool workers stay registered),
     // and the main thread is re-registered here up front because threads
     // that register mid-session only join the *next* session.
-    const bool profiled = !profile_path.empty() && online;
+    const bool profiled = profiler != nullptr && online;
     if (profiled) {
-      profiler.register_current_thread("engine");
-      profiler.start(97.0);
+      profiler->register_current_thread("engine");
+      profiler->start(97.0);
     }
     Stopwatch watch;
     const engine::EngineResult result = eng.run();
     if (profiled) {
-      profiler.stop();
+      profiler->stop();
     }
 
     RunningStats pred_gap;
@@ -438,8 +436,8 @@ int main(int argc, char** argv) {
     std::printf("task traces written to %s.tasktraces (%zu records)\n",
                 journal_path.c_str(), tasktraces_out->records_written());
   }
-  if (!profile_path.empty()) {
-    const std::string folded = profiler.folded();
+  if (profiler != nullptr) {
+    const std::string folded = profiler->folded();
     FILE* out = std::fopen(profile_path.c_str(), "w");
     if (out == nullptr) {
       std::fprintf(stderr, "cannot write profile to %s\n",
@@ -451,9 +449,9 @@ int main(int argc, char** argv) {
     std::printf("profile written to %s (%llu samples across %zu threads, "
                 "%llu truncated)\n",
                 profile_path.c_str(),
-                static_cast<unsigned long long>(profiler.samples_total()),
-                profiler.threads_registered(),
-                static_cast<unsigned long long>(profiler.truncated_total()));
+                static_cast<unsigned long long>(profiler->samples_total()),
+                profiler->threads_registered(),
+                static_cast<unsigned long long>(profiler->truncated_total()));
     obs::set_default_profiler(nullptr);
   }
   if (flight_rec != nullptr) {

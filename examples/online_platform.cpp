@@ -54,6 +54,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -127,25 +128,42 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   };
+  // Numeric flags go through the checked parsers: a malformed or
+  // out-of-range value is a usage error, reported before any work starts.
+  const auto int_flag = [](const char* text, std::uint64_t max, int& out) {
+    const auto value = net::parse_u64(text);
+    if (!value || *value > max) {
+      return false;
+    }
+    out = static_cast<int>(*value);
+    return true;
+  };
+  // Non-negative reals; `positive` rejects zero as well.
+  const auto real_flag = [](const char* text, bool positive, double& out) {
+    const auto value = net::parse_finite_double(text);
+    if (!value || *value < 0.0 || (positive && *value == 0.0)) {
+      return false;
+    }
+    out = *value;
+    return true;
+  };
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
   for (int k = 1; k < argc; ++k) {
+    bool ok = true;
     if (std::strcmp(argv[k], "--serve-port") == 0 && k + 1 < argc) {
-      serve_port = std::atoi(argv[++k]);
+      ok = int_flag(argv[++k], 65535, serve_port);
     } else if (std::strcmp(argv[k], "--linger-seconds") == 0 &&
                k + 1 < argc) {
-      linger_seconds = std::atoi(argv[++k]);
+      ok = int_flag(argv[++k], kIntMax, linger_seconds);
     } else if (std::strcmp(argv[k], "--gateway-port") == 0 && k + 1 < argc) {
-      gateway_port = std::atoi(argv[++k]);
+      ok = int_flag(argv[++k], 65535, gateway_port);
     } else if (std::strcmp(argv[k], "--serve-seconds") == 0 && k + 1 < argc) {
-      serve_seconds = std::atof(argv[++k]);
+      ok = real_flag(argv[++k], false, serve_seconds);
     } else if (std::strcmp(argv[k], "--sim-hours-per-second") == 0 &&
                k + 1 < argc) {
-      hours_per_second = std::atof(argv[++k]);
+      ok = real_flag(argv[++k], true, hours_per_second);
     } else if (std::strcmp(argv[k], "--trace-sample") == 0 && k + 1 < argc) {
-      const auto rate = net::parse_finite_double(argv[++k]);
-      if (!rate || *rate < 0.0 || *rate > 1.0) {
-        return usage();
-      }
-      trace_sample = *rate;
+      ok = real_flag(argv[++k], false, trace_sample) && trace_sample <= 1.0;
     } else if (std::strcmp(argv[k], "--ratekeeper") == 0) {
       ratekeeper_on = true;
     } else if (std::strcmp(argv[k], "--slo-config") == 0 && k + 1 < argc) {
@@ -160,13 +178,16 @@ int main(int argc, char** argv) {
       profile_on = true;
     } else if (std::strcmp(argv[k], "--stall-budget-seconds") == 0 &&
                k + 1 < argc) {
-      stall_budget_seconds = std::atof(argv[++k]);
+      ok = real_flag(argv[++k], true, stall_budget_seconds);
     } else if (std::strcmp(argv[k], "--data-dir") == 0 && k + 1 < argc) {
       data_dir = argv[++k];
     } else if (std::strcmp(argv[k], "--retrain-every") == 0 &&
                k + 1 < argc) {
-      retrain_every = std::atoi(argv[++k]);
+      ok = int_flag(argv[++k], kIntMax, retrain_every);
     } else {
+      ok = false;
+    }
+    if (!ok) {
       return usage();
     }
   }
@@ -308,9 +329,7 @@ int main(int argc, char** argv) {
   // so workers quiesce before the per-thread sample rings die.
   std::optional<obs::SamplingProfiler> profiler;
   if (profile_on) {
-    obs::ProfilerConfig prof_cfg;
-    prof_cfg.max_threads = 64;
-    profiler.emplace(prof_cfg);
+    profiler.emplace();
     obs::set_default_profiler(&*profiler);
     std::printf("sampling profiler armed: GET /debug/profile?seconds=N"
                 "&hz=F returns folded stacks\n");

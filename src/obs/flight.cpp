@@ -27,14 +27,6 @@ std::uint64_t now_ns() noexcept {
       std::chrono::steady_clock::now().time_since_epoch().count());
 }
 
-std::size_t round_up_pow2(std::size_t n) noexcept {
-  std::size_t p = 8;  // floor so tiny test rings still wrap sanely
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
 constexpr std::string_view kKindNames[] = {
     "none",        "round_begin", "round_end",  "batch_formed",
     "solver_iters", "admission",  "rate_change", "http_begin",
@@ -61,72 +53,26 @@ std::optional<FlightKind> parse_flight_kind(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-// ----------------------------------------------------------- FlightRing --
+// ------------------------------------------------------ event encoding --
+//
+// A FlightEvent is its slot's eight little-endian words (flight.hpp), so
+// encoding and decoding are one bit_cast each; word 0 is the ring's
+// sequence number.
 
-FlightRing::FlightRing(std::size_t capacity)
-    : mask_(round_up_pow2(capacity) - 1),
-      slots_(std::make_unique<Slot[]>(mask_ + 1)) {}
+namespace {
 
-void FlightRing::record(FlightEvent event) noexcept {
-  const std::uint64_t seq = head_.load(std::memory_order_relaxed) + 1;
-  Slot& slot = slots_[(seq - 1) & mask_];
-  // Per-slot seqlock write side: invalidate, fence, payload, publish. The
-  // release fence keeps the invalidation ahead of the payload stores in
-  // every reader's view, so a reader can never pair a stale sequence
-  // number with fresh payload words.
-  slot.word[0].store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.word[1].store(event.wall_ns, std::memory_order_relaxed);
-  slot.word[2].store(std::bit_cast<std::uint64_t>(event.sim_hours),
-                     std::memory_order_relaxed);
-  slot.word[3].store(event.a0, std::memory_order_relaxed);
-  slot.word[4].store(event.a1, std::memory_order_relaxed);
-  slot.word[5].store(event.a2, std::memory_order_relaxed);
-  slot.word[6].store(event.trace_id, std::memory_order_relaxed);
-  slot.word[7].store(static_cast<std::uint64_t>(event.kind) |
-                         (static_cast<std::uint64_t>(event.thread) << 16),
-                     std::memory_order_relaxed);
-  slot.word[0].store(seq, std::memory_order_release);
-  head_.store(seq, std::memory_order_release);
-}
+static_assert(std::endian::native == std::endian::little,
+              "the slot words are the little-endian wire format");
 
-std::vector<FlightEvent> FlightRing::snapshot() const {
-  const std::uint64_t h = head_.load(std::memory_order_acquire);
-  if (h == 0) {
-    return {};
-  }
-  const std::uint64_t cap = capacity();
-  const std::uint64_t lo = h > cap ? h - cap + 1 : 1;
+std::vector<FlightEvent> decode(const FlightRing& ring) {
   std::vector<FlightEvent> out;
-  out.reserve(static_cast<std::size_t>(h - lo + 1));
-  for (std::uint64_t seq = lo; seq <= h; ++seq) {
-    const Slot& slot = slots_[(seq - 1) & mask_];
-    if (slot.word[0].load(std::memory_order_acquire) != seq) {
-      continue;  // overwritten (or mid-write) since we sampled head
-    }
-    FlightEvent e;
-    e.wall_ns = slot.word[1].load(std::memory_order_relaxed);
-    e.sim_hours = std::bit_cast<double>(
-        slot.word[2].load(std::memory_order_relaxed));
-    e.a0 = slot.word[3].load(std::memory_order_relaxed);
-    e.a1 = slot.word[4].load(std::memory_order_relaxed);
-    e.a2 = slot.word[5].load(std::memory_order_relaxed);
-    e.trace_id = slot.word[6].load(std::memory_order_relaxed);
-    const std::uint64_t packed =
-        slot.word[7].load(std::memory_order_relaxed);
-    e.kind = static_cast<std::uint16_t>(packed & 0xFFFF);
-    e.thread = static_cast<std::uint16_t>((packed >> 16) & 0xFFFF);
-    // Seqlock read side: the acquire fence orders the payload loads
-    // before the recheck, so an overwrite that raced the copy is caught.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.word[0].load(std::memory_order_relaxed) != seq) {
-      continue;
-    }
-    e.seq = seq;
-    out.push_back(e);
+  for (const FlightRing::Slot& slot : ring.snapshot()) {
+    out.push_back(std::bit_cast<FlightEvent>(slot));
   }
   return out;
 }
+
+}  // namespace
 
 // ------------------------------------------------------------ heartbeats --
 
@@ -177,12 +123,11 @@ std::atomic<std::uint64_t> g_recorder_serial{0};
 FlightRecorder::FlightRecorder(FlightConfig config)
     : config_(config),
       serial_(g_recorder_serial.fetch_add(1, std::memory_order_relaxed) + 1) {
-  MFCP_CHECK(config_.max_threads > 0, "flight: need at least one ring");
   MFCP_CHECK(config_.ring_capacity > 0, "flight: ring capacity must be > 0");
   MFCP_CHECK(config_.stall_budget_seconds > 0.0,
              "flight: stall budget must be positive");
-  rings_.reserve(config_.max_threads);
-  for (std::size_t i = 0; i < config_.max_threads; ++i) {
+  rings_.reserve(kMaxFlightThreads);
+  for (std::size_t i = 0; i < kMaxFlightThreads; ++i) {
     rings_.push_back(std::make_unique<FlightRing>(config_.ring_capacity));
   }
   heartbeats_ =
@@ -197,7 +142,7 @@ FlightRing* FlightRecorder::ring_for_this_thread() noexcept {
   }
   const std::size_t ordinal = threads_.fetch_add(1, std::memory_order_relaxed);
   t_ring.owner_serial = serial_;
-  if (ordinal >= config_.max_threads) {
+  if (ordinal >= kMaxFlightThreads) {
     t_ring.ring = nullptr;
     t_ring.ordinal = 0;
     return nullptr;
@@ -219,16 +164,11 @@ void FlightRecorder::record(FlightKind kind, double sim_hours,
     }
     return;
   }
-  FlightEvent e;
-  e.wall_ns = now_ns();
-  e.sim_hours = sim_hours;
-  e.a0 = a0;
-  e.a1 = a1;
-  e.a2 = a2;
-  e.trace_id = trace_id;
-  e.kind = static_cast<std::uint16_t>(kind);
-  e.thread = t_ring.ordinal;
-  ring->record(e);
+  const auto words = std::bit_cast<FlightRing::Slot>(FlightEvent{
+      .wall_ns = now_ns(), .sim_hours = sim_hours, .a0 = a0, .a1 = a1,
+      .a2 = a2, .trace_id = trace_id,
+      .kind = static_cast<std::uint16_t>(kind), .thread = t_ring.ordinal});
+  ring->record(words.data() + 1, words.size() - 1);
   events_.fetch_add(1, std::memory_order_relaxed);
   if (sim_hours != 0.0) {
     // Layers without a simulated clock (HTTP workers, the watchdog) stamp
@@ -260,7 +200,7 @@ std::vector<FlightEvent> FlightRecorder::snapshot(int thread, FlightKind kind,
     if (thread >= 0 && static_cast<std::size_t>(thread) != t) {
       continue;
     }
-    std::vector<FlightEvent> part = rings_[t]->snapshot();
+    std::vector<FlightEvent> part = decode(*rings_[t]);
     merged.insert(merged.end(), part.begin(), part.end());
   }
   if (kind != FlightKind::kNone) {
@@ -447,7 +387,7 @@ void FlightRecorder::dump_jsonl(JsonlWriter& out,
   }
   const std::size_t used = threads_registered();
   for (std::size_t t = 0; t < used; ++t) {
-    for (const FlightEvent& e : rings_[t]->snapshot()) {
+    for (const FlightEvent& e : decode(*rings_[t])) {
       out.field("record", std::string_view("event"))
           .field("thread", static_cast<std::uint64_t>(e.thread))
           .field("seq", e.seq)
@@ -519,7 +459,7 @@ double FlightRecorder::last_sim_hours() const noexcept {
 
 std::size_t FlightRecorder::threads_registered() const noexcept {
   return std::min(threads_.load(std::memory_order_relaxed),
-                  config_.max_threads);
+                  kMaxFlightThreads);
 }
 
 // -------------------------------------------------------- default recorder --

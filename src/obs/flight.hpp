@@ -3,17 +3,12 @@
 // always-on diagnostics).
 //
 // Recording model
-//   Every thread that records gets its own fixed-capacity SPSC ring of
-//   64-byte event slots. A slot is eight 64-bit words; the writer
-//   invalidates the slot (seq word <- 0, relaxed), stores the payload
-//   words relaxed, then publishes with a release store of the sequence
-//   number — a per-slot seqlock. Readers (debug routes, the watchdog,
-//   JSONL dumps) copy slots and keep only those whose seq word reads the
-//   same valid value before and after the payload copy, so a concurrent
-//   overwrite is detected, never blocked on. Recording is therefore a
-//   handful of relaxed atomic stores plus one clock read: cheap enough to
-//   leave on in production (<2% on bench/exp_online_engine, measured by
-//   the bench's paired on/off run).
+//   Every thread that records gets its own SPSC ring of 64-byte event
+//   slots, an obs::SeqlockRing<8> (obs/seqlock_ring.hpp): recording is
+//   a handful of relaxed atomic stores plus one clock read, and readers
+//   never block the writer. It is meant to be left on in production; its
+//   cost is unmeasured until the platform benchmark gains a
+//   telemetry-cost workload (ROADMAP item 1(c)).
 //
 // Determinism
 //   The recorder is write-only telemetry: nothing in the engine reads it
@@ -53,6 +48,7 @@
 
 #include "net/http_server.hpp"
 #include "obs/metrics.hpp"
+#include "obs/seqlock_ring.hpp"
 
 namespace mfcp::obs {
 
@@ -101,53 +97,14 @@ struct FlightEvent {
 };
 static_assert(sizeof(FlightEvent) == 64, "event is one cache line");
 
-/// Single-writer ring of event slots (public for tests; production code
-/// records through FlightRecorder). Capacity is rounded up to a power of
-/// two. record() must only ever be called from one thread; snapshot() is
-/// safe from any thread concurrently with the writer.
-class FlightRing {
- public:
-  explicit FlightRing(std::size_t capacity);
+/// Per-thread event ring (public for tests; production code records
+/// through FlightRecorder, which encodes each FlightEvent as the slot's
+/// eight words).
+using FlightRing = SeqlockRing<8>;
 
-  FlightRing(const FlightRing&) = delete;
-  FlightRing& operator=(const FlightRing&) = delete;
-
-  /// Records one event (seq is assigned internally; `event.seq` ignored).
-  void record(FlightEvent event) noexcept;
-
-  /// Events ever written (== the newest live sequence number).
-  [[nodiscard]] std::uint64_t head() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
-
-  /// Copies out the currently-valid window, oldest first. Slots the
-  /// writer is overwriting mid-copy are detected via the seqlock and
-  /// skipped, so the result is always a consistent (possibly gappy at the
-  /// oldest edge) suffix of the stream.
-  [[nodiscard]] std::vector<FlightEvent> snapshot() const;
-
-  /// Raw slot memory for the crash path (capacity() * 64 bytes). The
-  /// atomics inside are plain 64-bit words in memory; writing these bytes
-  /// with write(2) is the crash-dump format.
-  [[nodiscard]] const void* raw_slots() const noexcept {
-    return slots_.get();
-  }
-  [[nodiscard]] std::size_t raw_bytes() const noexcept {
-    return capacity() * sizeof(FlightEvent);
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> word[8];
-  };
-  static_assert(sizeof(Slot) == 64, "slot matches the wire format");
-
-  std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
-};
+/// Threads that can register rings; later threads drop their events into
+/// `dropped_total` instead of silently aliasing a ring.
+inline constexpr std::size_t kMaxFlightThreads = 32;
 
 /// Health view of one registered heartbeat.
 struct ThreadHealth {
@@ -182,9 +139,6 @@ class HeartbeatHandle {
 struct FlightConfig {
   /// Events retained per thread (rounded up to a power of two).
   std::size_t ring_capacity = 1024;
-  /// Threads that can register rings; later threads drop their events
-  /// into `dropped_total` instead of silently aliasing a ring.
-  std::size_t max_threads = 32;
   /// A busy heartbeat older than this is a stall.
   double stall_budget_seconds = 2.0;
   /// Watchdog wake-up cadence.
@@ -204,10 +158,11 @@ struct FlightQuery {
 /// and malformed values flip `valid` so the route can answer 400.
 [[nodiscard]] FlightQuery parse_flight_query(std::string_view path);
 
-/// Process black box. Construction preallocates every ring (max_threads *
-/// ring_capacity slots), so the crash path walks plain arrays and thread
-/// registration is one fetch_add. All record/beat paths are lock-free;
-/// snapshots and dumps are wait-free with respect to writers.
+/// Process black box. Construction preallocates every ring
+/// (kMaxFlightThreads * ring_capacity slots), so the crash path walks
+/// plain arrays and thread registration is one fetch_add. All
+/// record/beat paths are lock-free; snapshots and dumps are wait-free
+/// with respect to writers.
 class FlightRecorder {
  public:
   explicit FlightRecorder(FlightConfig config = {});
@@ -217,7 +172,7 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Records one event on the calling thread's ring (registered on first
-  /// use). Threads past max_threads count into dropped_total instead.
+  /// use). Threads past kMaxFlightThreads count into dropped_total instead.
   void record(FlightKind kind, double sim_hours, std::uint64_t a0 = 0,
               std::uint64_t a1 = 0, std::uint64_t a2 = 0,
               std::uint64_t trace_id = 0) noexcept;

@@ -22,7 +22,6 @@
 #include <unordered_map>
 
 #include "net/http.hpp"
-#include "support/check.hpp"
 
 // glibc spells the SIGEV_THREAD_ID target field through a union member;
 // musl and older headers may omit the convenience macro.
@@ -57,14 +56,6 @@ std::uint64_t thread_cpu_ns() noexcept {
   }
   return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
          static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-std::size_t round_up_pow2(std::size_t n) noexcept {
-  std::size_t p = 8;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
 }
 
 // --------------------------------------------------- stage TLS + clock --
@@ -132,88 +123,13 @@ void StageScope::close() noexcept {
   t_stage = previous_;
 }
 
-// ------------------------------------------------------------ SampleRing --
-
-SampleRing::SampleRing(std::size_t capacity)
-    : mask_(round_up_pow2(capacity) - 1),
-      slots_(std::make_unique<Slot[]>(mask_ + 1)) {}
-
-void SampleRing::record(EngineStage stage, std::uint16_t thread,
-                        const void* const* pcs, std::size_t depth) noexcept {
-  if (depth > kMaxSampleFrames) {
-    depth = kMaxSampleFrames;
-  }
-  const std::uint64_t seq = head_.load(std::memory_order_relaxed) + 1;
-  Slot& slot = slots_[(seq - 1) & mask_];
-  // Per-slot seqlock write side (same as FlightRing::record): invalidate,
-  // fence, payload, publish — all plain atomic stores, so this is safe
-  // inside the SIGPROF handler.
-  slot.word[0].store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.word[1].store(static_cast<std::uint64_t>(depth) |
-                         (static_cast<std::uint64_t>(stage) << 8) |
-                         (static_cast<std::uint64_t>(thread) << 16),
-                     std::memory_order_relaxed);
-  for (std::size_t i = 0; i < depth; ++i) {
-    slot.word[2 + i].store(reinterpret_cast<std::uint64_t>(pcs[i]),
-                           std::memory_order_relaxed);
-  }
-  slot.word[0].store(seq, std::memory_order_release);
-  head_.store(seq, std::memory_order_release);
-}
-
-std::vector<ProfileSample> SampleRing::snapshot() const {
-  const std::uint64_t h = head_.load(std::memory_order_acquire);
-  if (h == 0) {
-    return {};
-  }
-  const std::uint64_t cap = capacity();
-  const std::uint64_t lo = h > cap ? h - cap + 1 : 1;
-  std::vector<ProfileSample> out;
-  out.reserve(static_cast<std::size_t>(h - lo + 1));
-  for (std::uint64_t seq = lo; seq <= h; ++seq) {
-    const Slot& slot = slots_[(seq - 1) & mask_];
-    if (slot.word[0].load(std::memory_order_acquire) != seq) {
-      continue;  // overwritten (or mid-write) since we sampled head
-    }
-    const std::uint64_t packed = slot.word[1].load(std::memory_order_relaxed);
-    const std::size_t depth =
-        std::min<std::size_t>(packed & 0xFF, kMaxSampleFrames);
-    ProfileSample sample;
-    sample.pcs.resize(depth);
-    for (std::size_t i = 0; i < depth; ++i) {
-      sample.pcs[i] = reinterpret_cast<const void*>(
-          slot.word[2 + i].load(std::memory_order_relaxed));
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.word[0].load(std::memory_order_relaxed) != seq) {
-      continue;  // torn by a concurrent overwrite; drop
-    }
-    sample.seq = seq;
-    sample.thread = static_cast<std::uint16_t>((packed >> 16) & 0xFFFF);
-    const std::size_t stage = (packed >> 8) & 0xFF;
-    sample.stage = stage < kEngineStageCount
-                       ? static_cast<EngineStage>(stage)
-                       : EngineStage::kNone;
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
-void SampleRing::reset() noexcept {
-  for (std::size_t i = 0; i <= mask_; ++i) {
-    slots_[i].word[0].store(0, std::memory_order_relaxed);
-  }
-  head_.store(0, std::memory_order_release);
-}
-
 // ------------------------------------------------- registration + signal --
 
 struct ProfilerThreadEntry {
   pid_t tid = 0;
   std::uint16_t ordinal = 0;
   char name[32] = {};
-  SampleRing* ring = nullptr;
+  SampleRing ring{kSampleRingCapacity};  // allocated at registration
   std::atomic<std::uint64_t>* samples = nullptr;    // profiler counters
   std::atomic<std::uint64_t>* truncated = nullptr;
   std::atomic<bool> active{false};  // registered, thread still alive
@@ -239,7 +155,8 @@ std::atomic<std::uint64_t> g_profiler_serial{0};
 /// construction: backtrace(3) (warmed up at profiler construction so
 /// its one-time libgcc initialisation never happens here), TLS reads,
 /// and the ring's atomic stores. errno is preserved for the
-/// interrupted code.
+/// interrupted code. The sample's encoding (SampleRing, profiler.hpp) is
+/// written here and read back only by folded().
 void sigprof_handler(int /*sig*/, siginfo_t* info, void* /*ucontext*/) {
   if (info == nullptr || info->si_code != SI_TIMER) {
     return;  // not one of our timers (e.g. a stray kill -PROF)
@@ -258,7 +175,14 @@ void sigprof_handler(int /*sig*/, siginfo_t* info, void* /*ucontext*/) {
   const std::size_t skip = std::min(kSkip, total);
   const std::size_t depth = total - skip;
   if (depth > 0) {
-    entry->ring->record(t_stage, entry->ordinal, pcs + skip, depth);
+    const std::size_t kept = std::min(depth, kMaxSampleFrames);
+    std::uint64_t words[1 + kMaxSampleFrames] = {};
+    words[0] = kept | (static_cast<std::uint64_t>(t_stage) << 8) |
+               (static_cast<std::uint64_t>(entry->ordinal) << 16);
+    for (std::size_t i = 0; i < kept; ++i) {
+      words[1 + i] = reinterpret_cast<std::uint64_t>(pcs[skip + i]);
+    }
+    entry->ring.record(words, 1 + kept);
     entry->samples->fetch_add(1, std::memory_order_relaxed);
     if (depth > kMaxSampleFrames) {
       entry->truncated->fetch_add(1, std::memory_order_relaxed);
@@ -323,17 +247,8 @@ std::string symbolize_pc(const void* pc) {
 
 // ------------------------------------------------------ SamplingProfiler --
 
-SamplingProfiler::SamplingProfiler(ProfilerConfig config)
-    : config_(config),
-      serial_(g_profiler_serial.fetch_add(1, std::memory_order_relaxed) + 1) {
-  MFCP_CHECK(config_.max_threads > 0 && config_.max_threads <= 0xFFFF,
-             "profiler: max_threads out of range");
-  MFCP_CHECK(config_.ring_capacity > 0,
-             "profiler: ring capacity must be > 0");
-  rings_.reserve(config_.max_threads);
-  for (std::size_t i = 0; i < config_.max_threads; ++i) {
-    rings_.push_back(std::make_unique<SampleRing>(config_.ring_capacity));
-  }
+SamplingProfiler::SamplingProfiler()
+    : serial_(g_profiler_serial.fetch_add(1, std::memory_order_relaxed) + 1) {
   install_sigprof_handler_once();
   // Warm up backtrace: its first call may dlopen/allocate inside libgcc,
   // which must never happen inside the signal handler.
@@ -352,7 +267,7 @@ bool SamplingProfiler::register_current_thread(std::string_view name) {
   t_binding.owner_serial = serial_;
   t_binding.entry = nullptr;
   const std::size_t ordinal = entries_.size();
-  if (ordinal >= config_.max_threads) {
+  if (ordinal >= kMaxProfiledThreads) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -362,7 +277,6 @@ bool SamplingProfiler::register_current_thread(std::string_view name) {
   const std::size_t n = std::min(name.size(), sizeof(entry->name) - 1);
   std::memcpy(entry->name, name.data(), n);
   entry->name[n] = '\0';
-  entry->ring = rings_[ordinal].get();
   entry->samples = &samples_;
   entry->truncated = &truncated_;
   entry->active.store(true, std::memory_order_relaxed);
@@ -400,8 +314,8 @@ bool SamplingProfiler::start(double hz) {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   session_hz_ = hz;
-  for (auto& ring : rings_) {
-    ring->reset();
+  for (auto& entry : entries_) {
+    entry->ring.reset();
   }
   for (auto& ns : g_stage_ns) {
     ns.store(0, std::memory_order_relaxed);
@@ -490,14 +404,16 @@ std::string SamplingProfiler::folded() const {
   };
   std::map<std::string, std::uint64_t> counts;
   for (const auto& entry : entries_) {
-    for (const ProfileSample& sample : entry->ring->snapshot()) {
+    for (const SampleRing::Slot& slot : entry->ring.snapshot()) {
+      const std::size_t depth =
+          std::min<std::size_t>(slot[1] & 0xFF, kMaxSampleFrames);
       std::string key = sanitize_frame(entry->name);
       key += ";stage:";
-      key += to_string(sample.stage);
+      key += to_string(static_cast<EngineStage>((slot[1] >> 8) & 0xFF));
       // backtrace order is innermost-first; folded wants root..leaf.
-      for (std::size_t i = sample.pcs.size(); i-- > 0;) {
+      for (std::size_t i = depth; i-- > 0;) {
         key += ';';
-        const char* frame_pc = static_cast<const char*>(sample.pcs[i]);
+        const auto* frame_pc = reinterpret_cast<const char*>(slot[2 + i]);
         // Non-leaf frames hold return addresses: step back one byte so
         // the call site, not the instruction after it, is symbolized.
         key += symbol(i == 0 ? frame_pc : frame_pc - 1);

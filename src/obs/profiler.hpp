@@ -6,9 +6,10 @@
 //   delivers SIGPROF to that thread at the session frequency. The
 //   handler runs *on the sampled thread*, so it can read the TLS stage
 //   marker and walk its own stack with backtrace(3); it writes the
-//   program counters into the thread's preallocated seqlock sample ring
-//   (same write discipline as obs/flight's event rings) and touches
-//   nothing else — no allocation, no locks, errno saved and restored.
+//   program counters into the thread's sample ring (an obs::SeqlockRing,
+//   the same ring as obs/flight's event rings, allocated when the thread
+//   registered) and touches nothing else — no allocation, no locks, errno
+//   saved and restored.
 //   backtrace() is warmed up once at construction so its lazy libgcc
 //   initialisation (which may allocate) happens outside any handler.
 //
@@ -52,6 +53,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/seqlock_ring.hpp"
+
 namespace mfcp::obs {
 
 /// Engine round stages, in round order. kNone marks code outside any
@@ -94,70 +97,23 @@ class StageScope {
   bool closed_ = false;
 };
 
-/// One decoded stack sample.
-struct ProfileSample {
-  std::uint64_t seq = 0;       // per-thread, 1-based
-  std::uint16_t thread = 0;    // profiler thread ordinal
-  EngineStage stage = EngineStage::kNone;
-  std::vector<const void*> pcs;  // innermost first (backtrace order)
-};
-
 /// Frames retained per sample (deep enough for the engine's call
 /// chains; deeper stacks are truncated at the outermost end).
 inline constexpr std::size_t kMaxSampleFrames = 30;
 
-/// Single-writer ring of sample slots (public for tests; production
-/// samples arrive through SamplingProfiler's signal handler). One slot
-/// is 32 little-endian 64-bit words: seq, packed depth/stage/thread,
-/// then up to kMaxSampleFrames program counters. The write side runs
-/// inside a signal handler, so it is pure relaxed/release atomic
-/// stores — the same per-slot seqlock as obs/flight's FlightRing.
-class SampleRing {
- public:
-  explicit SampleRing(std::size_t capacity);
+/// Per-thread sample ring (public for tests; production samples arrive
+/// through SamplingProfiler's signal handler). Payload word 1 packs
+/// depth | stage << 8 | thread << 16; words 2.. hold up to
+/// kMaxSampleFrames program counters, innermost first.
+using SampleRing = SeqlockRing<2 + kMaxSampleFrames>;
 
-  SampleRing(const SampleRing&) = delete;
-  SampleRing& operator=(const SampleRing&) = delete;
+/// Samples retained per thread; 4096 covers a 30 s session at ~130 Hz
+/// before the ring wraps.
+inline constexpr std::size_t kSampleRingCapacity = 4096;
 
-  /// Records one stack (async-signal-safe: atomics only). `depth` is
-  /// clamped to kMaxSampleFrames. Must only ever be called from one
-  /// thread at a time (the owning thread's signal handler).
-  void record(EngineStage stage, std::uint16_t thread,
-              const void* const* pcs, std::size_t depth) noexcept;
-
-  /// Samples ever written (== newest live sequence number).
-  [[nodiscard]] std::uint64_t head() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
-
-  /// Copies out the currently-valid window, oldest first, skipping
-  /// slots the writer is overwriting mid-copy (seqlock recheck).
-  [[nodiscard]] std::vector<ProfileSample> snapshot() const;
-
-  /// Empties the ring. Only call while no writer can be sampling into
-  /// it (i.e. between sessions).
-  void reset() noexcept;
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> word[2 + kMaxSampleFrames];
-  };
-
-  std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
-};
-
-struct ProfilerConfig {
-  /// Samples retained per thread (rounded up to a power of two). 4096
-  /// covers a 30 s session at ~130 Hz before the ring wraps.
-  std::size_t ring_capacity = 4096;
-  /// Threads that can register as sampling targets; later threads are
-  /// counted into dropped_registrations() instead of aliasing a ring.
-  std::size_t max_threads = 16;
-};
+/// Threads that can register as sampling targets; later threads are
+/// counted into dropped_registrations() instead of getting a ring.
+inline constexpr std::size_t kMaxProfiledThreads = 64;
 
 /// Parsed ?seconds=&hz= query of the GET /debug/profile route.
 struct ProfileQuery {
@@ -176,16 +132,16 @@ struct ProfileQuery {
 /// scope so the SIGPROF handler, a free function, can dereference it).
 struct ProfilerThreadEntry;
 
-/// On-demand sampling profiler. Construction preallocates every sample
-/// ring, installs the SIGPROF handler, and warms up backtrace(3);
-/// arming it is otherwise free until a session starts. Threads opt in
-/// via register_current_thread(); sessions (start/stop or the blocking
+/// On-demand sampling profiler. Construction installs the SIGPROF
+/// handler and warms up backtrace(3); arming it is otherwise free until
+/// a session starts. Threads opt in via register_current_thread(), which
+/// allocates the thread's sample ring; sessions (start/stop or the blocking
 /// collect_folded()) create one CPU-time timer per registered thread.
 /// One session at a time: concurrent starts are refused, which the
 /// HTTP route surfaces as 409.
 class SamplingProfiler {
  public:
-  explicit SamplingProfiler(ProfilerConfig config = {});
+  SamplingProfiler();
   ~SamplingProfiler();
 
   SamplingProfiler(const SamplingProfiler&) = delete;
@@ -194,7 +150,7 @@ class SamplingProfiler {
   /// Registers the calling thread as a sampling target under `name`
   /// (one folded-output root frame per thread). Idempotent per thread;
   /// re-registration under a new name keeps the original ring. Returns
-  /// false (and counts a drop) past max_threads.
+  /// false (and counts a drop) past kMaxProfiledThreads.
   bool register_current_thread(std::string_view name);
 
   /// Detaches the calling thread: a running or future session stops
@@ -231,19 +187,14 @@ class SamplingProfiler {
   [[nodiscard]] std::uint64_t sessions_total() const noexcept;
   [[nodiscard]] std::uint64_t dropped_registrations() const noexcept;
   [[nodiscard]] std::size_t threads_registered() const noexcept;
-  [[nodiscard]] const ProfilerConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
-  ProfilerConfig config_;
   /// Process-unique instance id; thread-local bindings are keyed on it
   /// so a profiler at a recycled address never inherits stale rings.
   std::uint64_t serial_;
 
   mutable std::mutex mutex_;  // registration table + session lifecycle
   std::vector<std::unique_ptr<ProfilerThreadEntry>> entries_;
-  std::vector<std::unique_ptr<SampleRing>> rings_;  // fixed at construction
 
   std::atomic<bool> session_active_{false};
   double session_hz_ = 0.0;   // last session's frequency (for folded())

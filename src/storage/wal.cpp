@@ -12,6 +12,7 @@
 
 #include "support/check.hpp"
 #include "support/log.hpp"
+#include "support/signal_safe.hpp"
 
 namespace mfcp::storage {
 
@@ -228,12 +229,8 @@ std::uint64_t TaskWal::append(WalRecord rec) {
   // to a SIGKILL (either fully in the page cache or not written at all
   // from this process's point of view — a machine crash can still tear
   // it, which is what the scan's torn-tail truncation handles).
-  std::size_t off = 0;
-  while (off < sizeof(frame)) {
-    const ssize_t n = ::write(fd_, frame + off, sizeof(frame) - off);
-    MFCP_CHECK(n > 0, "WAL append failed");
-    off += static_cast<std::size_t>(n);
-  }
+  MFCP_CHECK(support::write_all_fd(fd_, frame, sizeof(frame)),
+             "WAL append failed");
   segment_written_ += sizeof(frame);
   ++stats_.records;
   stats_.bytes += sizeof(frame);

@@ -919,39 +919,56 @@ TEST(DebugRoutes, ServesLiveSnapshotsOverRealSockets) {
 
 // -------------------------------------------------------------- flight --
 
-TEST(FlightRing, WrapKeepsTheNewestWindowInSeqOrder) {
+TEST(SeqlockRing, WrapKeepsTheNewestWindowInSeqOrder) {
+  EXPECT_EQ(SampleRing(1).capacity(), 8u);  // minimum 8
+  EXPECT_EQ(SampleRing(9).capacity(), 16u);  // next power of two
   FlightRing ring(8);
   EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_TRUE(ring.snapshot().empty());
   for (std::uint64_t i = 1; i <= 20; ++i) {
-    FlightEvent e;
-    e.a0 = i;
-    e.kind = static_cast<std::uint16_t>(FlightKind::kRoundBegin);
-    ring.record(e);
+    const std::uint64_t payload[2] = {i, i * 3};
+    ring.record(payload, 2);
   }
   EXPECT_EQ(ring.head(), 20u);
-  const std::vector<FlightEvent> events = ring.snapshot();
+  const std::vector<FlightRing::Slot> slots = ring.snapshot();
   // The ring overwrote 1..12; exactly the newest capacity() survive.
-  ASSERT_EQ(events.size(), 8u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, 13 + i);
-    EXPECT_EQ(events[i].a0, 13 + i);  // payload still pairs with its seq
+  ASSERT_EQ(slots.size(), 8u);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i][0], 13 + i);  // word 0 is the sequence number
+    EXPECT_EQ(slots[i][1], 13 + i);  // payload still pairs with its seq
+    EXPECT_EQ(slots[i][2], (13 + i) * 3);
   }
+  // A payload longer than the slot is clamped, never written past it.
+  std::uint64_t too_long[FlightRing::Slot{}.size() + 4] = {};
+  too_long[6] = 42;
+  ring.record(too_long, sizeof(too_long) / sizeof(too_long[0]));
+  EXPECT_EQ(ring.snapshot().back()[7], 42u);
+  ring.reset();
+  EXPECT_EQ(ring.head(), 0u);
+  EXPECT_TRUE(ring.snapshot().empty());
 }
 
-TEST(FlightRing, ConcurrentReaderNeverSeesATornEvent) {
-  // One writer hammers a tiny ring (maximal overwrite pressure) while a
-  // reader drains snapshots. The seqlock must hand the reader only
-  // events whose payload matches the sequence they were published under.
-  FlightRing ring(8);
-  constexpr std::uint64_t kEvents = 200000;
+TEST(SeqlockRing, ConcurrentReaderNeverSeesATornSlot) {
+  // One writer hammers a tiny ring of the widest slot in use (the
+  // profiler's) under maximal overwrite pressure while a reader drains
+  // snapshots. The seqlock must hand the reader only slots whose every
+  // payload word matches the sequence they were published under.
+  SampleRing ring(8);
+  constexpr std::size_t kPayload = SampleRing::Slot{}.size() - 1;
+  constexpr std::uint64_t kSlots = 100000;
+  const auto check = [](const SampleRing::Slot& slot) {
+    for (std::size_t i = 1; i <= kPayload; ++i) {
+      ASSERT_EQ(slot[i], slot[0] * 64 + i);
+    }
+  };
   std::atomic<bool> done{false};
   std::thread writer([&ring, &done] {
-    for (std::uint64_t i = 1; i <= kEvents; ++i) {
-      FlightEvent e;
-      e.a0 = i;
-      e.a1 = i * 3;
-      e.kind = static_cast<std::uint16_t>(FlightKind::kRoundBegin);
-      ring.record(e);
+    std::uint64_t payload[kPayload];
+    for (std::uint64_t seq = 1; seq <= kSlots; ++seq) {
+      for (std::size_t i = 0; i < kPayload; ++i) {
+        payload[i] = seq * 64 + i + 1;
+      }
+      ring.record(payload, kPayload);
     }
     done.store(true, std::memory_order_release);
   });
@@ -960,20 +977,18 @@ TEST(FlightRing, ConcurrentReaderNeverSeesATornEvent) {
     // Under this much overwrite pressure a mid-flight snapshot may
     // reject every slot — what matters is that whatever it does hand
     // back is consistent.
-    for (const FlightEvent& e : ring.snapshot()) {
-      ASSERT_EQ(e.a0, e.seq);
-      ASSERT_EQ(e.a1, e.seq * 3);
+    for (const SampleRing::Slot& slot : ring.snapshot()) {
+      check(slot);
       ++drained;
     }
   }
   writer.join();
-  EXPECT_EQ(ring.head(), kEvents);
+  EXPECT_EQ(ring.head(), kSlots);
   // Quiescent ring: the full newest window is visible and consistent.
-  const std::vector<FlightEvent> final_window = ring.snapshot();
+  const std::vector<SampleRing::Slot> final_window = ring.snapshot();
   ASSERT_EQ(final_window.size(), ring.capacity());
-  for (const FlightEvent& e : final_window) {
-    ASSERT_EQ(e.a0, e.seq);
-    ASSERT_EQ(e.a1, e.seq * 3);
+  for (const SampleRing::Slot& slot : final_window) {
+    check(slot);
     ++drained;
   }
   EXPECT_GT(drained, 0u);
@@ -986,7 +1001,7 @@ TEST(FlightRecorder, SnapshotMergesAndFiltersAcrossThreads) {
   recorder.record(FlightKind::kRoundBegin, 1.0, 10);
   recorder.record(FlightKind::kRoundEnd, 1.5, 11);
   std::thread other([&recorder] {
-    recorder.record(FlightKind::kAdmission, 2.0, 99, 1, 0, 0xabcd);
+    recorder.record(FlightKind::kAdmission, 2.0, 99, 1, 7, 0xabcd);
   });
   other.join();
   EXPECT_EQ(recorder.events_total(), 3u);
@@ -996,8 +1011,17 @@ TEST(FlightRecorder, SnapshotMergesAndFiltersAcrossThreads) {
   EXPECT_EQ(recorder.snapshot().size(), 3u);
   const auto admissions = recorder.snapshot(-1, FlightKind::kAdmission);
   ASSERT_EQ(admissions.size(), 1u);
-  EXPECT_EQ(admissions[0].a0, 99u);
-  EXPECT_EQ(admissions[0].trace_id, 0xabcdu);
+  // Every field survives the encode into slot words and the decode.
+  const FlightEvent& e = admissions[0];
+  EXPECT_EQ(e.seq, 1u);
+  EXPECT_GT(e.wall_ns, 0u);
+  EXPECT_DOUBLE_EQ(e.sim_hours, 2.0);
+  EXPECT_EQ(e.a0, 99u);
+  EXPECT_EQ(e.a1, 1u);
+  EXPECT_EQ(e.a2, 7u);
+  EXPECT_EQ(e.trace_id, 0xabcdu);
+  EXPECT_EQ(e.kind, static_cast<std::uint16_t>(FlightKind::kAdmission));
+  EXPECT_EQ(e.thread, 1u);  // second thread to record
   EXPECT_EQ(recorder.snapshot(0).size(), 2u);   // main thread's ring
   EXPECT_EQ(recorder.snapshot(1).size(), 1u);   // helper thread's ring
   EXPECT_EQ(recorder.snapshot(-1, FlightKind::kNone, 2).size(), 2u);
@@ -1276,64 +1300,6 @@ TEST(Profiler, StageNamesRoundTrip) {
   EXPECT_EQ(to_string(EngineStage::kDispatch), "dispatch");
 }
 
-TEST(SampleRing, RecordsAndSnapshotsInOrder) {
-  SampleRing ring(8);
-  int markers[3];
-  const void* pcs[3] = {&markers[0], &markers[1], &markers[2]};
-  ring.record(EngineStage::kMatch, 7, pcs, 3);
-  ring.record(EngineStage::kEmbed, 7, pcs, 1);
-  const auto samples = ring.snapshot();
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].stage, EngineStage::kMatch);
-  EXPECT_EQ(samples[0].thread, 7);
-  ASSERT_EQ(samples[0].pcs.size(), 3u);
-  EXPECT_EQ(samples[0].pcs[1], pcs[1]);
-  EXPECT_EQ(samples[1].stage, EngineStage::kEmbed);
-  ASSERT_EQ(samples[1].pcs.size(), 1u);
-}
-
-TEST(SampleRing, WrapsKeepingTheNewestWindow) {
-  SampleRing ring(8);
-  EXPECT_EQ(ring.capacity(), 8u);
-  int marker = 0;
-  const void* pcs[1] = {&marker};
-  for (int i = 0; i < 20; ++i) {
-    ring.record(EngineStage::kNone, static_cast<std::uint16_t>(i), pcs, 1);
-  }
-  EXPECT_EQ(ring.head(), 20u);
-  const auto samples = ring.snapshot();
-  ASSERT_EQ(samples.size(), 8u);
-  // Oldest surviving sample is #13 (thread tag 12), newest #20.
-  EXPECT_EQ(samples.front().thread, 12);
-  EXPECT_EQ(samples.back().thread, 19);
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_EQ(samples[i].seq, samples[i - 1].seq + 1);
-  }
-}
-
-TEST(SampleRing, ResetEmptiesTheWindow) {
-  SampleRing ring(8);
-  int marker = 0;
-  const void* pcs[1] = {&marker};
-  ring.record(EngineStage::kNone, 0, pcs, 1);
-  ring.reset();
-  EXPECT_EQ(ring.head(), 0u);
-  EXPECT_TRUE(ring.snapshot().empty());
-}
-
-TEST(SampleRing, TruncatesDepthToMaxFrames) {
-  SampleRing ring(4);
-  int markers[kMaxSampleFrames + 8];
-  const void* pcs[kMaxSampleFrames + 8];
-  for (std::size_t i = 0; i < kMaxSampleFrames + 8; ++i) {
-    pcs[i] = &markers[i];
-  }
-  ring.record(EngineStage::kNone, 0, pcs, kMaxSampleFrames + 8);
-  const auto samples = ring.snapshot();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].pcs.size(), kMaxSampleFrames);
-}
-
 TEST(ProfileQuery, DefaultsAndValidParses) {
   const ProfileQuery bare = parse_profile_query("/debug/profile");
   EXPECT_TRUE(bare.valid);
@@ -1403,8 +1369,7 @@ TEST(Profiler, SamplesABusyRegisteredThread) {
   EXPECT_GT(profiler.samples_total(), 0u);
 
   const std::string folded = profiler.folded();
-  EXPECT_NE(folded.find("busy_thread;"), std::string::npos);
-  EXPECT_NE(folded.find(";stage:"), std::string::npos);
+  EXPECT_NE(folded.find("busy_thread;stage:match;"), std::string::npos);
   // Exact-accounting anchors cover every engine stage even though only
   // kMatch ran.
   EXPECT_NE(folded.find("[stage_totals];embed "), std::string::npos);
@@ -1475,16 +1440,20 @@ TEST(Profiler, DefaultProfilerBumpsGeneration) {
 }
 
 TEST(Profiler, RegistrationBeyondMaxThreadsIsDropped) {
-  ProfilerConfig config;
-  config.max_threads = 1;
-  SamplingProfiler profiler(config);
-  EXPECT_TRUE(profiler.register_current_thread("only"));
-  std::thread extra([&profiler] {
-    EXPECT_FALSE(profiler.register_current_thread("overflow"));
-  });
-  extra.join();
+  SamplingProfiler profiler;
+  const auto register_new_thread = [&profiler] {
+    bool registered = false;
+    std::thread t([&] { registered = profiler.register_current_thread("t"); });
+    t.join();
+    return registered;
+  };
+  for (std::size_t i = 0; i < kMaxProfiledThreads; ++i) {
+    ASSERT_TRUE(register_new_thread());
+  }
+  EXPECT_EQ(profiler.threads_registered(), kMaxProfiledThreads);
+  EXPECT_FALSE(register_new_thread());
   EXPECT_EQ(profiler.dropped_registrations(), 1u);
-  profiler.unregister_current_thread();
+  EXPECT_EQ(profiler.threads_registered(), kMaxProfiledThreads);
 }
 
 TEST(BuildInfo, CarriesProvenanceFields) {

@@ -35,6 +35,7 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/http.hpp"
 #include "net/http_client.hpp"
 #include "net/json.hpp"
 #include "support/rng.hpp"
@@ -269,31 +271,52 @@ bool read_report_json(const std::string& path,
 
 int main(int argc, char** argv) {
   Options opt;
+  // Numeric flags go through the checked parsers; a malformed value (or
+  // one too large for its field) is a usage error.
+  const auto int_flag = [](const char* text, int& out) {
+    const auto value = mfcp::net::parse_u64(text);
+    if (!value || *value > static_cast<std::uint64_t>(INT_MAX)) {
+      return false;
+    }
+    out = static_cast<int>(*value);
+    return true;
+  };
+  const auto real_flag = [](const char* text, double& out) {
+    const auto value = mfcp::net::parse_finite_double(text);
+    out = value.value_or(0.0);
+    return value.has_value();
+  };
   for (int k = 1; k < argc; ++k) {
+    bool ok = true;
     if (std::strcmp(argv[k], "--port") == 0 && k + 1 < argc) {
-      opt.port = std::atoi(argv[++k]);
+      ok = int_flag(argv[++k], opt.port);
     } else if (std::strcmp(argv[k], "--host") == 0 && k + 1 < argc) {
       opt.host = argv[++k];
     } else if (std::strcmp(argv[k], "--concurrency") == 0 && k + 1 < argc) {
-      opt.concurrency = std::atoi(argv[++k]);
+      ok = int_flag(argv[++k], opt.concurrency);
     } else if (std::strcmp(argv[k], "--rate") == 0 && k + 1 < argc) {
-      opt.rate = std::atof(argv[++k]);
+      ok = real_flag(argv[++k], opt.rate);
     } else if (std::strcmp(argv[k], "--duration-seconds") == 0 &&
                k + 1 < argc) {
-      opt.duration_seconds = std::atof(argv[++k]);
+      ok = real_flag(argv[++k], opt.duration_seconds);
     } else if (std::strcmp(argv[k], "--drain-seconds") == 0 && k + 1 < argc) {
-      opt.drain_seconds = std::atof(argv[++k]);
+      ok = real_flag(argv[++k], opt.drain_seconds);
     } else if (std::strcmp(argv[k], "--timeout-ms") == 0 && k + 1 < argc) {
-      opt.timeout_ms = std::atoi(argv[++k]);
+      ok = int_flag(argv[++k], opt.timeout_ms);
     } else if (std::strcmp(argv[k], "--seed") == 0 && k + 1 < argc) {
-      opt.seed = std::strtoull(argv[++k], nullptr, 10);
+      const auto seed = mfcp::net::parse_u64(argv[++k]);
+      opt.seed = seed.value_or(0);
+      ok = seed.has_value();
     } else if (std::strcmp(argv[k], "--clients") == 0 && k + 1 < argc) {
-      opt.clients = std::atoi(argv[++k]);
+      ok = int_flag(argv[++k], opt.clients);
     } else if (std::strcmp(argv[k], "--report-json") == 0 && k + 1 < argc) {
       opt.report_json_path = argv[++k];
     } else if (std::strcmp(argv[k], "--resume-report") == 0 && k + 1 < argc) {
       opt.resume_report_path = argv[++k];
     } else {
+      ok = false;
+    }
+    if (!ok) {
       return usage(argv[0]);
     }
   }
