@@ -4,8 +4,12 @@
 // Eq. (21) — O(K1 * MN) for the inner solve.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "matching/barrier.hpp"
+#include "matching/entropy.hpp"
 #include "matching/rounding.hpp"
+#include "matching/solver_dual.hpp"
 #include "matching/solver_exact.hpp"
 #include "matching/solver_gd.hpp"
 #include "matching/solver_mirror.hpp"
@@ -54,6 +58,26 @@ void BM_MirrorSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MirrorSolve)->Args({3, 5})->Args({3, 25})->Args({8, 50});
+
+void BM_PriceDualSolve(benchmark::State& state) {
+  // The deploy objective (barrier + entropy, the engine's β and τ) solved
+  // to tolerance by Newton on its M + 1 prices.
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto p = make_problem(m, n);
+  const EntropicObjective f(
+      std::make_unique<BarrierObjective>(
+          p, BarrierConfig{.beta = 8.0, .lambda = 0.1, .slack_epsilon = 1e-3}),
+      0.1);
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    const auto r = solve_price_dual(f);
+    iterations = r.iterations;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["newton_iterations"] = static_cast<double>(iterations);
+}
+BENCHMARK(BM_PriceDualSolve)->Args({3, 5})->Args({3, 25})->Args({8, 50});
 
 void BM_AlgorithmOneSolve(benchmark::State& state) {
   // The paper-literal projected-GD solver, for comparison with mirror

@@ -429,6 +429,9 @@ bool OnlineEngine::finish_round(RoundTrigger trigger, RunLog& log) {
     link_->note_round(rec.round, rec.close_hours, rec.regret, rec.batch);
     link_->note_queue_depth(queue_.depth());
   }
+  if (log.last_round_only) {
+    log.result.rounds.clear();
+  }
   log.result.rounds.push_back(std::move(rec));
   return true;
 }
@@ -558,6 +561,11 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
              "serve needs a positive simulated-clock rate");
 
   link_ = &link;
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < platform_.num_clusters(); ++i) {
+    names.push_back(platform_.cluster(i).name());
+  }
+  link.set_cluster_names(std::move(names));
   // Externally submitted tasks lost by the queue become terminal in the
   // status table through the loss callback installed at construction
   // (capacity → rejected, deadline → expired).
@@ -572,6 +580,7 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
 
   Stopwatch wall;
   RunLog log;
+  log.last_round_only = true;
   obs::HeartbeatHandle pulse;
   if (config_.flight != nullptr) {
     pulse = config_.flight->register_heartbeat("engine_serve");
@@ -788,9 +797,8 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
     for (std::size_t j = 0; j < tasks.size(); ++j) {
       if (batch[j].id >= kExternalIdBase) {
         const auto ci = static_cast<std::size_t>(deployed[j]);
-        link_->table().mark_matched(batch[j].id, ci,
-                                    platform_.cluster(ci).name(),
-                                    t_hat(ci, j), counters_.rounds);
+        link_->table().mark_matched(batch[j].id, ci, t_hat(ci, j),
+                                    counters_.rounds);
       }
     }
   }

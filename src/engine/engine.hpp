@@ -218,6 +218,9 @@ struct RecoveryReport {
 };
 
 struct EngineResult {
+  /// run(): every round. serve(): the last round only — a service's
+  /// rounds live in its journal, and holding each in memory would grow
+  /// without bound with uptime.
   std::vector<RoundRecord> rounds;
   std::vector<WindowSummary> windows;
   core::MetricsAccumulator total;
@@ -295,6 +298,7 @@ class OnlineEngine {
     EngineResult result;
     core::MetricsAccumulator window;
     std::deque<double> recent_regret;
+    bool last_round_only = false;  // serve(): see EngineResult::rounds
   };
 
   void advance_clock(double to_hours);

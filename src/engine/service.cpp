@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "control/token_bucket.hpp"
 #include "obs/trace_store.hpp"
@@ -39,10 +40,8 @@ std::uint64_t TaskStatusTable::insert(double submit_hours) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t id = next_id_++;
   TaskStatus s;
-  s.id = id;
-  s.state = TaskState::kQueued;
   s.submit_hours = submit_hours;
-  tasks_.emplace(id, std::move(s));
+  tasks_.emplace(id, s);
   ++counts_.submitted;
   ++counts_.queued;
   return id;
@@ -52,10 +51,8 @@ void TaskStatusTable::restore_entry(std::uint64_t id, double submit_hours) {
   std::lock_guard<std::mutex> lock(mutex_);
   MFCP_CHECK(id >= kExternalIdBase, "restored ids are external ids");
   TaskStatus s;
-  s.id = id;
-  s.state = TaskState::kQueued;
   s.submit_hours = submit_hours;
-  if (!tasks_.emplace(id, std::move(s)).second) {
+  if (!tasks_.emplace(id, s).second) {
     return;  // duplicate replay; the resident entry wins
   }
   next_id_ = std::max(next_id_, id + 1);
@@ -64,17 +61,17 @@ void TaskStatusTable::restore_entry(std::uint64_t id, double submit_hours) {
 }
 
 void TaskStatusTable::mark_matched(std::uint64_t id, std::size_t cluster,
-                                   std::string cluster_name,
                                    double predicted_hours,
                                    std::uint64_t round) {
+  MFCP_CHECK(cluster <= std::numeric_limits<std::uint16_t>::max(),
+             "cluster index exceeds the status table's 16 bits");
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = tasks_.find(id);
   if (it == tasks_.end() || it->second.state != TaskState::kQueued) {
     return;  // unknown or already advanced; transitions are forward-only
   }
   it->second.state = TaskState::kMatched;
-  it->second.cluster = cluster;
-  it->second.cluster_name = std::move(cluster_name);
+  it->second.cluster = static_cast<std::uint16_t>(cluster);
   it->second.predicted_hours = predicted_hours;
   it->second.round = round;
   --counts_.queued;

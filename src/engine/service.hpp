@@ -54,7 +54,7 @@ inline constexpr std::uint64_t kExternalIdBase = 1ULL << 40;
 
 /// Lifecycle of one externally submitted task. States only move forward
 /// (queued < matched < dispatched; expired/rejected are terminal).
-enum class TaskState : int {
+enum class TaskState : std::uint8_t {
   kQueued = 0,     // admitted, waiting in the admission queue
   kMatched = 1,    // assigned a cluster by a matching round
   kDispatched = 2, // executed; realized time and outcome known
@@ -64,17 +64,17 @@ enum class TaskState : int {
 
 std::string to_string(TaskState state);
 
-/// Status record returned by GET /task/<id>.
+/// Status record behind GET /task/<id>, kept per resident task. The id is
+/// the table's key and the cluster's name is resolved from its index when
+/// the status is rendered, so an entry stays 40 bytes.
 struct TaskStatus {
-  std::uint64_t id = 0;
-  TaskState state = TaskState::kQueued;
   double submit_hours = 0.0;     // simulated submission time
-  std::size_t cluster = 0;       // valid from kMatched
-  std::string cluster_name;      // valid from kMatched
   double predicted_hours = 0.0;  // T̂ on the assigned cluster (kMatched)
   double realized_hours = 0.0;   // observed runtime (kDispatched)
-  bool succeeded = false;        // first-attempt success (kDispatched)
   std::uint64_t round = 0;       // round that matched it (kMatched)
+  std::uint16_t cluster = 0;     // valid from kMatched
+  TaskState state = TaskState::kQueued;
+  bool succeeded = false;        // first-attempt success (kDispatched)
 };
 
 /// Thread-safe id-keyed status store with monotonic state transitions.
@@ -100,8 +100,7 @@ class TaskStatusTable {
   void restore_entry(std::uint64_t id, double submit_hours);
 
   void mark_matched(std::uint64_t id, std::size_t cluster,
-                    std::string cluster_name, double predicted_hours,
-                    std::uint64_t round);
+                    double predicted_hours, std::uint64_t round);
   void mark_dispatched(std::uint64_t id, double realized_hours,
                        bool succeeded);
   /// Terminal loss: `state` must be kExpired or kRejected.
@@ -230,6 +229,14 @@ class GatewayLink {
     return table_.get(id);
   }
 
+  /// Name of cluster `index` as the engine registered it ("" when it
+  /// registered none), for rendering a matched task's status.
+  [[nodiscard]] std::string_view cluster_name(std::size_t index) const {
+    return index < cluster_names_.size()
+               ? std::string_view(cluster_names_[index])
+               : std::string_view();
+  }
+
   /// Current simulated time as last hinted by the engine (timestamps the
   /// gateway's SLO observations on the same clock the engine uses).
   [[nodiscard]] double sim_time_hours() const noexcept {
@@ -296,6 +303,14 @@ class GatewayLink {
   /// Exposed for unit tests; monotone in pressure.
   [[nodiscard]] double retry_after_seconds(std::size_t pressure) const;
 
+  /// Engine setup: the cluster names statuses render, indexed like the
+  /// matching's clusters. Set before the first task is matched; readers
+  /// only look a name up for a matched task, which the status table's
+  /// mutex orders after this write.
+  void set_cluster_names(std::vector<std::string> names) {
+    cluster_names_ = std::move(names);
+  }
+
   /// Engine setup: round-size and cadence priors for Retry-After before
   /// any round has closed.
   void configure_drain(std::size_t round_batch,
@@ -304,6 +319,7 @@ class GatewayLink {
  private:
   GatewayLinkConfig config_;
   TaskStatusTable table_;
+  std::vector<std::string> cluster_names_;
 
   mutable std::mutex mutex_;
   std::condition_variable ready_;

@@ -38,6 +38,9 @@ class EntropicObjective final : public ContinuousObjective {
   [[nodiscard]] Matrix grad_x(const Matrix& x) const override;
 
   [[nodiscard]] double tau() const noexcept { return tau_; }
+  [[nodiscard]] const ContinuousObjective& base() const noexcept {
+    return *base_;
+  }
 
  private:
   std::unique_ptr<ContinuousObjective> base_;

@@ -5,6 +5,18 @@
 
 namespace mfcp::matching {
 
+std::string_view to_string(StopReason reason) noexcept {
+  switch (reason) {
+    case StopReason::kConverged:
+      return "converged";
+    case StopReason::kCapped:
+      return "capped";
+    case StopReason::kFellBack:
+      return "fell_back";
+  }
+  return "?";
+}
+
 Matrix uniform_start(std::size_t num_clusters, std::size_t num_tasks) {
   MFCP_CHECK(num_clusters > 0 && num_tasks > 0, "empty problem");
   return Matrix(num_clusters, num_tasks,
@@ -55,6 +67,7 @@ SolveResult solve_gd_from(const ContinuousObjective& objective, Matrix x0,
     result.residual = delta;
     if (delta < config.tolerance) {
       result.converged = true;
+      result.stop = StopReason::kConverged;
       break;
     }
   }

@@ -7,6 +7,9 @@
 // over clusters, i.e. the relaxed feasible set of problem (10).
 #pragma once
 
+#include <cstdint>
+#include <string_view>
+
 #include "matching/smooth_objective.hpp"
 
 namespace mfcp::matching {
@@ -18,15 +21,27 @@ struct GdSolverConfig {
   double tolerance = 1e-9;
 };
 
+/// Why a relaxed solve returned.
+enum class StopReason : std::uint8_t {
+  kConverged,  // residual below tolerance
+  kCapped,     // iteration cap reached first
+  kFellBack,   // the price-dual solve handed the problem to mirror
+               // descent (`converged` reports that run)
+};
+
+[[nodiscard]] std::string_view to_string(StopReason reason) noexcept;
+
 struct SolveResult {
   Matrix x;                  // relaxed optimal matching, columns on simplex
   double objective = 0.0;    // F at x
   std::size_t iterations = 0;
-  bool converged = false;    // hit tolerance before the iteration cap
+  bool converged = false;    // residual below tolerance
   /// Final convergence residual: the quantity each solver tests against
-  /// its tolerance (mirror descent: simplex stationarity residual;
-  /// projected GD: inf-norm of the last iterate move).
+  /// its tolerance (mirror descent and the price dual: simplex
+  /// stationarity residual; projected GD: inf-norm of the last iterate
+  /// move).
   double residual = 0.0;
+  StopReason stop = StopReason::kCapped;
 };
 
 /// Uniform relaxed start: every entry 1/M (center of the feasible set).

@@ -1,8 +1,11 @@
 #include "matching/solver_mirror.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 
+#include "matching/detail/solve_common.hpp"
 #include "obs/metrics.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
@@ -38,6 +41,15 @@ SolveResult solve_mirror(const ContinuousObjective& objective,
 
 SolveResult solve_mirror_from(const ContinuousObjective& objective, Matrix x0,
                               const MirrorSolverConfig& config) {
+  SolveResult result = detail::mirror_descent(objective, std::move(x0), config);
+  detail::record_solve(result);
+  return result;
+}
+
+namespace detail {
+
+SolveResult mirror_descent(const ContinuousObjective& objective, Matrix x0,
+                           const MirrorSolverConfig& config) {
   MFCP_CHECK(x0.rows() == objective.num_clusters() &&
                  x0.cols() == objective.num_tasks(),
              "start point shape mismatch");
@@ -110,6 +122,7 @@ SolveResult solve_mirror_from(const ContinuousObjective& objective, Matrix x0,
       result.residual = stationarity_residual(objective, x, 1e-6);
       if (result.residual < config.tolerance) {
         result.converged = true;
+        result.stop = StopReason::kConverged;
         break;
       }
     }
@@ -122,21 +135,68 @@ SolveResult solve_mirror_from(const ContinuousObjective& objective, Matrix x0,
   }
   result.objective = objective.value(x);
   result.x = std::move(x);
-
-  // Solver telemetry (iterations to converge, final residual) through the
-  // process-wide registry — the solver sits below the engine and cannot be
-  // handed one per call without threading a pointer through every trainer.
-  if (obs::MetricsRegistry* reg = obs::default_registry()) {
-    reg->counter("mfcp_matching_solves_total").add(1);
-    if (!result.converged) {
-      reg->counter("mfcp_matching_solver_capped_total").add(1);
-    }
-    reg->histogram("mfcp_matching_solver_iterations",
-                   obs::default_iteration_bounds())
-        .observe(static_cast<double>(result.iterations));
-    reg->gauge("mfcp_matching_solver_residual").set(result.residual);
-  }
   return result;
 }
+
+namespace {
+
+struct SolverMetrics {
+  obs::Counter* solves = nullptr;
+  obs::Counter* capped = nullptr;
+  std::array<obs::Counter*, 3> stops{};  // indexed by StopReason
+  obs::Histogram* iterations = nullptr;
+  obs::Gauge* residual = nullptr;
+};
+
+/// Handles for the installed default registry, or null when there is
+/// none. Registration takes the registry's mutex, so each thread resolves
+/// once per (registry, install) and keeps the pointers.
+const SolverMetrics* solver_metrics() {
+  thread_local obs::MetricsRegistry* cached_registry = nullptr;
+  thread_local std::uint64_t cached_epoch = 0;
+  thread_local SolverMetrics cached;
+  const std::uint64_t epoch = obs::default_registry_epoch();
+  obs::MetricsRegistry* reg = obs::default_registry();
+  if (reg == nullptr) {
+    return nullptr;
+  }
+  if (reg != cached_registry || epoch != cached_epoch) {
+    cached.solves = &reg->counter("mfcp_matching_solves_total");
+    cached.capped = &reg->counter("mfcp_matching_solver_capped_total");
+    for (const StopReason reason :
+         {StopReason::kConverged, StopReason::kCapped, StopReason::kFellBack}) {
+      cached.stops[static_cast<std::size_t>(reason)] =
+          &reg->counter("mfcp_matching_solver_stops_total{reason=\"" +
+                        std::string(to_string(reason)) + "\"}");
+    }
+    cached.iterations = &reg->histogram("mfcp_matching_solver_iterations",
+                                        obs::default_iteration_bounds());
+    cached.residual = &reg->gauge("mfcp_matching_solver_residual");
+    cached_registry = reg;
+    cached_epoch = epoch;
+  }
+  return &cached;
+}
+
+}  // namespace
+
+void record_solve(const SolveResult& result) {
+  // The solvers sit below the engine and cannot be handed a registry per
+  // call without threading a pointer through every trainer, so they
+  // report to the process-wide one.
+  const SolverMetrics* m = solver_metrics();
+  if (m == nullptr) {
+    return;
+  }
+  m->solves->add(1);
+  m->stops[static_cast<std::size_t>(result.stop)]->add(1);
+  if (!result.converged) {
+    m->capped->add(1);
+  }
+  m->iterations->observe(static_cast<double>(result.iterations));
+  m->residual->set(result.residual);
+}
+
+}  // namespace detail
 
 }  // namespace mfcp::matching

@@ -6,6 +6,7 @@
 #include "matching/penalty.hpp"
 #include "matching/objective.hpp"
 #include "matching/rounding.hpp"
+#include "matching/solver_dual.hpp"
 #include "support/check.hpp"
 
 namespace mfcp::core {
@@ -47,7 +48,10 @@ DeployTrace deploy_matching_traced(const matching::MatchingProblem& predicted,
   const auto objective = make_deploy_objective(predicted, config);
   DeployTrace trace;
   trace.problem = predicted;
-  trace.relaxed = matching::solve_mirror(*objective, config.solver);
+  // The default objective is solved exactly in its price dual; the
+  // linear-cost ablation, τ = 0 and a decaying speedup go to mirror
+  // descent (solve_relaxed reads the objective's structure).
+  trace.relaxed = matching::solve_relaxed(*objective, config.solver);
   // Argmax rounding only. The paper folds the reliability constraint into
   // the barrier term of the matching objective and reports achieved
   // reliability as a separate metric (§4.1.3) — there is no post-hoc

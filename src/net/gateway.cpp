@@ -149,7 +149,8 @@ HttpResponse handle_task(const HttpRequest& request,
     }
     return error_json(404, "unknown task id");
   }
-  return json_response(200, task_status_json(*status));
+  return json_response(
+      200, task_status_json(*id, *status, link.cluster_name(status->cluster)));
 }
 
 HttpResponse handle_trace(const HttpRequest& request,
@@ -358,8 +359,10 @@ SubmitParse parse_submit_body(std::string_view body) {
   return out;
 }
 
-std::string task_status_json(const engine::TaskStatus& status) {
-  std::string out = "{\"id\":" + fmt_u64(status.id) + ",\"state\":" +
+std::string task_status_json(std::uint64_t id,
+                             const engine::TaskStatus& status,
+                             std::string_view cluster_name) {
+  std::string out = "{\"id\":" + fmt_u64(id) + ",\"state\":" +
                     json_quote(engine::to_string(status.state)) +
                     ",\"submit_hours\":" + fmt_double(status.submit_hours);
   const bool matched = status.state == engine::TaskState::kMatched ||
@@ -367,7 +370,7 @@ std::string task_status_json(const engine::TaskStatus& status) {
   if (matched) {
     out += ",\"cluster\":" +
            fmt_u64(static_cast<std::uint64_t>(status.cluster)) +
-           ",\"cluster_name\":" + json_quote(status.cluster_name) +
+           ",\"cluster_name\":" + json_quote(cluster_name) +
            ",\"predicted_hours\":" + fmt_double(status.predicted_hours) +
            ",\"round\":" + fmt_u64(status.round);
   }

@@ -91,7 +91,9 @@ struct SubmitParse {
 
 /// Flat-JSON renderings (flat so the loadgen client can read them back
 /// with parse_json_object).
-[[nodiscard]] std::string task_status_json(const engine::TaskStatus& status);
+[[nodiscard]] std::string task_status_json(std::uint64_t id,
+                                           const engine::TaskStatus& status,
+                                           std::string_view cluster_name);
 [[nodiscard]] std::string service_stats_json(const engine::ServiceStats& s);
 /// GET /trace/<id> body: scalar fields (trace_id, task_id, state,
 /// complete, spans, chain) plus per-span sN_* fields. Wall durations are

@@ -10,6 +10,7 @@ namespace mfcp::obs {
 namespace {
 std::atomic<std::size_t> g_next_shard{0};
 std::atomic<MetricsRegistry*> g_default_registry{nullptr};
+std::atomic<std::uint64_t> g_default_registry_epoch{0};
 }  // namespace
 
 std::size_t shard_index() noexcept {
@@ -239,6 +240,11 @@ MetricsRegistry* default_registry() noexcept {
 
 void set_default_registry(MetricsRegistry* registry) noexcept {
   g_default_registry.store(registry, std::memory_order_release);
+  g_default_registry_epoch.fetch_add(1, std::memory_order_acq_rel);
+}
+
+std::uint64_t default_registry_epoch() noexcept {
+  return g_default_registry_epoch.load(std::memory_order_acquire);
 }
 
 std::span<const double> default_time_bounds() noexcept {

@@ -163,6 +163,10 @@ class MetricsRegistry {
 /// Null (the initial state) disables their instrumentation entirely.
 [[nodiscard]] MetricsRegistry* default_registry() noexcept;
 void set_default_registry(MetricsRegistry* registry) noexcept;
+/// Moves on every set_default_registry, so a per-thread cache of handles
+/// resolved from default_registry() can tell when it is stale (a new
+/// registry may reuse a destroyed one's address).
+[[nodiscard]] std::uint64_t default_registry_epoch() noexcept;
 
 /// Log-spaced upper bounds for wall-time histograms, 10 microseconds to
 /// 30 seconds (1-3-10 per decade).

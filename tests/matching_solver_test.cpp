@@ -1,16 +1,24 @@
 // Tests for the matching solvers: Algorithm 1 (projected GD), mirror
-// descent, branch-and-bound vs exhaustive enumeration, greedy heuristic,
-// rounding and repair.
+// descent, the price-dual Newton solve, branch-and-bound vs exhaustive
+// enumeration, greedy heuristic, rounding and repair.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
 
 #include "matching/barrier.hpp"
+#include "matching/entropy.hpp"
 #include "matching/objective.hpp"
+#include "matching/penalty.hpp"
 #include "matching/rounding.hpp"
+#include "matching/solver_dual.hpp"
 #include "matching/solver_exact.hpp"
 #include "matching/solver_gd.hpp"
 #include "matching/solver_mirror.hpp"
+#include "obs/metrics.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -391,6 +399,236 @@ TEST_P(ExactSolverProperty, BranchAndBoundEqualsEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ExactSolverProperty,
                          ::testing::Range(0, 20));
+
+// ------------------------------------------------------ price-dual solver --
+
+/// The deploy objective: smoothed max + log barrier + entropy.
+struct DeployCase {
+  MatchingProblem problem;
+  BarrierConfig barrier{.beta = 8.0, .lambda = 0.1, .slack_epsilon = 1e-3};
+  double tau = 0.1;
+
+  [[nodiscard]] EntropicObjective objective() const {
+    return EntropicObjective(
+        std::make_unique<BarrierObjective>(problem, barrier), tau);
+  }
+};
+
+/// Engine-dumped stiff problems (tests/data/stiff_problems.txt).
+std::vector<DeployCase> stiff_cases() {
+  std::ifstream in(std::string(MFCP_TEST_DATA_DIR) + "/stiff_problems.txt");
+  EXPECT_TRUE(in.good());
+  std::vector<DeployCase> cases;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    std::istringstream fields(line);
+    std::size_t m = 0;
+    std::size_t n = 0;
+    DeployCase c;
+    fields >> m >> n >> c.problem.gamma >> c.barrier.beta >>
+        c.barrier.lambda >> c.barrier.slack_epsilon >> c.tau;
+    c.problem.times = Matrix(m, n);
+    c.problem.reliability = Matrix(m, n);
+    for (std::size_t k = 0; k < m * n; ++k) {
+      fields >> c.problem.times[k];
+    }
+    for (std::size_t k = 0; k < m * n; ++k) {
+      fields >> c.problem.reliability[k];
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+std::vector<DeployCase> random_cases() {
+  std::vector<DeployCase> cases;
+  for (std::uint64_t seed = 40; seed < 46; ++seed) {
+    DeployCase c;
+    c.problem = random_problem(seed, 2 + seed % 3, 5 + seed % 6, 0.7);
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+TEST(PriceDual, StiffFixtureSpansTheEngineTimeRange) {
+  const auto cases = stiff_cases();
+  ASSERT_EQ(cases.size(), 3u);
+  for (const DeployCase& c : cases) {
+    double lo = c.problem.times[0];
+    double hi = c.problem.times[0];
+    for (std::size_t k = 0; k < c.problem.times.size(); ++k) {
+      lo = std::min(lo, c.problem.times[k]);
+      hi = std::max(hi, c.problem.times[k]);
+    }
+    EXPECT_LT(lo, 1e-6);
+    EXPECT_GT(hi, 30.0);
+  }
+}
+
+TEST(PriceDual, MatchesLongMirrorRun) {
+  // A 50,000-iteration mirror run stands in for the optimum. The dual
+  // lands on the same rounded decision and never on a higher F.
+  MirrorSolverConfig long_run;
+  long_run.max_iterations = 50000;
+  auto cases = random_cases();
+  for (DeployCase& c : stiff_cases()) {
+    cases.push_back(std::move(c));
+  }
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const auto f = cases[k].objective();
+    const auto dual = solve_price_dual(f);
+    const auto mirror = solve_mirror(f, long_run);
+    EXPECT_TRUE(dual.converged) << "case " << k;
+    EXPECT_EQ(dual.stop, StopReason::kConverged) << "case " << k;
+    EXPECT_LT(dual.residual, MirrorSolverConfig{}.tolerance) << "case " << k;
+    EXPECT_DOUBLE_EQ(dual.residual, stationarity_residual(f, dual.x, 1e-6));
+    EXPECT_LT(dual.iterations, 50u) << "case " << k;
+    EXPECT_TRUE(columns_on_simplex(dual.x));
+    EXPECT_EQ(round_argmax(dual.x), round_argmax(mirror.x)) << "case " << k;
+    EXPECT_LE(dual.objective, mirror.objective + 1e-9) << "case " << k;
+    EXPECT_NEAR(dual.objective, mirror.objective, 1e-4) << "case " << k;
+  }
+}
+
+TEST(PriceDual, ZeroDualityGap) {
+  // D at the prices X* implies equals F(X*): X* is optimal, certified.
+  auto cases = random_cases();
+  for (DeployCase& c : stiff_cases()) {
+    cases.push_back(std::move(c));
+  }
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const auto f = cases[k].objective();
+    const auto dual = solve_price_dual(f);
+    ASSERT_TRUE(dual.converged) << "case " << k;
+    EXPECT_NEAR(price_dual_value(f, dual.x), dual.objective, 1e-9)
+        << "case " << k;
+    // Weak duality: any other X gives a dual value no higher than min F.
+    EXPECT_LE(price_dual_value(f, uniform_start(f.num_clusters(),
+                                                f.num_tasks())),
+              dual.objective + 1e-12)
+        << "case " << k;
+  }
+}
+
+TEST(PriceDual, SlackAtEpsilonFallsBackToMirrorFromUniform) {
+  // γ above every achievable average reliability: the optimum sits in the
+  // barrier's linear extension, ν ends on its −λ/ε bound, and the solve
+  // hands the problem to mirror descent from the uniform start.
+  DeployCase c;
+  c.problem = random_problem(47, 3, 6, /*gamma=*/0.995);
+  const auto f = c.objective();
+  MirrorSolverConfig cfg;
+  cfg.max_iterations = 300;
+  const auto dual = solve_price_dual(f, cfg);
+  const auto mirror = solve_mirror(f, cfg);
+  EXPECT_EQ(dual.stop, StopReason::kFellBack);
+  EXPECT_TRUE(approx_equal(dual.x, mirror.x, 0.0));  // bitwise
+  EXPECT_EQ(dual.converged, mirror.converged);
+  EXPECT_GT(dual.iterations, mirror.iterations);  // Newton's count added
+  EXPECT_LE(reliability_slack(dual.x, c.problem), c.barrier.slack_epsilon);
+}
+
+TEST(PriceDual, MissedToleranceContinuesMirrorFromDualPoint) {
+  // A zero tolerance is unreachable: Newton runs to its cap, and mirror
+  // descent continues from X* under the caller's cap.
+  DeployCase c;
+  c.problem = random_problem(48, 3, 5);
+  const auto f = c.objective();
+  MirrorSolverConfig cfg;
+  cfg.tolerance = 0.0;
+  cfg.max_iterations = 5;
+  const auto r = solve_price_dual(f, cfg);
+  EXPECT_EQ(r.stop, StopReason::kFellBack);
+  EXPECT_FALSE(r.converged);
+  EXPECT_GT(r.iterations, 5u);
+  // Continuing from the optimum keeps it (up to mirror's floor).
+  const auto exact = solve_price_dual(f);
+  EXPECT_NEAR(r.objective, exact.objective, 1e-9);
+}
+
+TEST(PriceDual, OnlyTheDefaultObjectiveHasTheDual) {
+  const auto p = random_problem(49, 3, 5);
+  const BarrierConfig barrier;
+  const auto entropic = [](std::unique_ptr<ContinuousObjective> base) {
+    return EntropicObjective(std::move(base), 0.1);
+  };
+  EXPECT_TRUE(has_price_dual(
+      entropic(std::make_unique<BarrierObjective>(p, barrier))));
+  // τ = 0 (no entropy), the Table 1 ablations and the ζ speedup do not.
+  EXPECT_FALSE(has_price_dual(BarrierObjective(p, barrier)));
+  EXPECT_FALSE(has_price_dual(
+      entropic(std::make_unique<LinearCostBarrierObjective>(p, 0.1))));
+  EXPECT_FALSE(has_price_dual(
+      entropic(std::make_unique<HardPenaltyObjective>(p, 2.0, 2.0))));
+  MatchingProblem shared = p;
+  shared.speedup = sim::SpeedupCurve::exponential_decay(0.6, 0.5);
+  EXPECT_FALSE(has_price_dual(
+      entropic(std::make_unique<BarrierObjective>(shared, barrier))));
+}
+
+TEST(PriceDual, ObjectivesWithoutTheDualRouteToMirrorBitIdentically) {
+  const auto p = random_problem(50, 3, 5);
+  MatchingProblem shared = p;
+  shared.speedup = sim::SpeedupCurve::exponential_decay(0.6, 0.5);
+  std::vector<std::unique_ptr<ContinuousObjective>> objectives;
+  objectives.push_back(std::make_unique<EntropicObjective>(
+      std::make_unique<LinearCostBarrierObjective>(p, 0.1), 0.1));
+  objectives.push_back(std::make_unique<EntropicObjective>(
+      std::make_unique<HardPenaltyObjective>(p, 2.0, 2.0), 0.1));
+  objectives.push_back(std::make_unique<EntropicObjective>(
+      std::make_unique<BarrierObjective>(shared, BarrierConfig{}), 0.1));
+  MirrorSolverConfig cfg;
+  cfg.max_iterations = 200;
+  for (const auto& f : objectives) {
+    const auto routed = solve_relaxed(*f, cfg);
+    const auto mirror = solve_mirror(*f, cfg);
+    EXPECT_TRUE(approx_equal(routed.x, mirror.x, 0.0));  // bitwise
+    EXPECT_EQ(routed.iterations, mirror.iterations);
+    EXPECT_EQ(routed.objective, mirror.objective);
+  }
+}
+
+TEST(SolverTelemetry, CountsStopReasonsInOneLabelledCounter) {
+  obs::MetricsRegistry registry;
+  obs::set_default_registry(&registry);
+  DeployCase c;
+  c.problem = random_problem(51, 3, 5);
+  const auto f = c.objective();
+  (void)solve_price_dual(f);
+  MirrorSolverConfig capped;
+  capped.max_iterations = 3;
+  (void)solve_mirror(f, capped);
+  obs::set_default_registry(nullptr);
+
+  const auto snap = registry.snapshot();
+  const auto counter = [&snap](const std::string& name) {
+    for (const auto& [n, v] : snap.counters) {
+      if (n == name) {
+        return v;
+      }
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(counter("mfcp_matching_solves_total"), 2u);
+  EXPECT_EQ(counter("mfcp_matching_solver_stops_total{reason=\"converged\"}"),
+            1u);
+  EXPECT_EQ(counter("mfcp_matching_solver_stops_total{reason=\"capped\"}"),
+            1u);
+  EXPECT_EQ(counter("mfcp_matching_solver_stops_total{reason=\"fell_back\"}"),
+            0u);
+  EXPECT_EQ(counter("mfcp_matching_solver_capped_total"), 1u);
+
+  // A new registry (possibly at a reused address) gets fresh handles.
+  obs::MetricsRegistry second;
+  obs::set_default_registry(&second);
+  (void)solve_price_dual(f);
+  obs::set_default_registry(nullptr);
+  EXPECT_EQ(second.counter("mfcp_matching_solves_total").value(), 1u);
+  EXPECT_EQ(registry.counter("mfcp_matching_solves_total").value(), 2u);
+}
 
 }  // namespace
 }  // namespace mfcp::matching

@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "matching/entropy.hpp"
+#include "matching/penalty.hpp"
+#include "matching/rounding.hpp"
 #include "mfcp/baseline_tam.hpp"
 #include "mfcp/baseline_ucb.hpp"
 #include "mfcp/experiment.hpp"
@@ -13,6 +16,7 @@
 #include "mfcp/trainer_tsm.hpp"
 #include "nn/loss.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace mfcp::core {
 namespace {
@@ -129,6 +133,79 @@ TEST(Regret, DeployRespectsPredictedReliability) {
   const auto assignment = deploy_matching(predicted, cfg);
   for (int c : assignment) {
     EXPECT_EQ(c, 1);
+  }
+}
+
+matching::MatchingProblem deploy_problem(std::uint64_t seed) {
+  Rng rng(seed);
+  matching::MatchingProblem p;
+  p.times = Matrix(4, 10);
+  p.reliability = Matrix(4, 10);
+  for (std::size_t k = 0; k < p.times.size(); ++k) {
+    p.times[k] = rng.uniform(0.2, 6.0);
+    p.reliability[k] = rng.uniform(0.6, 0.99);
+  }
+  p.gamma = 0.75;
+  return p;
+}
+
+TEST(Regret, DefaultDeploySolvesThePriceDual) {
+  const auto p = deploy_problem(3);
+  const EvaluationConfig cfg;
+  const DeployTrace trace = deploy_matching_traced(p, cfg);
+  EXPECT_EQ(trace.relaxed.stop, matching::StopReason::kConverged);
+  EXPECT_TRUE(trace.relaxed.converged);
+  EXPECT_LT(trace.relaxed.residual, cfg.solver.tolerance);
+  EXPECT_EQ(trace.assignment, matching::round_argmax(trace.relaxed.x));
+}
+
+TEST(Regret, AblatedAndSpeedupDeploysStayOnMirrorDescent) {
+  // Bit-identical to a direct mirror solve of the same objective, which is
+  // what deploy_matching_traced ran for every objective before the dual.
+  const auto mirror_of = [](std::unique_ptr<matching::ContinuousObjective> base,
+                            const EvaluationConfig& cfg) {
+    const matching::EntropicObjective f(std::move(base), cfg.entropy_tau);
+    return matching::solve_mirror(f, cfg.solver);
+  };
+  const auto p = deploy_problem(4);
+
+  EvaluationConfig linear;
+  linear.linear_cost = true;
+  const auto linear_trace = deploy_matching_traced(p, linear);
+  const auto linear_mirror = mirror_of(
+      std::make_unique<matching::LinearCostBarrierObjective>(
+          p, linear.barrier.lambda),
+      linear);
+  EXPECT_TRUE(approx_equal(linear_trace.relaxed.x, linear_mirror.x, 0.0));
+  EXPECT_EQ(linear_trace.relaxed.iterations, linear_mirror.iterations);
+
+  matching::MatchingProblem shared = p;
+  shared.speedup = sim::SpeedupCurve::exponential_decay(0.6, 0.5);
+  const EvaluationConfig cfg;
+  const auto shared_trace = deploy_matching_traced(shared, cfg);
+  const auto shared_mirror = mirror_of(
+      std::make_unique<matching::BarrierObjective>(shared, cfg.barrier), cfg);
+  EXPECT_TRUE(approx_equal(shared_trace.relaxed.x, shared_mirror.x, 0.0));
+  EXPECT_EQ(shared_trace.relaxed.iterations, shared_mirror.iterations);
+}
+
+TEST(Regret, AttributionStaysExactOnDualSolves) {
+  const EvaluationConfig cfg;
+  for (std::uint64_t seed = 5; seed < 10; ++seed) {
+    const auto truth = deploy_problem(seed);
+    Rng noise(seed + 100);
+    Matrix t_hat = truth.times;
+    for (std::size_t k = 0; k < t_hat.size(); ++k) {
+      t_hat[k] *= noise.uniform(0.6, 1.6);
+    }
+    const auto predicted = truth.with_metrics(t_hat, truth.reliability);
+    const DeployTrace deployed = deploy_matching_traced(predicted, cfg);
+    const DeployTrace reference = deploy_matching_traced(truth, cfg);
+    const auto breakdown = attribute_regret(truth, deployed, reference, cfg);
+    EXPECT_TRUE(breakdown.exact()) << "seed " << seed;
+    // Both chains converged, so the polish is skipped and the solver term
+    // is exactly zero.
+    EXPECT_EQ(breakdown.solver_gap, 0.0) << "seed " << seed;
   }
 }
 

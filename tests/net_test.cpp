@@ -547,6 +547,48 @@ TEST(GatewayRoute, AlertsRouteReportsSloState) {
   EXPECT_TRUE(obj->count("firing_total"));
 }
 
+TEST(GatewayRoute, TaskStatusJsonIsByteStable) {
+  // The table keeps a compact entry (no id, no name string); GET
+  // /task/<id> renders the id from the key and the name from the cluster
+  // index. The bodies below are the ones the per-entry-string table
+  // rendered, byte for byte.
+  static_assert(sizeof(engine::TaskStatus) <= 40);
+  const std::uint64_t id = engine::kExternalIdBase;
+  const auto get = [id](engine::GatewayLink& link) {
+    return route_gateway_request(
+               make_request("GET", "/task/" + std::to_string(id)), link,
+               nullptr)
+        .body;
+  };
+  engine::GatewayLink dispatched;
+  dispatched.set_cluster_names({"c0", "gpu-east", "cpu-west"});
+  ASSERT_EQ(body_u64(route_gateway_request(
+                         make_request("POST", "/submit",
+                                      "{\"family\":\"cnn\"}"),
+                         dispatched, nullptr)
+                         .body,
+                     "id"),
+            id);
+  dispatched.table().mark_matched(id, 1, 1.25, 7);
+  dispatched.table().mark_dispatched(id, 1.5, true);
+  EXPECT_EQ(get(dispatched),
+            "{\"id\":1099511627776,\"state\":\"dispatched\","
+            "\"submit_hours\":0,\"cluster\":1,\"cluster_name\":\"gpu-east\","
+            "\"predicted_hours\":1.25,\"round\":7,\"realized_hours\":1.5,"
+            "\"succeeded\":true}\n");
+
+  engine::GatewayLink matched;
+  matched.set_cluster_names({"c0", "gpu-east", "cpu-west"});
+  (void)route_gateway_request(
+      make_request("POST", "/submit", "{\"family\":\"cnn\"}"), matched,
+      nullptr);
+  matched.table().mark_matched(id, 2, 0.1, 123456789012ULL);
+  EXPECT_EQ(get(matched),
+            "{\"id\":1099511627776,\"state\":\"matched\","
+            "\"submit_hours\":0,\"cluster\":2,\"cluster_name\":\"cpu-west\","
+            "\"predicted_hours\":0.1,\"round\":123456789012}\n");
+}
+
 TEST(GatewayRoute, EvictedTaskStatusAnswers410) {
   engine::GatewayLinkConfig cfg;
   cfg.status_capacity = 2;
@@ -563,7 +605,7 @@ TEST(GatewayRoute, EvictedTaskStatusAnswers410) {
   // tasks are never evicted. Transitions are forward-only, so walk each
   // task through matched first.
   for (const std::uint64_t id : ids) {
-    link.table().mark_matched(id, 0, "c0", 1.0, 0);
+    link.table().mark_matched(id, 0, 1.0, 0);
     link.table().mark_dispatched(id, 1.0, true);
   }
   EXPECT_EQ(link.table().evicted_total(), 1u);
