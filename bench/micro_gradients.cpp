@@ -1,13 +1,18 @@
 // Microbenchmarks for the two matching-layer differentiation routes:
 // analytic KKT (vector-Jacobian product vs full Jacobian) and zeroth-order
 // forward gradients (serial vs thread pool, varying sample count S) —
-// the O(S * K2 * MN) term of the complexity analysis (Eq. 21).
+// the O(S * K2 * MN) term of the complexity analysis (Eq. 21) — and for
+// the predictor MLP on the autograd tape against the tape-free kernels
+// (nn/fused_mlp): one MSE + Adam step, and the engine's 4 x 10 predict.
 #include <benchmark/benchmark.h>
 
 #include "diff/kkt.hpp"
 #include "diff/zeroth_order.hpp"
 #include "matching/barrier.hpp"
 #include "matching/solver_mirror.hpp"
+#include "mfcp/predictor.hpp"
+#include "nn/fused_mlp.hpp"
+#include "nn/loss.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -117,5 +122,93 @@ void BM_ZerothOrderRowPooled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZerothOrderRowPooled)->Arg(16)->Arg(64);
+
+// One cluster's time head (d = 12 -> 32 -> 32 -> 1, softplus x 4) and a
+// random batch with its targets, as train_tsm steps it.
+struct MlpStepInstance {
+  core::ClusterPredictor cluster;
+  nn::Adam opt;
+  Matrix x;
+  Matrix target;
+};
+
+MlpStepInstance make_step_instance(std::size_t batch) {
+  Rng rng(17);
+  core::ClusterPredictor cluster(core::PredictorConfig{}, rng);
+  nn::Adam opt(cluster.time_model().parameters(), 1e-2);
+  Matrix x(batch, core::PredictorConfig{}.feature_dim);
+  Matrix target(batch, 1);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = rng.normal();
+  }
+  for (std::size_t i = 0; i < target.size(); ++i) {
+    target[i] = rng.uniform(0.5, 8.0);
+  }
+  return MlpStepInstance{std::move(cluster), std::move(opt), std::move(x),
+                         std::move(target)};
+}
+
+void BM_MlpStepTape(benchmark::State& state) {
+  auto inst = make_step_instance(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    inst.opt.zero_grad();
+    auto loss = nn::mse(
+        inst.cluster.forward_time(nn::Variable(inst.x, false)), inst.target);
+    loss.backward();
+    inst.opt.step();
+    benchmark::DoNotOptimize(loss.value()[0]);
+  }
+}
+BENCHMARK(BM_MlpStepTape)->Arg(32)->Arg(64);
+
+void BM_MlpStepFused(benchmark::State& state) {
+  auto inst = make_step_instance(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::fused_mse_step(
+        inst.cluster.time_model(), inst.opt, inst.x, inst.target,
+        inst.cluster.time_scale()));
+  }
+}
+BENCHMARK(BM_MlpStepFused)->Arg(32)->Arg(64);
+
+// T-hat and A-hat for one engine round: 4 clusters x a batch of 10 tasks.
+struct PredictInstance {
+  core::PlatformPredictor predictor;
+  Matrix features;
+};
+
+PredictInstance make_predict_instance() {
+  Rng rng(19);
+  core::PlatformPredictor predictor(4, core::PredictorConfig{}, rng);
+  Matrix features(10, core::PredictorConfig{}.feature_dim);
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    features[i] = rng.normal();
+  }
+  return PredictInstance{std::move(predictor), std::move(features)};
+}
+
+void BM_PredictTape(benchmark::State& state) {
+  auto inst = make_predict_instance();
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < inst.predictor.num_clusters(); ++i) {
+      auto& cluster = inst.predictor.cluster(i);
+      const nn::Variable in(inst.features, false);
+      benchmark::DoNotOptimize(cluster.forward_time(in).value().data());
+      benchmark::DoNotOptimize(cluster.forward_reliability(in).value().data());
+    }
+  }
+}
+BENCHMARK(BM_PredictTape);
+
+void BM_PredictFused(benchmark::State& state) {
+  auto inst = make_predict_instance();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        inst.predictor.predict_time_matrix(inst.features).data());
+    benchmark::DoNotOptimize(
+        inst.predictor.predict_reliability_matrix(inst.features).data());
+  }
+}
+BENCHMARK(BM_PredictFused);
 
 }  // namespace

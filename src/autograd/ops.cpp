@@ -23,12 +23,26 @@ std::shared_ptr<Node> make_node(Matrix value,
 
 }  // namespace
 
+double sigmoid_scalar(double x) noexcept {
+  return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
+                  : std::exp(x) / (1.0 + std::exp(x));
+}
+
+double softplus_scalar(double x) noexcept {
+  // Stable: softplus(x) = max(x, 0) + log1p(exp(-|x|)).
+  return std::max(x, 0.0) + std::log1p(std::exp(-std::abs(x)));
+}
+
 Variable add(const Variable& a, const Variable& b) {
   MFCP_CHECK(a.value().same_shape(b.value()), "add: shape mismatch");
   auto node = make_node(a.value() + b.value(), {a.node(), b.node()});
   node->backward_fn = [](const Node& n) {
-    n.parents[0]->accumulate(n.grad);
-    n.parents[1]->accumulate(n.grad);
+    if (n.parents[0]->requires_grad) {
+      n.parents[0]->accumulate(n.grad);
+    }
+    if (n.parents[1]->requires_grad) {
+      n.parents[1]->accumulate(n.grad);
+    }
   };
   return Variable(node);
 }
@@ -37,8 +51,12 @@ Variable sub(const Variable& a, const Variable& b) {
   MFCP_CHECK(a.value().same_shape(b.value()), "sub: shape mismatch");
   auto node = make_node(a.value() - b.value(), {a.node(), b.node()});
   node->backward_fn = [](const Node& n) {
-    n.parents[0]->accumulate(n.grad);
-    n.parents[1]->accumulate(n.grad * -1.0);
+    if (n.parents[0]->requires_grad) {
+      n.parents[0]->accumulate(n.grad);
+    }
+    if (n.parents[1]->requires_grad) {
+      n.parents[1]->accumulate(n.grad * -1.0);
+    }
   };
   return Variable(node);
 }
@@ -47,8 +65,12 @@ Variable mul(const Variable& a, const Variable& b) {
   MFCP_CHECK(a.value().same_shape(b.value()), "mul: shape mismatch");
   auto node = make_node(hadamard(a.value(), b.value()), {a.node(), b.node()});
   node->backward_fn = [](const Node& n) {
-    n.parents[0]->accumulate(hadamard(n.grad, n.parents[1]->value));
-    n.parents[1]->accumulate(hadamard(n.grad, n.parents[0]->value));
+    if (n.parents[0]->requires_grad) {
+      n.parents[0]->accumulate(hadamard(n.grad, n.parents[1]->value));
+    }
+    if (n.parents[1]->requires_grad) {
+      n.parents[1]->accumulate(hadamard(n.grad, n.parents[0]->value));
+    }
   };
   return Variable(node);
 }
@@ -65,9 +87,14 @@ Variable matmul(const Variable& a, const Variable& b) {
   auto node = make_node(mfcp::matmul(a.value(), b.value()),
                         {a.node(), b.node()});
   node->backward_fn = [](const Node& n) {
-    // dA = G B^T, dB = A^T G.
-    n.parents[0]->accumulate(matmul_nt(n.grad, n.parents[1]->value));
-    n.parents[1]->accumulate(matmul_tn(n.parents[0]->value, n.grad));
+    // dA = G B^T, dB = A^T G. A Linear layer's input features need no
+    // gradient, so dA is skipped on every training step.
+    if (n.parents[0]->requires_grad) {
+      n.parents[0]->accumulate(matmul_nt(n.grad, n.parents[1]->value));
+    }
+    if (n.parents[1]->requires_grad) {
+      n.parents[1]->accumulate(matmul_tn(n.parents[0]->value, n.grad));
+    }
   };
   return Variable(node);
 }
@@ -91,7 +118,12 @@ Variable add_row_broadcast(const Variable& a, const Variable& bias) {
   }
   auto node = make_node(std::move(out), {a.node(), bias.node()});
   node->backward_fn = [](const Node& n) {
-    n.parents[0]->accumulate(n.grad);
+    if (n.parents[0]->requires_grad) {
+      n.parents[0]->accumulate(n.grad);
+    }
+    if (!n.parents[1]->requires_grad) {
+      return;
+    }
     Matrix gb(1, n.grad.cols(), 0.0);
     for (std::size_t r = 0; r < n.grad.rows(); ++r) {
       for (std::size_t c = 0; c < n.grad.cols(); ++c) {
@@ -142,9 +174,7 @@ Variable tanh_op(const Variable& a) {
 Variable sigmoid(const Variable& a) {
   Matrix out = a.value();
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const double x = out[i];
-    out[i] = x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
-                      : std::exp(x) / (1.0 + std::exp(x));
+    out[i] = sigmoid_scalar(out[i]);
   }
   auto node = make_node(std::move(out), {a.node()});
   node->backward_fn = [](const Node& n) {
@@ -161,19 +191,14 @@ Variable sigmoid(const Variable& a) {
 Variable softplus(const Variable& a) {
   Matrix out = a.value();
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const double x = out[i];
-    // Stable: softplus(x) = max(x, 0) + log1p(exp(-|x|)).
-    out[i] = std::max(x, 0.0) + std::log1p(std::exp(-std::abs(x)));
+    out[i] = softplus_scalar(out[i]);
   }
   auto node = make_node(std::move(out), {a.node()});
   node->backward_fn = [](const Node& n) {
     Matrix g = n.grad;
     const Matrix& x = n.parents[0]->value;
     for (std::size_t i = 0; i < g.size(); ++i) {
-      const double v = x[i];
-      const double s = v >= 0.0 ? 1.0 / (1.0 + std::exp(-v))
-                                : std::exp(v) / (1.0 + std::exp(v));
-      g[i] *= s;
+      g[i] *= sigmoid_scalar(x[i]);
     }
     n.parents[0]->accumulate(g);
   };

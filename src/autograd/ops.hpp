@@ -59,4 +59,10 @@ Variable mean_all(const Variable& a);
 /// Mean squared error against a constant target -> 1x1 (paper Eq. 1).
 Variable mse_loss(const Variable& pred, const Matrix& target);
 
+/// The scalar logistic and softplus the ops above apply per element (and
+/// softplus's derivative is the logistic). The tape-free MLP kernels
+/// (nn/fused_mlp) call the same definitions.
+double sigmoid_scalar(double x) noexcept;
+double softplus_scalar(double x) noexcept;
+
 }  // namespace mfcp::autograd

@@ -32,10 +32,11 @@ std::vector<std::shared_ptr<Node>> topological_order(
 void run_backward(const std::shared_ptr<Node>& root) {
   const auto order = topological_order(root);
   // Reverse topological order: every node's grad is complete before its
-  // backward_fn distributes it to parents.
+  // backward_fn distributes it to parents. A node that requires no
+  // gradient has no trainable ancestor, so its backward is skipped.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node& node = **it;
-    if (node.backward_fn && !node.grad.empty()) {
+    if (node.backward_fn && node.requires_grad && !node.grad.empty()) {
       node.backward_fn(node);
     }
   }

@@ -25,6 +25,14 @@ Matrix& Variable::mutable_value() {
   return node_->value;
 }
 
+Matrix& Variable::grad_slot() {
+  MFCP_CHECK(node_->parents.empty(), "only leaves have a gradient slot");
+  if (!node_->grad.same_shape(node_->value)) {
+    node_->grad = Matrix(node_->value.rows(), node_->value.cols());
+  }
+  return node_->grad;
+}
+
 void Variable::zero_grad() { node_->grad = Matrix(); }
 
 void Variable::backward() {

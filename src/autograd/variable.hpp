@@ -49,6 +49,10 @@ class Variable {
   /// Accumulated gradient. Zero-shaped until backward reaches this node.
   [[nodiscard]] const Matrix& grad() const noexcept { return node_->grad; }
 
+  /// A *leaf*'s gradient storage, shaped like its value, for kernels that
+  /// compute the gradient outside the tape and overwrite it in place.
+  [[nodiscard]] Matrix& grad_slot();
+
   [[nodiscard]] bool requires_grad() const noexcept {
     return node_->requires_grad;
   }

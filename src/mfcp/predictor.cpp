@@ -1,6 +1,7 @@
 #include "mfcp/predictor.hpp"
 
 #include "autograd/ops.hpp"
+#include "nn/fused_mlp.hpp"
 #include "support/check.hpp"
 
 namespace mfcp::core {
@@ -45,14 +46,14 @@ nn::Variable ClusterPredictor::forward_reliability(
   return rel_model_.forward(features);
 }
 
-Matrix ClusterPredictor::predict_time_row(const Matrix& features) {
-  nn::Variable in(features, /*requires_grad=*/false);
-  return forward_time(in).value().reshaped(1, features.rows());
+void ClusterPredictor::predict_time_row(const Matrix& features,
+                                        std::span<double> row) {
+  nn::fused_forward(time_model_, features, time_scale_, row);
 }
 
-Matrix ClusterPredictor::predict_reliability_row(const Matrix& features) {
-  nn::Variable in(features, /*requires_grad=*/false);
-  return forward_reliability(in).value().reshaped(1, features.rows());
+void ClusterPredictor::predict_reliability_row(const Matrix& features,
+                                               std::span<double> row) {
+  nn::fused_forward(rel_model_, features, 1.0, row);
 }
 
 PlatformPredictor::PlatformPredictor(std::size_t num_clusters,
@@ -72,10 +73,7 @@ ClusterPredictor& PlatformPredictor::cluster(std::size_t i) {
 Matrix PlatformPredictor::predict_time_matrix(const Matrix& features) {
   Matrix t(predictors_.size(), features.rows());
   for (std::size_t i = 0; i < predictors_.size(); ++i) {
-    const Matrix row = predictors_[i].predict_time_row(features);
-    for (std::size_t j = 0; j < features.rows(); ++j) {
-      t(i, j) = row[j];
-    }
+    predictors_[i].predict_time_row(features, t.row_span(i));
   }
   return t;
 }
@@ -83,10 +81,7 @@ Matrix PlatformPredictor::predict_time_matrix(const Matrix& features) {
 Matrix PlatformPredictor::predict_reliability_matrix(const Matrix& features) {
   Matrix a(predictors_.size(), features.rows());
   for (std::size_t i = 0; i < predictors_.size(); ++i) {
-    const Matrix row = predictors_[i].predict_reliability_row(features);
-    for (std::size_t j = 0; j < features.rows(); ++j) {
-      a(i, j) = row[j];
-    }
+    predictors_[i].predict_reliability_row(features, a.row_span(i));
   }
   return a;
 }

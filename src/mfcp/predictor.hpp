@@ -7,6 +7,8 @@
 // is what distinguishes TSM (MSE) from MFCP (regret) — see the trainers.
 #pragma once
 
+#include <span>
+
 #include "nn/mlp.hpp"
 
 namespace mfcp::core {
@@ -28,10 +30,12 @@ class ClusterPredictor {
   nn::Variable forward_time(const nn::Variable& features);
   nn::Variable forward_reliability(const nn::Variable& features);
 
-  /// Value-only prediction for a feature batch; returns a 1 x n row ready
-  /// to be placed into the T̂ / Â matrices.
-  Matrix predict_time_row(const Matrix& features);
-  Matrix predict_reliability_row(const Matrix& features);
+  /// Value-only prediction for a feature batch, off the tape
+  /// (nn/fused_mlp, bit-identical to the forward passes above): writes
+  /// one value per feature row into `row`, e.g. a row of T̂ / Â.
+  void predict_time_row(const Matrix& features, std::span<double> row);
+  void predict_reliability_row(const Matrix& features,
+                               std::span<double> row);
 
   [[nodiscard]] nn::Mlp& time_model() noexcept { return time_model_; }
   [[nodiscard]] nn::Mlp& reliability_model() noexcept { return rel_model_; }

@@ -1,7 +1,9 @@
 #include "mfcp/trainer_tsm.hpp"
 
-#include "autograd/ops.hpp"
-#include "nn/loss.hpp"
+#include <algorithm>
+#include <numeric>
+
+#include "nn/fused_mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
@@ -32,21 +34,20 @@ TsmTrainResult train_tsm(PlatformPredictor& predictor,
         config.learning_rate));
   }
 
+  // Batches stream epoch by epoch into buffers sized once.
   const bool full_batch = n <= config.batch_size;
+  const std::size_t b = full_batch ? n : config.batch_size;
+  std::vector<std::size_t> batch_idx(b);
+  std::iota(batch_idx.begin(), batch_idx.end(), std::size_t{0});
+  Matrix features(b, train.feature_dim());
+  Matrix t_target(b, 1);
+  Matrix a_target(b, 1);
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    // Build this epoch's batch (same batch for every cluster, fair).
-    std::vector<std::size_t> batch_idx;
-    if (full_batch) {
-      batch_idx.resize(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        batch_idx[j] = j;
-      }
-    } else {
+    // This epoch's batch (same batch for every cluster, fair).
+    if (!full_batch) {
       const auto order = rng.permutation(n);
-      batch_idx.assign(order.begin(), order.begin() + config.batch_size);
+      std::copy(order.begin(), order.begin() + b, batch_idx.begin());
     }
-    const std::size_t b = batch_idx.size();
-    Matrix features(b, train.feature_dim());
     for (std::size_t k = 0; k < b; ++k) {
       for (std::size_t c = 0; c < train.feature_dim(); ++c) {
         features(k, c) = train.features(batch_idx[k], c);
@@ -56,32 +57,19 @@ TsmTrainResult train_tsm(PlatformPredictor& predictor,
     double epoch_time_loss = 0.0;
     double epoch_rel_loss = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
-      Matrix t_target(b, 1);
-      Matrix a_target(b, 1);
       for (std::size_t k = 0; k < b; ++k) {
         t_target(k, 0) = train.times(i, batch_idx[k]);
         a_target(k, 0) = train.reliability(i, batch_idx[k]);
       }
-
+      // Off the tape (nn/fused_mlp): the same losses and weights, bit for
+      // bit, as zero_grad + mse(forward) + backward + step.
       auto& cluster = predictor.cluster(i);
-      {
-        nn::Variable in(features, /*requires_grad=*/false);
-        auto pred = cluster.forward_time(in);
-        auto loss = nn::mse(pred, t_target);
-        epoch_time_loss += loss.value()[0];
-        time_opts[i]->zero_grad();
-        loss.backward();
-        time_opts[i]->step();
-      }
-      {
-        nn::Variable in(features, /*requires_grad=*/false);
-        auto pred = cluster.forward_reliability(in);
-        auto loss = nn::mse(pred, a_target);
-        epoch_rel_loss += loss.value()[0];
-        rel_opts[i]->zero_grad();
-        loss.backward();
-        rel_opts[i]->step();
-      }
+      epoch_time_loss +=
+          nn::fused_mse_step(cluster.time_model(), *time_opts[i], features,
+                             t_target, cluster.time_scale());
+      epoch_rel_loss += nn::fused_mse_step(cluster.reliability_model(),
+                                           *rel_opts[i], features, a_target,
+                                           1.0);
     }
     result.time_loss_history.push_back(epoch_time_loss /
                                        static_cast<double>(m));

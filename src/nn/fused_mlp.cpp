@@ -1,0 +1,274 @@
+#include "nn/fused_mlp.hpp"
+
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "autograd/ops.hpp"
+#include "support/check.hpp"
+
+namespace mfcp::nn {
+
+namespace {
+
+struct Scratch {
+  std::vector<double> wt;    // every layer's W^T, back to back
+  std::vector<double> pre;   // every layer's pre-activations (rows x width)
+  std::vector<double> post;  // hidden ReLU outputs, then the head's output
+  std::vector<double> grad;  // two (rows x widest layer) gradient buffers
+};
+
+thread_local Scratch t_scratch;
+
+/// Grows `v` to hold n values. It never shrinks, so reuse allocates
+/// nothing.
+double* at_least(std::vector<double>& v, std::size_t n) {
+  if (v.size() < n) {
+    v.resize(n);
+  }
+  return v.data();
+}
+
+/// One block of `product`: Rows x Lanes entries of c summed in registers,
+/// each entry in its own lane.
+template <std::size_t Rows, std::size_t Lanes>
+void product_block(std::size_t n, std::size_t depth, const double* a,
+                   std::size_t a_row, std::size_t a_col, const double* b,
+                   double* c) {
+  double acc[Rows][Lanes] = {};
+  for (std::size_t k = 0; k < depth; ++k) {
+    const double* bk = b + k * n;
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const double ark = a[r * a_row + k * a_col];
+      for (std::size_t l = 0; l < Lanes; ++l) {
+        acc[r][l] += ark * bk[l];
+      }
+    }
+  }
+  for (std::size_t r = 0; r < Rows; ++r) {
+    std::copy(acc[r], acc[r] + Lanes, c + r * n);
+  }
+}
+
+/// Rows [0, Rows) of `product`, in column blocks of 8, 4, 2 and 1.
+template <std::size_t Rows>
+void product_rows(std::size_t n, std::size_t depth, const double* a,
+                  std::size_t a_row, std::size_t a_col, const double* b,
+                  double* c) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    product_block<Rows, 8>(n, depth, a, a_row, a_col, b + j, c + j);
+  }
+  if (j + 4 <= n) {
+    product_block<Rows, 4>(n, depth, a, a_row, a_col, b + j, c + j);
+    j += 4;
+  }
+  if (j + 2 <= n) {
+    product_block<Rows, 2>(n, depth, a, a_row, a_col, b + j, c + j);
+    j += 2;
+  }
+  if (j < n) {
+    product_block<Rows, 1>(n, depth, a, a_row, a_col, b + j, c + j);
+  }
+}
+
+/// c (m x n, row-major) = A b, where A(i, k) = a[i * a_row + k * a_col]
+/// and b is (depth x n, row-major). Every entry sums its `depth` products
+/// in k order from +0.0, as `matmul`, `matmul_tn` and `matmul_nt` do.
+/// Blocks of two rows stay in registers for the whole sum; the entries
+/// are independent lanes, so blocking reorders no sum.
+void product(std::size_t m, std::size_t n, std::size_t depth,
+             const double* a, std::size_t a_row, std::size_t a_col,
+             const double* b, double* c) {
+  std::size_t i = 0;
+  for (; i + 2 <= m; i += 2) {
+    product_rows<2>(n, depth, a + i * a_row, a_row, a_col, b, c + i * n);
+  }
+  if (i < m) {
+    product_rows<1>(n, depth, a + i * a_row, a_row, a_col, b, c + i * n);
+  }
+}
+
+/// The head's output nonlinearity, as the tape's ops compute it.
+double head_activation(Activation act, double z) {
+  switch (act) {
+    case Activation::kSoftplus:
+      return autograd::softplus_scalar(z);
+    case Activation::kSigmoid:
+      return autograd::sigmoid_scalar(z);
+    default:
+      return z;
+  }
+}
+
+/// Runs the forward pass, keeping every layer's activations in `s`.
+/// Returns the head's outputs (x.rows() x output_dim), before any scale.
+const double* forward(Mlp& mlp, const Matrix& x, Scratch& s) {
+  const MlpConfig& config = mlp.config();
+  MFCP_CHECK(fused_supported(config),
+             "fused MLP kernels need ReLU hidden layers and a softplus, "
+             "sigmoid or identity head");
+  MFCP_CHECK(x.cols() == config.input_dim, "MLP input width mismatch");
+  const auto& layers = mlp.linear_layers();
+  const std::size_t rows = x.rows();
+  std::size_t wt_size = 0;
+  std::size_t act_size = 0;
+  for (const Linear* lin : layers) {
+    wt_size += lin->in_features() * lin->out_features();
+    act_size += rows * lin->out_features();
+  }
+  double* wt = at_least(s.wt, wt_size);
+  double* pre = at_least(s.pre, act_size);
+  double* post = at_least(s.post, act_size);
+  const double* in = x.data();
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    Linear& lin = *layers[l];
+    const std::size_t n_in = lin.in_features();
+    const std::size_t n_out = lin.out_features();
+    const double* w = lin.weight().value().data();
+    for (std::size_t j = 0; j < n_out; ++j) {
+      for (std::size_t k = 0; k < n_in; ++k) {
+        wt[k * n_out + j] = w[j * n_in + k];
+      }
+    }
+    // matmul(in, W^T), then add_row_broadcast's bias.
+    product(rows, n_out, n_in, in, n_in, 1, wt, pre);
+    const double* bias = lin.bias().value().data();
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t j = 0; j < n_out; ++j) {
+        pre[r * n_out + j] += bias[j];
+      }
+    }
+    const std::size_t n = rows * n_out;
+    const bool hidden = l + 1 < layers.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      post[i] = hidden ? std::max(0.0, pre[i])
+                       : head_activation(config.output_activation, pre[i]);
+    }
+    in = post;
+    wt += n_in * n_out;
+    pre += n;
+    post += n;
+  }
+  return post - rows * config.output_dim;
+}
+
+}  // namespace
+
+bool fused_supported(const MlpConfig& config) noexcept {
+  const Activation head = config.output_activation;
+  return config.hidden_activation == Activation::kRelu &&
+         (head == Activation::kSoftplus || head == Activation::kSigmoid ||
+          head == Activation::kIdentity);
+}
+
+void fused_forward(Mlp& mlp, const Matrix& x, double scale,
+                   std::span<double> out) {
+  MFCP_CHECK(out.size() == x.rows() * mlp.config().output_dim,
+             "fused_forward: output size mismatch");
+  const double* y = forward(mlp, x, t_scratch);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = y[i] * scale;
+  }
+}
+
+double fused_mse_step(Mlp& mlp, Optimizer& opt, const Matrix& x,
+                      const Matrix& target, double scale) {
+  Scratch& s = t_scratch;
+  const std::size_t rows = x.rows();
+  const std::size_t n = target.size();
+  MFCP_CHECK(target.rows() == rows && target.cols() == mlp.config().output_dim,
+             "mse: shape mismatch");
+  const double* head_out = forward(mlp, x, s);
+
+  // The prediction is head_out * scale, as the scale node computes it.
+  // mse_loss: squares summed in element order, then one division.
+  double loss = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = head_out[i] * scale - target[i];
+    loss += d * d;
+  }
+  loss /= static_cast<double>(n);
+
+  const auto& layers = mlp.linear_layers();
+  std::size_t widest = 0;
+  std::size_t act_end = 0;
+  for (const Linear* lin : layers) {
+    widest = std::max(widest, lin->out_features());
+    act_end += rows * lin->out_features();
+  }
+  double* g = at_least(s.grad, 2 * rows * widest);
+  double* g_prev = g + rows * widest;
+
+  // The head's element-wise chain: MSE, scale, head activation. Each
+  // `0.0 +` is the tape's accumulate into a cleared grad slot, which maps
+  // -0.0 to +0.0. Multiplying by a scale of 1.0 is exact, so a head
+  // without a scale node gives the same bits. Every later gradient is a
+  // sum that starts from +0.0, which can never be -0.0, so the tape's
+  // accumulate is the identity there and is left out.
+  const double c = 2.0 / static_cast<double>(n);
+  const double* head_pre = s.pre.data() + act_end - n;
+  for (std::size_t i = 0; i < n; ++i) {
+    double gi = 0.0 + c * (head_out[i] * scale - target[i]);
+    gi = 0.0 + gi * scale;
+    switch (mlp.config().output_activation) {
+      case Activation::kSoftplus:
+        gi = 0.0 + gi * autograd::sigmoid_scalar(head_pre[i]);
+        break;
+      case Activation::kSigmoid:
+        gi = 0.0 + gi * (head_out[i] * (1.0 - head_out[i]));
+        break;
+      default:
+        break;
+    }
+    g[i] = gi;
+  }
+
+  // Walk the layers back. g holds dL/d(pre-activation) of layer l.
+  std::size_t act_begin = act_end - n;
+  for (std::size_t l = layers.size(); l-- > 0;) {
+    Linear& lin = *layers[l];
+    const std::size_t n_in = lin.in_features();
+    const std::size_t n_out = lin.out_features();
+    const double* in =
+        l == 0 ? x.data() : s.post.data() + act_begin - rows * n_in;
+
+    // Bias: add_row_broadcast sums the rows in order from +0.0.
+    double* gb = lin.bias().grad_slot().data();
+    std::fill(gb, gb + n_out, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t j = 0; j < n_out; ++j) {
+        gb[j] += g[r * n_out + j];
+      }
+    }
+
+    // Weight: matmul_tn(in, g) transposed, each entry summed over the
+    // batch in row order from +0.0.
+    product(n_out, n_in, rows, g, 1, n_out, in,
+            lin.weight().grad_slot().data());
+
+    // The input needs no gradient (the tape skips it as well).
+    if (l == 0) {
+      break;
+    }
+
+    // Hidden input: matmul_nt(g, W^T), each entry summed over this
+    // layer's outputs from +0.0, then ReLU's mask where the previous
+    // pre-activation is <= 0.
+    product(rows, n_in, n_out, g, n_out, 1, lin.weight().value().data(),
+            g_prev);
+    const double* prev_pre = s.pre.data() + act_begin - rows * n_in;
+    for (std::size_t i = 0; i < rows * n_in; ++i) {
+      if (prev_pre[i] <= 0.0) {
+        g_prev[i] = 0.0;
+      }
+    }
+    std::swap(g, g_prev);
+    act_begin -= rows * n_in;
+  }
+
+  opt.step();
+  return loss;
+}
+
+}  // namespace mfcp::nn

@@ -1,5 +1,6 @@
 #include "nn/mlp.hpp"
 
+#include "nn/fused_mlp.hpp"
 #include "support/check.hpp"
 
 namespace mfcp::nn {
@@ -11,11 +12,13 @@ Mlp::Mlp(MlpConfig config, Rng& rng) : config_(std::move(config)) {
   for (std::size_t width : config_.hidden) {
     MFCP_CHECK(width > 0, "hidden width must be positive");
     layers_.push_back(std::make_unique<Linear>(prev, width, rng));
+    linears_.push_back(static_cast<Linear*>(layers_.back().get()));
     layers_.push_back(
         std::make_unique<ActivationLayer>(config_.hidden_activation));
     prev = width;
   }
   layers_.push_back(std::make_unique<Linear>(prev, config_.output_dim, rng));
+  linears_.push_back(static_cast<Linear*>(layers_.back().get()));
   if (config_.output_activation != Activation::kIdentity) {
     layers_.push_back(
         std::make_unique<ActivationLayer>(config_.output_activation));
@@ -31,8 +34,12 @@ Variable Mlp::forward(const Variable& x) {
 }
 
 Matrix Mlp::predict(const Matrix& x) {
-  Variable in(x, /*requires_grad=*/false);
-  return forward(in).value();
+  if (!fused_supported(config_)) {
+    return forward(Variable(x, /*requires_grad=*/false)).value();
+  }
+  Matrix out(x.rows(), config_.output_dim);
+  fused_forward(*this, x, 1.0, out.flat());
+  return out;
 }
 
 std::vector<Variable> Mlp::parameters() {
@@ -51,16 +58,6 @@ std::size_t Mlp::parameter_count() {
     n += p.value().size();
   }
   return n;
-}
-
-std::vector<Linear*> Mlp::linear_layers() {
-  std::vector<Linear*> out;
-  for (auto& layer : layers_) {
-    if (auto* lin = dynamic_cast<Linear*>(layer.get())) {
-      out.push_back(lin);
-    }
-  }
-  return out;
 }
 
 }  // namespace mfcp::nn

@@ -27,7 +27,8 @@ class Mlp {
   /// Forward pass building a fresh autograd graph.
   Variable forward(const Variable& x);
 
-  /// Convenience: wraps a constant input and returns the output value.
+  /// Output value for a constant input, computed without the tape
+  /// (nn/fused_mlp) when the kernels cover this configuration.
   Matrix predict(const Matrix& x);
 
   /// All trainable parameter handles, layer order.
@@ -38,12 +39,15 @@ class Mlp {
   /// Total number of scalar parameters.
   [[nodiscard]] std::size_t parameter_count();
 
-  /// Access to the underlying linear layers (serialization).
-  [[nodiscard]] std::vector<Linear*> linear_layers();
+  /// The linear layers in order (serialization and the fused kernels).
+  [[nodiscard]] const std::vector<Linear*>& linear_layers() const noexcept {
+    return linears_;
+  }
 
  private:
   MlpConfig config_;
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<Linear*> linears_;  // into layers_
 };
 
 }  // namespace mfcp::nn

@@ -40,7 +40,7 @@ void save_mlp(const std::string& path, Mlp& model) {
 }
 
 void save_mlp(std::ostream& os, Mlp& model) {
-  const auto layers = model.linear_layers();
+  const auto& layers = model.linear_layers();
   os << "mfcp-mlp 1\n" << layers.size() << '\n';
   for (Linear* lin : layers) {
     write_matrix(os, lin->weight().value());
@@ -62,7 +62,7 @@ void load_mlp(std::istream& is, Mlp& model) {
              "not an mfcp-mlp v1 checkpoint");
   std::size_t count = 0;
   MFCP_CHECK(static_cast<bool>(is >> count), "corrupt checkpoint header");
-  const auto layers = model.linear_layers();
+  const auto& layers = model.linear_layers();
   MFCP_CHECK(count == layers.size(),
              "checkpoint layer count does not match model architecture");
   for (Linear* lin : layers) {

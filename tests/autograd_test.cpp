@@ -325,6 +325,30 @@ TEST(Autograd, ZeroGradGraphClearsInteriorNodes) {
   EXPECT_TRUE(x.grad().empty());
 }
 
+TEST(Autograd, ConstantLeavesGetNoGradient) {
+  // Parents that require no gradient get none: a Linear layer's input
+  // features, the bias-free constants below, and the leaf under a root
+  // that requires no gradient. Trainable leaves still get theirs.
+  Variable x(Matrix{{1.0, -2.0}, {0.5, 3.0}}, false);
+  Variable w(Matrix{{0.3, -0.7}}, true);
+  Variable b(Matrix{{0.1}}, true);
+  Variable c(Matrix{{2.0}, {-1.0}}, false);
+  auto h = add_row_broadcast(matmul(x, transpose(w)), b);
+  auto out = sum_all(sub(mul(h, c), add(c, c)));
+  out.backward();
+  EXPECT_TRUE(x.grad().empty());
+  EXPECT_TRUE(c.grad().empty());
+  ASSERT_FALSE(w.grad().empty());
+  // d/dw = sum_r c_r x_r = 2 (1, -2) - (0.5, 3); d/db = sum_r c_r = 1.
+  EXPECT_NEAR(w.grad()[0], 1.5, 1e-12);
+  EXPECT_NEAR(w.grad()[1], -7.0, 1e-12);
+  EXPECT_NEAR(b.grad()[0], 1.0, 1e-12);
+
+  Variable leaf(Matrix{{1.0, 2.0}}, false);
+  sum_all(relu(leaf)).backward();
+  EXPECT_TRUE(leaf.grad().empty());
+}
+
 TEST(Autograd, MutableValueOnlyForLeaves) {
   Variable x(Matrix{{1.0}}, true);
   EXPECT_NO_THROW(static_cast<void>(x.mutable_value()));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "matching/entropy.hpp"
 #include "matching/penalty.hpp"
@@ -15,6 +17,7 @@
 #include "mfcp/regret.hpp"
 #include "mfcp/trainer_tsm.hpp"
 #include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -37,9 +40,8 @@ TEST(Predictor, TimeHeadIsPositive) {
   PredictorConfig cfg;
   ClusterPredictor pred(cfg, rng);
   Matrix features(6, cfg.feature_dim, 0.3);
-  const Matrix row = pred.predict_time_row(features);
-  ASSERT_EQ(row.rows(), 1u);
-  ASSERT_EQ(row.cols(), 6u);
+  Matrix row(1, 6);
+  pred.predict_time_row(features, row.flat());
   for (std::size_t j = 0; j < 6; ++j) {
     EXPECT_GT(row[j], 0.0);
   }
@@ -50,7 +52,8 @@ TEST(Predictor, ReliabilityHeadInUnitInterval) {
   PredictorConfig cfg;
   ClusterPredictor pred(cfg, rng);
   Matrix features(6, cfg.feature_dim, -0.7);
-  const Matrix row = pred.predict_reliability_row(features);
+  Matrix row(1, 6);
+  pred.predict_reliability_row(features, row.flat());
   for (std::size_t j = 0; j < 6; ++j) {
     EXPECT_GT(row[j], 0.0);
     EXPECT_LT(row[j], 1.0);
@@ -86,7 +89,8 @@ TEST(Predictor, MatrixRowMatchesClusterRow) {
   PlatformPredictor pred(3, cfg, rng);
   Matrix features(4, cfg.feature_dim, 0.2);
   const Matrix t = pred.predict_time_matrix(features);
-  const Matrix row1 = pred.cluster(1).predict_time_row(features);
+  Matrix row1(1, 4);
+  pred.cluster(1).predict_time_row(features, row1.flat());
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_DOUBLE_EQ(t(1, j), row1[j]);
   }
@@ -299,6 +303,123 @@ TEST(Tsm, LearnsBetterThanUntrainedBaseline) {
   const Matrix t_raw = untrained.predict_time_matrix(data.features);
   EXPECT_LT(nn::mse_value(t_trained, data.times),
             nn::mse_value(t_raw, data.times));
+}
+
+// The TSM loop as it ran on the autograd tape: the oracle the tape-free
+// train_tsm must reproduce bit for bit.
+TsmTrainResult train_tsm_on_tape(PlatformPredictor& predictor,
+                                 const sim::Dataset& train,
+                                 const TsmConfig& config) {
+  TsmTrainResult result;
+  Rng rng(config.seed);
+  const std::size_t n = train.num_tasks();
+  const std::size_t m = predictor.num_clusters();
+  std::vector<std::unique_ptr<nn::Adam>> time_opts;
+  std::vector<std::unique_ptr<nn::Adam>> rel_opts;
+  for (std::size_t i = 0; i < m; ++i) {
+    time_opts.push_back(std::make_unique<nn::Adam>(
+        predictor.cluster(i).time_model().parameters(),
+        config.learning_rate));
+    rel_opts.push_back(std::make_unique<nn::Adam>(
+        predictor.cluster(i).reliability_model().parameters(),
+        config.learning_rate));
+  }
+  const bool full_batch = n <= config.batch_size;
+  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    std::vector<std::size_t> batch_idx;
+    if (full_batch) {
+      batch_idx.resize(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        batch_idx[j] = j;
+      }
+    } else {
+      const auto order = rng.permutation(n);
+      batch_idx.assign(order.begin(), order.begin() + config.batch_size);
+    }
+    const std::size_t b = batch_idx.size();
+    Matrix features(b, train.feature_dim());
+    for (std::size_t k = 0; k < b; ++k) {
+      for (std::size_t c = 0; c < train.feature_dim(); ++c) {
+        features(k, c) = train.features(batch_idx[k], c);
+      }
+    }
+    double epoch_time_loss = 0.0;
+    double epoch_rel_loss = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      Matrix t_target(b, 1);
+      Matrix a_target(b, 1);
+      for (std::size_t k = 0; k < b; ++k) {
+        t_target(k, 0) = train.times(i, batch_idx[k]);
+        a_target(k, 0) = train.reliability(i, batch_idx[k]);
+      }
+      auto& cluster = predictor.cluster(i);
+      {
+        nn::Variable in(features, /*requires_grad=*/false);
+        auto loss = nn::mse(cluster.forward_time(in), t_target);
+        epoch_time_loss += loss.value()[0];
+        time_opts[i]->zero_grad();
+        loss.backward();
+        time_opts[i]->step();
+      }
+      {
+        nn::Variable in(features, /*requires_grad=*/false);
+        auto loss = nn::mse(cluster.forward_reliability(in), a_target);
+        epoch_rel_loss += loss.value()[0];
+        rel_opts[i]->zero_grad();
+        loss.backward();
+        rel_opts[i]->step();
+      }
+    }
+    result.time_loss_history.push_back(epoch_time_loss /
+                                       static_cast<double>(m));
+    result.rel_loss_history.push_back(epoch_rel_loss /
+                                      static_cast<double>(m));
+  }
+  return result;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Tsm, MatchesTapeOracleBitForBit) {
+  const auto data = tiny_dataset(40, 3);
+  // Full batch (40 <= 64), then minibatches of 16 drawn per epoch.
+  for (const std::size_t batch_size : {64u, 16u}) {
+    SCOPED_TRACE("batch_size " + std::to_string(batch_size));
+    TsmConfig cfg;
+    cfg.epochs = 40;
+    cfg.batch_size = batch_size;
+    Rng init_a(9);
+    Rng init_b(9);
+    PlatformPredictor fused(3, PredictorConfig{}, init_a);
+    PlatformPredictor tape(3, PredictorConfig{}, init_b);
+    const auto got = train_tsm(fused, data, cfg);
+    const auto want = train_tsm_on_tape(tape, data, cfg);
+    EXPECT_TRUE(same_bits(got.time_loss_history, want.time_loss_history));
+    EXPECT_TRUE(same_bits(got.rel_loss_history, want.rel_loss_history));
+    for (std::size_t i = 0; i < 3; ++i) {
+      auto fused_params = fused.cluster(i).time_model().parameters();
+      auto tape_params = tape.cluster(i).time_model().parameters();
+      for (auto& p : fused.cluster(i).reliability_model().parameters()) {
+        fused_params.push_back(p);
+      }
+      for (auto& p : tape.cluster(i).reliability_model().parameters()) {
+        tape_params.push_back(p);
+      }
+      ASSERT_EQ(fused_params.size(), tape_params.size());
+      for (std::size_t p = 0; p < fused_params.size(); ++p) {
+        EXPECT_TRUE(same_bits(fused_params[p].value(), tape_params[p].value()))
+            << "cluster " << i << " parameter " << p;
+      }
+    }
+  }
 }
 
 TEST(Tsm, RejectsMismatchedClusterCount) {

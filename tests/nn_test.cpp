@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
+#include "autograd/ops.hpp"
 #include "nn/activations.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
+#include "nn/fused_mlp.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
@@ -304,6 +307,162 @@ TEST(Training, MlpFitsSimpleFunction) {
     opt.step();
   }
   EXPECT_LT(last, 0.01);
+}
+
+// -------------------------------------------------------- fused kernels --
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The three heads the kernels cover. A scale of 1.0 means the tape
+// oracle builds no scale node, as for the reliability head.
+struct FusedHead {
+  Activation act;
+  double scale;
+};
+constexpr FusedHead kFusedHeads[] = {{Activation::kSoftplus, 4.0},
+                                     {Activation::kSigmoid, 1.0},
+                                     {Activation::kIdentity, 1.0}};
+
+// A predictor-shaped net (6 -> 32 -> 32 -> 1) whose hidden unit 0 of each
+// layer is dead: zero weights and bias, so its pre-activation is exactly
+// 0.0 on every row and every step, which is ReLU's x <= 0 edge.
+Mlp make_edge_mlp(Activation head, std::uint64_t seed) {
+  Rng rng(seed);
+  MlpConfig cfg;
+  cfg.input_dim = 6;
+  cfg.hidden = {32, 32};
+  cfg.output_activation = head;
+  Mlp mlp(cfg, rng);
+  const auto& layers = mlp.linear_layers();
+  for (std::size_t l = 0; l + 1 < layers.size(); ++l) {
+    Matrix& w = layers[l]->weight().mutable_value();
+    for (std::size_t k = 0; k < w.cols(); ++k) {
+      w(0, k) = 0.0;
+    }
+    layers[l]->bias().mutable_value()(0, 0) = 0.0;
+  }
+  return mlp;
+}
+
+// Inputs with exact-zero rows (with zero biases every first-layer
+// pre-activation is then exactly 0.0), a negative-zero entry and a few
+// large magnitudes that saturate the heads.
+Matrix edge_inputs(std::size_t rows, Rng& rng) {
+  Matrix x = random_matrix(rows, 6, rng, 2.0);
+  for (std::size_t r = 0; r < rows; r += 3) {
+    for (std::size_t c = 0; c < x.cols(); ++c) {
+      x(r, c) = 0.0;
+    }
+  }
+  if (rows > 1) {
+    x(1, 0) = -0.0;
+    x(1, 1) = 40.0;
+    x(rows - 1, 2) = -40.0;
+  }
+  return x;
+}
+
+Matrix head_targets(Activation head, std::size_t rows, Rng& rng) {
+  Matrix t(rows, 1);
+  for (std::size_t i = 0; i < rows; ++i) {
+    t[i] = head == Activation::kSigmoid ? rng.uniform(0.0, 1.0)
+                                        : rng.uniform(0.2, 10.0);
+  }
+  return t;
+}
+
+// The tape's forward: mlp(x), times the scale through a scale node when
+// there is one.
+Variable tape_forward(Mlp& mlp, const Matrix& x, double scale) {
+  Variable out = mlp.forward(Variable(x, /*requires_grad=*/false));
+  return scale == 1.0 ? out : autograd::scale(out, scale);
+}
+
+TEST(FusedStep, MatchesTapeBitForBit) {
+  for (const FusedHead head : kFusedHeads) {
+    for (const std::size_t batch : {1u, 7u, 32u, 64u}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(head.act)) + " batch " +
+                   std::to_string(batch));
+      Mlp tape = make_edge_mlp(head.act, 41);
+      Mlp fused = make_edge_mlp(head.act, 41);
+      Adam tape_opt(tape.parameters(), 1e-2);
+      Adam fused_opt(fused.parameters(), 1e-2);
+      Rng data(batch);
+      for (int step = 0; step < 60; ++step) {
+        const Matrix x = edge_inputs(batch, data);
+        const Matrix target = head_targets(head.act, batch, data);
+
+        tape_opt.zero_grad();
+        auto loss = mse(tape_forward(tape, x, head.scale), target);
+        loss.backward();
+        tape_opt.step();
+
+        const double fused_loss =
+            fused_mse_step(fused, fused_opt, x, target, head.scale);
+        ASSERT_TRUE(same_bits(loss.value()[0], fused_loss))
+            << "step " << step << ": " << loss.value()[0] << " vs "
+            << fused_loss;
+      }
+      const auto tape_params = tape.parameters();
+      const auto fused_params = fused.parameters();
+      ASSERT_EQ(tape_params.size(), fused_params.size());
+      for (std::size_t p = 0; p < tape_params.size(); ++p) {
+        EXPECT_TRUE(same_bits(tape_params[p].value(), fused_params[p].value()))
+            << "parameter " << p;
+        EXPECT_TRUE(same_bits(tape_params[p].grad(), fused_params[p].grad()))
+            << "gradient " << p;
+      }
+      // The dead units stayed dead: their pre-activations were exact
+      // zeros on every step.
+      EXPECT_EQ(fused.linear_layers()[0]->bias().value()(0, 0), 0.0);
+    }
+  }
+}
+
+TEST(FusedForward, MatchesTape) {
+  for (const FusedHead head : kFusedHeads) {
+    for (const std::size_t batch : {1u, 7u, 10u, 64u}) {
+      Mlp mlp = make_edge_mlp(head.act, 43);
+      Rng rng(batch + 100);
+      for (Linear* lin : mlp.linear_layers()) {
+        Matrix& b = lin->bias().mutable_value();
+        for (std::size_t j = 1; j < b.size(); ++j) {
+          b[j] = rng.normal(0.0, 0.5);
+        }
+      }
+      const Matrix x = edge_inputs(batch, rng);
+      const Matrix tape = tape_forward(mlp, x, head.scale).value();
+      Matrix fused(batch, 1);
+      fused_forward(mlp, x, head.scale, fused.flat());
+      EXPECT_TRUE(same_bits(tape, fused))
+          << static_cast<int>(head.act) << " batch " << batch;
+      if (head.scale == 1.0) {
+        EXPECT_TRUE(same_bits(tape, mlp.predict(x)));
+      }
+    }
+  }
+}
+
+TEST(FusedForward, OtherConfigurationsStayOnTheTape) {
+  Rng rng(44);
+  MlpConfig cfg;
+  cfg.input_dim = 3;
+  cfg.hidden = {4};
+  cfg.hidden_activation = Activation::kTanh;
+  Mlp mlp(cfg, rng);
+  EXPECT_FALSE(fused_supported(cfg));
+  const Matrix x = random_matrix(5, 3, rng);
+  EXPECT_TRUE(same_bits(mlp.predict(x),
+                        mlp.forward(Variable(x, false)).value()));
+  Matrix out(5, 1);
+  EXPECT_THROW(fused_forward(mlp, x, 1.0, out.flat()), ContractError);
 }
 
 // ------------------------------------------------------------ serialize --
