@@ -3,7 +3,9 @@
 // forward gradients (serial vs thread pool, varying sample count S) —
 // the O(S * K2 * MN) term of the complexity analysis (Eq. 21) — and for
 // the predictor MLP on the autograd tape against the tape-free kernels
-// (nn/fused_mlp): one MSE + Adam step, and the engine's 4 x 10 predict.
+// (nn/fused_mlp): one MSE + Adam step, the engine's 4 x 10 predict, and
+// a whole TSM pretraining run, its (cluster, head) fits spread over the
+// global pool.
 #include <benchmark/benchmark.h>
 
 #include "diff/kkt.hpp"
@@ -11,8 +13,10 @@
 #include "matching/barrier.hpp"
 #include "matching/solver_mirror.hpp"
 #include "mfcp/predictor.hpp"
+#include "mfcp/trainer_tsm.hpp"
 #include "nn/fused_mlp.hpp"
 #include "nn/loss.hpp"
+#include "sim/dataset.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -210,5 +214,31 @@ void BM_PredictFused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictFused);
+
+// train_tsm in the benchmark platform's set-up shape: M clusters of
+// setting A, 100 profiled tasks, 250 epochs of minibatch 64. Wall time,
+// since the fits run on the global pool's workers.
+void BM_TrainTsm(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto platform = sim::Platform::make_setting(sim::Setting::kA, m);
+  sim::PseudoGnnEmbedder embedder;
+  sim::DatasetConfig data_cfg;
+  data_cfg.num_tasks = 100;
+  const sim::Dataset profile = build_dataset(platform, embedder, data_cfg);
+  core::TsmConfig tsm;
+  tsm.epochs = 250;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Rng init(0x0417e5ULL);
+    core::PlatformPredictor predictor(m, core::PredictorConfig{}, init);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(core::train_tsm(predictor, profile, tsm).seconds);
+  }
+}
+BENCHMARK(BM_TrainTsm)
+    ->Arg(3)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace

@@ -8,6 +8,13 @@
 
 namespace mfcp {
 
+namespace {
+
+/// The pool whose worker_loop runs on this thread, if any.
+thread_local const ThreadPool* t_worker_of = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -29,7 +36,12 @@ ThreadPool::~ThreadPool() {
   }
 }
 
+bool ThreadPool::owns_current_thread() const noexcept {
+  return t_worker_of == this;
+}
+
 void ThreadPool::worker_loop(std::size_t worker) {
+  t_worker_of = this;
   // Watchdog heartbeat against the process-wide flight recorder. The
   // handle is re-resolved by *generation* immediately before every use —
   // including right after waking from a park, which can outlast any

@@ -1,10 +1,14 @@
 // Fixed-size worker pool used by the zeroth-order gradient estimator
-// (S independent matching solves per step, Algorithm 2) and the experiment
-// harnesses (independent replications).
+// (S independent matching solves per step, Algorithm 2), the experiment
+// harnesses (independent replications) and, through global(), TSM's
+// predictor pretraining (one job per cluster and head).
 //
 // Design notes (HPC guide idioms):
-//  - explicit parallelism: callers submit tasks or use parallel_for; nothing
-//    spawns threads implicitly behind library calls;
+//  - explicit parallelism: callers submit tasks or use parallel_for;
+//    library internals use global() and never spawn threads of their own;
+//  - parallel_for called from one of a pool's own workers runs inline,
+//    so nested use of the same pool (global() inside global()) cannot
+//    deadlock;
 //  - exceptions from tasks propagate to the waiting caller via futures;
 //  - the pool is an RAII type: destruction joins all workers.
 #pragma once
@@ -36,6 +40,9 @@ class ThreadPool {
   ~ThreadPool();
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
+
+  /// True when the calling thread is one of this pool's workers.
+  [[nodiscard]] bool owns_current_thread() const noexcept;
 
   /// Enqueues a task; the future rethrows any exception the task threw.
   ///

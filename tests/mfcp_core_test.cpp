@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <thread>
 
 #include "matching/entropy.hpp"
 #include "matching/penalty.hpp"
@@ -388,38 +389,80 @@ bool same_bits(const Matrix& a, const Matrix& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST(Tsm, MatchesTapeOracleBitForBit) {
-  const auto data = tiny_dataset(40, 3);
-  // Full batch (40 <= 64), then minibatches of 16 drawn per epoch.
-  for (const std::size_t batch_size : {64u, 16u}) {
-    SCOPED_TRACE("batch_size " + std::to_string(batch_size));
-    TsmConfig cfg;
-    cfg.epochs = 40;
-    cfg.batch_size = batch_size;
-    Rng init_a(9);
-    Rng init_b(9);
-    PlatformPredictor fused(3, PredictorConfig{}, init_a);
-    PlatformPredictor tape(3, PredictorConfig{}, init_b);
-    const auto got = train_tsm(fused, data, cfg);
-    const auto want = train_tsm_on_tape(tape, data, cfg);
-    EXPECT_TRUE(same_bits(got.time_loss_history, want.time_loss_history));
-    EXPECT_TRUE(same_bits(got.rel_loss_history, want.rel_loss_history));
-    for (std::size_t i = 0; i < 3; ++i) {
-      auto fused_params = fused.cluster(i).time_model().parameters();
-      auto tape_params = tape.cluster(i).time_model().parameters();
-      for (auto& p : fused.cluster(i).reliability_model().parameters()) {
-        fused_params.push_back(p);
-      }
-      for (auto& p : tape.cluster(i).reliability_model().parameters()) {
-        tape_params.push_back(p);
-      }
-      ASSERT_EQ(fused_params.size(), tape_params.size());
-      for (std::size_t p = 0; p < fused_params.size(); ++p) {
-        EXPECT_TRUE(same_bits(fused_params[p].value(), tape_params[p].value()))
-            << "cluster " << i << " parameter " << p;
-      }
+bool same_weights(PlatformPredictor& a, PlatformPredictor& b) {
+  bool same = a.num_clusters() == b.num_clusters();
+  for (std::size_t i = 0; same && i < a.num_clusters(); ++i) {
+    auto a_params = a.cluster(i).time_model().parameters();
+    auto b_params = b.cluster(i).time_model().parameters();
+    for (auto& p : a.cluster(i).reliability_model().parameters()) {
+      a_params.push_back(p);
+    }
+    for (auto& p : b.cluster(i).reliability_model().parameters()) {
+      b_params.push_back(p);
+    }
+    same = a_params.size() == b_params.size();
+    for (std::size_t p = 0; same && p < a_params.size(); ++p) {
+      same = same_bits(a_params[p].value(), b_params[p].value());
     }
   }
+  return same;
+}
+
+TEST(Tsm, MatchesTapeOracleBitForBit) {
+  // 2 to 10 (cluster, head) jobs: fewer and more than the global pool
+  // has workers.
+  for (const std::size_t clusters : {1u, 3u, 4u, 5u}) {
+    const auto data = tiny_dataset(40, clusters);
+    // Full batch (40 <= 64), then minibatches of 16 drawn per epoch.
+    for (const std::size_t batch_size : {64u, 16u}) {
+      SCOPED_TRACE("clusters " + std::to_string(clusters) + ", batch_size " +
+                   std::to_string(batch_size));
+      TsmConfig cfg;
+      cfg.epochs = 40;
+      cfg.batch_size = batch_size;
+      Rng init_a(9);
+      Rng init_b(9);
+      PlatformPredictor fused(clusters, PredictorConfig{}, init_a);
+      PlatformPredictor tape(clusters, PredictorConfig{}, init_b);
+      const auto got = train_tsm(fused, data, cfg);
+      const auto want = train_tsm_on_tape(tape, data, cfg);
+      EXPECT_TRUE(same_bits(got.time_loss_history, want.time_loss_history));
+      EXPECT_TRUE(same_bits(got.rel_loss_history, want.rel_loss_history));
+      EXPECT_TRUE(same_weights(fused, tape));
+    }
+  }
+}
+
+TEST(Tsm, ConcurrentCallsMatchSequential) {
+  // Two callers share the global pool at once; each gets the bits it
+  // gets alone.
+  const auto data_a = tiny_dataset(40, 3);
+  const auto data_b = tiny_dataset(80, 4);
+  TsmConfig cfg;
+  cfg.epochs = 30;
+  cfg.batch_size = 16;
+  Rng init_seq_a(21);
+  Rng init_seq_b(22);
+  Rng init_par_a(21);
+  Rng init_par_b(22);
+  PlatformPredictor seq_a(3, PredictorConfig{}, init_seq_a);
+  PlatformPredictor seq_b(4, PredictorConfig{}, init_seq_b);
+  PlatformPredictor par_a(3, PredictorConfig{}, init_par_a);
+  PlatformPredictor par_b(4, PredictorConfig{}, init_par_b);
+  const auto want_a = train_tsm(seq_a, data_a, cfg);
+  const auto want_b = train_tsm(seq_b, data_b, cfg);
+  TsmTrainResult got_a;
+  TsmTrainResult got_b;
+  std::thread ta([&] { got_a = train_tsm(par_a, data_a, cfg); });
+  std::thread tb([&] { got_b = train_tsm(par_b, data_b, cfg); });
+  ta.join();
+  tb.join();
+  EXPECT_TRUE(same_bits(got_a.time_loss_history, want_a.time_loss_history));
+  EXPECT_TRUE(same_bits(got_a.rel_loss_history, want_a.rel_loss_history));
+  EXPECT_TRUE(same_bits(got_b.time_loss_history, want_b.time_loss_history));
+  EXPECT_TRUE(same_bits(got_b.rel_loss_history, want_b.rel_loss_history));
+  EXPECT_TRUE(same_weights(par_a, seq_a));
+  EXPECT_TRUE(same_weights(par_b, seq_b));
 }
 
 TEST(Tsm, RejectsMismatchedClusterCount) {

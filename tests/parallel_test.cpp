@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
@@ -142,6 +144,45 @@ TEST(ParallelFor, ExceptionPropagates) {
                               }
                             }),
                std::runtime_error);
+}
+
+TEST(ParallelFor, ExceptionWaitsForEveryBlock) {
+  // Block 0 throws at once while the others are still asleep; the loop
+  // may only return once they have all counted.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(pool, 4,
+                            [&](std::size_t i) {
+                              if (i == 0) {
+                                throw std::runtime_error("first block");
+                              }
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(50));
+                              ++finished;
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+}
+
+TEST(ParallelFor, NestedCallOnTheSamePoolRunsInline) {
+  // Both workers run an outer block that loops on the same pool again.
+  // Queued inner blocks would wait forever on the busy workers, so the
+  // inner loops must run on the worker that called them.
+  ThreadPool pool(2);
+  EXPECT_FALSE(pool.owns_current_thread());
+  std::vector<std::thread::id> outer(2);
+  std::vector<std::thread::id> inner(2 * 8);
+  parallel_for(pool, outer.size(), [&](std::size_t i) {
+    EXPECT_TRUE(pool.owns_current_thread());
+    outer[i] = std::this_thread::get_id();
+    parallel_for(pool, 8, [&](std::size_t j) {
+      inner[i * 8 + j] = std::this_thread::get_id();
+    });
+  });
+  for (std::size_t k = 0; k < inner.size(); ++k) {
+    EXPECT_EQ(inner[k], outer[k / 8]);
+  }
+  EXPECT_NE(outer[0], std::this_thread::get_id());
 }
 
 TEST(ParallelMapReduce, SumsInIndexOrder) {
