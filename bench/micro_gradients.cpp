@@ -3,9 +3,9 @@
 // forward gradients (serial vs thread pool, varying sample count S) —
 // the O(S * K2 * MN) term of the complexity analysis (Eq. 21) — and for
 // the predictor MLP on the autograd tape against the tape-free kernels
-// (nn/fused_mlp): one MSE + Adam step, the engine's 4 x 10 predict, and
-// a whole TSM pretraining run, its (cluster, head) fits spread over the
-// global pool.
+// (nn/fused_mlp): one MSE + Adam step, the Adam step alone, the engine's
+// 4 x 10 predict, and a whole TSM pretraining run, its (cluster, head)
+// fits spread over the global pool.
 #include <benchmark/benchmark.h>
 
 #include "diff/kkt.hpp"
@@ -174,6 +174,22 @@ void BM_MlpStepFused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpStepFused)->Arg(32)->Arg(64);
+
+// One Adam step over the time head's 1,505 parameters, the gradients of
+// one batch-32 MSE step left in their slots.
+void BM_AdamStep(benchmark::State& state) {
+  auto inst = make_step_instance(32);
+  nn::fused_mse_step(inst.cluster.time_model(), inst.opt, inst.x, inst.target,
+                     inst.cluster.time_scale());
+  double* weights =
+      inst.cluster.time_model().parameters().front().mutable_value().data();
+  for (auto _ : state) {
+    inst.opt.step();
+    benchmark::DoNotOptimize(weights);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AdamStep);
 
 // T-hat and A-hat for one engine round: 4 clusters x a batch of 10 tasks.
 struct PredictInstance {

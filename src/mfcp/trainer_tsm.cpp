@@ -30,8 +30,10 @@ TsmTrainResult train_tsm(PlatformPredictor& predictor,
   // redraws that batch from its own Rng(config.seed), so it trains on
   // the batches one serial loop would draw, and the jobs run
   // independently on the global pool. Each keeps its own optimizer,
-  // batch buffers and one loss per epoch; fused_mse_step's scratch is
-  // per thread. Batches stream epoch by epoch into buffers sized once.
+  // permutation and batch buffers and one loss per epoch;
+  // fused_mse_step's scratch is per thread. Batches stream epoch by
+  // epoch into buffers sized once, copied a feature row at a time.
+  const std::size_t d = train.feature_dim();
   std::vector<double> losses(2 * m * epochs);
   parallel_for(ThreadPool::global(), 2 * m, [&](std::size_t job) {
     const std::size_t i = job / 2;
@@ -41,23 +43,24 @@ TsmTrainResult train_tsm(PlatformPredictor& predictor,
         time_head ? cluster.time_model() : cluster.reliability_model();
     const double scale = time_head ? cluster.time_scale() : 1.0;
     const Matrix& labels = time_head ? train.times : train.reliability;
+    const double* label_row = labels.row_span(i).data();
     nn::Adam opt(mlp.parameters(), config.learning_rate);
     Rng rng(config.seed);
-    std::vector<std::size_t> batch_idx(b);
-    std::iota(batch_idx.begin(), batch_idx.end(), std::size_t{0});
-    Matrix features(b, train.feature_dim());
+    // A full batch keeps the identity order; a minibatch takes the first
+    // b entries of each epoch's permutation.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    Matrix features(b, d);
     Matrix target(b, 1);
     double* job_losses = losses.data() + job * epochs;
     for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
       if (!full_batch) {
-        const auto order = rng.permutation(n);
-        std::copy(order.begin(), order.begin() + b, batch_idx.begin());
+        rng.permutation(std::span<std::size_t>(order));
       }
       for (std::size_t k = 0; k < b; ++k) {
-        for (std::size_t c = 0; c < train.feature_dim(); ++c) {
-          features(k, c) = train.features(batch_idx[k], c);
-        }
-        target(k, 0) = labels(i, batch_idx[k]);
+        const double* row = train.features.row_span(order[k]).data();
+        std::copy(row, row + d, features.data() + k * d);
+        target.data()[k] = label_row[order[k]];
       }
       // Off the tape (nn/fused_mlp): the same losses and weights, bit for
       // bit, as zero_grad + mse(forward) + backward + step.

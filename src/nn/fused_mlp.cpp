@@ -1,6 +1,7 @@
 #include "nn/fused_mlp.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -29,24 +30,62 @@ double* at_least(std::vector<double>& v, std::size_t n) {
   return v.data();
 }
 
+/// Two doubles in one SSE2 register. The width is fixed: a dependent
+/// vector_size inside a template can silently decay to a plain double.
+/// Wider AVX2 blocks ran slower than these on the x86-64 host measured
+/// (DESIGN.md §2).
+typedef double Pair __attribute__((vector_size(16)));
+static_assert(sizeof(Pair) == 2 * sizeof(double), "Pair must hold two lanes");
+
+Pair load_pair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 /// One block of `product`: Rows x Lanes entries of c summed in registers,
-/// each entry in its own lane.
+/// two entries to a Pair, each entry in its own lane. Every lane starts
+/// at +0.0 and takes one multiply and one add per k, in k order.
 template <std::size_t Rows, std::size_t Lanes>
 void product_block(std::size_t n, std::size_t depth, const double* a,
                    std::size_t a_row, std::size_t a_col, const double* b,
                    double* c) {
-  double acc[Rows][Lanes] = {};
+  static_assert(Lanes % 2 == 0, "odd column tails use product_column");
+  constexpr std::size_t kPairs = Lanes / 2;
+  Pair acc[Rows][kPairs] = {};
   for (std::size_t k = 0; k < depth; ++k) {
     const double* bk = b + k * n;
+    Pair bv[kPairs];
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      bv[p] = load_pair(bk + 2 * p);
+    }
     for (std::size_t r = 0; r < Rows; ++r) {
       const double ark = a[r * a_row + k * a_col];
-      for (std::size_t l = 0; l < Lanes; ++l) {
-        acc[r][l] += ark * bk[l];
+      const Pair av = {ark, ark};
+      for (std::size_t p = 0; p < kPairs; ++p) {
+        acc[r][p] += av * bv[p];
       }
     }
   }
   for (std::size_t r = 0; r < Rows; ++r) {
-    std::copy(acc[r], acc[r] + Lanes, c + r * n);
+    std::memcpy(c + r * n, acc[r], sizeof acc[r]);
+  }
+}
+
+/// The last column of an odd-width block, one scalar sum per row.
+template <std::size_t Rows>
+void product_column(std::size_t n, std::size_t depth, const double* a,
+                    std::size_t a_row, std::size_t a_col, const double* b,
+                    double* c) {
+  double acc[Rows] = {};
+  for (std::size_t k = 0; k < depth; ++k) {
+    const double bk = b[k * n];
+    for (std::size_t r = 0; r < Rows; ++r) {
+      acc[r] += a[r * a_row + k * a_col] * bk;
+    }
+  }
+  for (std::size_t r = 0; r < Rows; ++r) {
+    c[r * n] = acc[r];
   }
 }
 
@@ -68,7 +107,7 @@ void product_rows(std::size_t n, std::size_t depth, const double* a,
     j += 2;
   }
   if (j < n) {
-    product_block<Rows, 1>(n, depth, a, a_row, a_col, b + j, c + j);
+    product_column<Rows>(n, depth, a, a_row, a_col, b + j, c + j);
   }
 }
 

@@ -71,25 +71,36 @@ void Adam::step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double beta1 = beta1_;
+  const double beta2 = beta2_;
+  const double keep1 = 1.0 - beta1_;
+  const double keep2 = 1.0 - beta2_;
+  const double lr = lr_;
+  const double eps = eps_;
   for (std::size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
     if (p.grad().empty()) {
       continue;
     }
-    const Matrix& g = p.grad();
+    const Matrix& grad = p.grad();
     if (m_[i].empty()) {
-      m_[i] = Matrix::zeros(g.rows(), g.cols());
-      v_[i] = Matrix::zeros(g.rows(), g.cols());
+      m_[i] = Matrix::zeros(grad.rows(), grad.cols());
+      v_[i] = Matrix::zeros(grad.rows(), grad.cols());
     }
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    Matrix& w = p.mutable_value();
-    for (std::size_t k = 0; k < g.size(); ++k) {
-      m[k] = beta1_ * m[k] + (1.0 - beta1_) * g[k];
-      v[k] = beta2_ * v[k] + (1.0 - beta2_) * g[k] * g[k];
+    // Raw spans, so the loop vectorizes: each element still takes the
+    // same IEEE operations in the same order, and packed division and
+    // square root round exactly as the scalar ones do.
+    const double* __restrict g = grad.data();
+    double* __restrict m = m_[i].data();
+    double* __restrict v = v_[i].data();
+    double* __restrict w = p.mutable_value().data();
+    const std::size_t n = grad.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      m[k] = beta1 * m[k] + keep1 * g[k];
+      v[k] = beta2 * v[k] + keep2 * g[k] * g[k];
       const double mhat = m[k] / bc1;
       const double vhat = v[k] / bc2;
-      w[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      w[k] -= lr * mhat / (std::sqrt(vhat) + eps);
     }
   }
 }

@@ -108,14 +108,19 @@ std::vector<Rng> Rng::split_n(std::size_t n) {
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);
+  permutation(std::span<std::size_t>(idx));
+  return idx;
+}
+
+void Rng::permutation(std::span<std::size_t> out) noexcept {
+  const std::size_t n = out.size();
   for (std::size_t i = 0; i < n; ++i) {
-    idx[i] = i;
+    out[i] = i;
   }
   for (std::size_t i = n; i > 1; --i) {
     const std::size_t j = uniform_index(i);
-    std::swap(idx[i - 1], idx[j]);
+    std::swap(out[i - 1], out[j]);
   }
-  return idx;
 }
 
 }  // namespace mfcp

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mfcp {
@@ -76,6 +77,10 @@ class Rng {
 
   /// Fisher–Yates shuffle of indices [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
+
+  /// Writes permutation(out.size()) into `out` with the same draws, so a
+  /// caller can reuse one buffer.
+  void permutation(std::span<std::size_t> out) noexcept;
 
  private:
   std::array<std::uint64_t, 4> state_;

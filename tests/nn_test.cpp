@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "autograd/ops.hpp"
@@ -27,6 +28,15 @@ Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng,
     m[i] = rng.normal(0.0, scale);
   }
   return m;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 // ----------------------------------------------------------------- init --
@@ -274,6 +284,113 @@ TEST(Adam, FirstStepSizeIsLearningRate) {
   EXPECT_NEAR(w.value()[0], 1.0 - 0.01, 1e-6);
 }
 
+// The element loop Adam::step ran before it worked on raw spans: one
+// parameter at a time, every element through Matrix::operator[].
+class ElementwiseAdam {
+ public:
+  ElementwiseAdam(double lr, double beta1, double beta2, double eps)
+      : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
+
+  void step(std::vector<Matrix>& weights, const std::vector<Matrix>& grads) {
+    ++t_;
+    m_.resize(weights.size());
+    v_.resize(weights.size());
+    const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+    const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      const Matrix& g = grads[i];
+      if (g.empty()) {
+        continue;
+      }
+      if (m_[i].empty()) {
+        m_[i] = Matrix::zeros(g.rows(), g.cols());
+        v_[i] = Matrix::zeros(g.rows(), g.cols());
+      }
+      Matrix& m = m_[i];
+      Matrix& v = v_[i];
+      Matrix& w = weights[i];
+      for (std::size_t k = 0; k < g.size(); ++k) {
+        m[k] = beta1_ * m[k] + (1.0 - beta1_) * g[k];
+        v[k] = beta2_ * v[k] + (1.0 - beta2_) * g[k] * g[k];
+        const double mhat = m[k] / bc1;
+        const double vhat = v[k] / bc2;
+        w[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      }
+    }
+  }
+
+ private:
+  double lr_;
+  double beta1_;
+  double beta2_;
+  double eps_;
+  std::size_t t_ = 0;
+  std::vector<Matrix> m_;
+  std::vector<Matrix> v_;
+};
+
+// A gradient entry: mostly normals over several magnitudes, with exact
+// zeros of both signs, subnormals of both signs and large values mixed in.
+double adam_test_gradient(std::size_t k, Rng& rng) {
+  switch (k % 9) {
+    case 2:
+      return 0.0;
+    case 4:
+      return -0.0;
+    case 5:
+      return (rng.bernoulli(0.5) ? -1.0 : 1.0) *
+             std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng.uniform_index(1000));
+    case 7:
+      return rng.normal(0.0, 1e6);
+    default:
+      return -std::abs(rng.normal(0.0, 1.0)) * (k % 2 == 0 ? 1.0 : -1e-3);
+  }
+}
+
+TEST(Adam, StepMatchesElementwiseReferenceBitForBit) {
+  struct Hyper {
+    double lr, beta1, beta2, eps;
+  };
+  for (const Hyper h : {Hyper{1e-2, 0.9, 0.999, 1e-8},
+                        Hyper{3e-3, 0.8, 0.95, 1e-6}}) {
+    // Sizes 1, 2, 3, 33 and the time head's 1,505 parameters, as a
+    // column, a row and a matrix; the last parameter never gets a
+    // gradient, so both optimizers must skip it.
+    const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+        {1, 1}, {1, 2}, {3, 1}, {3, 11}, {35, 43}, {2, 2}};
+    Rng rng(53);
+    std::vector<Variable> params;
+    std::vector<Matrix> expected;
+    for (const auto& [r, c] : shapes) {
+      const Matrix w = random_matrix(r, c, rng);
+      params.emplace_back(w, true);
+      expected.push_back(w);
+    }
+    const std::size_t skipped = shapes.size() - 1;
+    Adam adam(params, h.lr, h.beta1, h.beta2, h.eps);
+    ElementwiseAdam reference(h.lr, h.beta1, h.beta2, h.eps);
+    std::vector<Matrix> grads(shapes.size());
+    for (int step = 0; step < 200; ++step) {
+      adam.zero_grad();
+      for (std::size_t p = 0; p < skipped; ++p) {
+        Matrix& slot = params[p].grad_slot();
+        for (std::size_t k = 0; k < slot.size(); ++k) {
+          slot[k] = adam_test_gradient(k + static_cast<std::size_t>(step), rng);
+        }
+        grads[p] = slot;
+      }
+      adam.step();
+      reference.step(expected, grads);
+    }
+    ASSERT_TRUE(params[skipped].grad().empty());
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      EXPECT_TRUE(same_bits(params[p].value(), expected[p]))
+          << "parameter " << p << " (lr " << h.lr << ")";
+    }
+  }
+}
+
 TEST(Optimizer, ZeroGradClearsAll) {
   Variable w(Matrix{{1.0}}, true);
   Adam opt({w}, 0.1);
@@ -311,15 +428,6 @@ TEST(Training, MlpFitsSimpleFunction) {
 
 // -------------------------------------------------------- fused kernels --
 
-bool same_bits(const Matrix& a, const Matrix& b) {
-  return a.same_shape(b) &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
 // The three heads the kernels cover. A scale of 1.0 means the tape
 // oracle builds no scale node, as for the reliability head.
 struct FusedHead {
@@ -330,14 +438,42 @@ constexpr FusedHead kFusedHeads[] = {{Activation::kSoftplus, 4.0},
                                      {Activation::kSigmoid, 1.0},
                                      {Activation::kIdentity, 1.0}};
 
-// A predictor-shaped net (6 -> 32 -> 32 -> 1) whose hidden unit 0 of each
-// layer is dead: zero weights and bias, so its pre-activation is exactly
-// 0.0 on every row and every step, which is ReLU's x <= 0 edge.
-Mlp make_edge_mlp(Activation head, std::uint64_t seed) {
+// Net shapes for the fused kernels. The product kernels block output
+// columns in 8, 4, 2 and 1 lanes; the predictor's 12 -> 32 -> 32 -> 1
+// alone never reaches the 2-lane block, so these widths (layer outputs
+// for the forward pass, layer inputs for the gradients) take every tail.
+struct FusedShape {
+  std::size_t input_dim;
+  std::vector<std::size_t> hidden;
+};
+std::vector<FusedShape> fused_shapes() {
+  std::vector<FusedShape> shapes = {{6, {32, 32}}};
+  for (const std::size_t input_dim : {1u, 3u, 12u}) {
+    for (const auto& hidden : std::vector<std::vector<std::size_t>>{
+             {2}, {5, 3}, {33}}) {
+      shapes.push_back({input_dim, hidden});
+    }
+  }
+  return shapes;
+}
+
+std::string describe(const FusedShape& shape) {
+  std::string out = std::to_string(shape.input_dim);
+  for (const std::size_t h : shape.hidden) {
+    out += "->" + std::to_string(h);
+  }
+  return out + "->1";
+}
+
+// A net of the given shape whose hidden unit 0 of each layer is dead:
+// zero weights and bias, so its pre-activation is exactly 0.0 on every
+// row and every step, which is ReLU's x <= 0 edge.
+Mlp make_edge_mlp(Activation head, std::uint64_t seed,
+                  const FusedShape& shape) {
   Rng rng(seed);
   MlpConfig cfg;
-  cfg.input_dim = 6;
-  cfg.hidden = {32, 32};
+  cfg.input_dim = shape.input_dim;
+  cfg.hidden = shape.hidden;
   cfg.output_activation = head;
   Mlp mlp(cfg, rng);
   const auto& layers = mlp.linear_layers();
@@ -354,17 +490,18 @@ Mlp make_edge_mlp(Activation head, std::uint64_t seed) {
 // Inputs with exact-zero rows (with zero biases every first-layer
 // pre-activation is then exactly 0.0), a negative-zero entry and a few
 // large magnitudes that saturate the heads.
-Matrix edge_inputs(std::size_t rows, Rng& rng) {
-  Matrix x = random_matrix(rows, 6, rng, 2.0);
+Matrix edge_inputs(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix x = random_matrix(rows, cols, rng, 2.0);
   for (std::size_t r = 0; r < rows; r += 3) {
-    for (std::size_t c = 0; c < x.cols(); ++c) {
+    for (std::size_t c = 0; c < cols; ++c) {
       x(r, c) = 0.0;
     }
   }
-  if (rows > 1) {
-    x(1, 0) = -0.0;
-    x(1, 1) = 40.0;
-    x(rows - 1, 2) = -40.0;
+  if (rows > 2) {
+    // Row-major flat positions, so a one-wide input keeps all three.
+    x[cols] = -0.0;
+    x[cols + 1] = 40.0;
+    x[(rows - 1) * cols + std::min<std::size_t>(2, cols - 1)] = -40.0;
   }
   return x;
 }
@@ -386,65 +523,72 @@ Variable tape_forward(Mlp& mlp, const Matrix& x, double scale) {
 }
 
 TEST(FusedStep, MatchesTapeBitForBit) {
-  for (const FusedHead head : kFusedHeads) {
-    for (const std::size_t batch : {1u, 7u, 32u, 64u}) {
-      SCOPED_TRACE(std::to_string(static_cast<int>(head.act)) + " batch " +
-                   std::to_string(batch));
-      Mlp tape = make_edge_mlp(head.act, 41);
-      Mlp fused = make_edge_mlp(head.act, 41);
-      Adam tape_opt(tape.parameters(), 1e-2);
-      Adam fused_opt(fused.parameters(), 1e-2);
-      Rng data(batch);
-      for (int step = 0; step < 60; ++step) {
-        const Matrix x = edge_inputs(batch, data);
-        const Matrix target = head_targets(head.act, batch, data);
+  for (const FusedShape& shape : fused_shapes()) {
+    for (const FusedHead head : kFusedHeads) {
+      for (const std::size_t batch : {1u, 7u, 32u, 64u}) {
+        SCOPED_TRACE(describe(shape) + " head " +
+                     std::to_string(static_cast<int>(head.act)) + " batch " +
+                     std::to_string(batch));
+        Mlp tape = make_edge_mlp(head.act, 41, shape);
+        Mlp fused = make_edge_mlp(head.act, 41, shape);
+        Adam tape_opt(tape.parameters(), 1e-2);
+        Adam fused_opt(fused.parameters(), 1e-2);
+        Rng data(batch);
+        for (int step = 0; step < 60; ++step) {
+          const Matrix x = edge_inputs(batch, shape.input_dim, data);
+          const Matrix target = head_targets(head.act, batch, data);
 
-        tape_opt.zero_grad();
-        auto loss = mse(tape_forward(tape, x, head.scale), target);
-        loss.backward();
-        tape_opt.step();
+          tape_opt.zero_grad();
+          auto loss = mse(tape_forward(tape, x, head.scale), target);
+          loss.backward();
+          tape_opt.step();
 
-        const double fused_loss =
-            fused_mse_step(fused, fused_opt, x, target, head.scale);
-        ASSERT_TRUE(same_bits(loss.value()[0], fused_loss))
-            << "step " << step << ": " << loss.value()[0] << " vs "
-            << fused_loss;
+          const double fused_loss =
+              fused_mse_step(fused, fused_opt, x, target, head.scale);
+          ASSERT_TRUE(same_bits(loss.value()[0], fused_loss))
+              << "step " << step << ": " << loss.value()[0] << " vs "
+              << fused_loss;
+        }
+        const auto tape_params = tape.parameters();
+        const auto fused_params = fused.parameters();
+        ASSERT_EQ(tape_params.size(), fused_params.size());
+        for (std::size_t p = 0; p < tape_params.size(); ++p) {
+          EXPECT_TRUE(
+              same_bits(tape_params[p].value(), fused_params[p].value()))
+              << "parameter " << p;
+          EXPECT_TRUE(same_bits(tape_params[p].grad(), fused_params[p].grad()))
+              << "gradient " << p;
+        }
+        // The dead units stayed dead: their pre-activations were exact
+        // zeros on every step.
+        EXPECT_EQ(fused.linear_layers()[0]->bias().value()(0, 0), 0.0);
       }
-      const auto tape_params = tape.parameters();
-      const auto fused_params = fused.parameters();
-      ASSERT_EQ(tape_params.size(), fused_params.size());
-      for (std::size_t p = 0; p < tape_params.size(); ++p) {
-        EXPECT_TRUE(same_bits(tape_params[p].value(), fused_params[p].value()))
-            << "parameter " << p;
-        EXPECT_TRUE(same_bits(tape_params[p].grad(), fused_params[p].grad()))
-            << "gradient " << p;
-      }
-      // The dead units stayed dead: their pre-activations were exact
-      // zeros on every step.
-      EXPECT_EQ(fused.linear_layers()[0]->bias().value()(0, 0), 0.0);
     }
   }
 }
 
 TEST(FusedForward, MatchesTape) {
-  for (const FusedHead head : kFusedHeads) {
-    for (const std::size_t batch : {1u, 7u, 10u, 64u}) {
-      Mlp mlp = make_edge_mlp(head.act, 43);
-      Rng rng(batch + 100);
-      for (Linear* lin : mlp.linear_layers()) {
-        Matrix& b = lin->bias().mutable_value();
-        for (std::size_t j = 1; j < b.size(); ++j) {
-          b[j] = rng.normal(0.0, 0.5);
+  for (const FusedShape& shape : fused_shapes()) {
+    for (const FusedHead head : kFusedHeads) {
+      for (const std::size_t batch : {1u, 7u, 10u, 64u}) {
+        Mlp mlp = make_edge_mlp(head.act, 43, shape);
+        Rng rng(batch + 100);
+        for (Linear* lin : mlp.linear_layers()) {
+          Matrix& b = lin->bias().mutable_value();
+          for (std::size_t j = 1; j < b.size(); ++j) {
+            b[j] = rng.normal(0.0, 0.5);
+          }
         }
-      }
-      const Matrix x = edge_inputs(batch, rng);
-      const Matrix tape = tape_forward(mlp, x, head.scale).value();
-      Matrix fused(batch, 1);
-      fused_forward(mlp, x, head.scale, fused.flat());
-      EXPECT_TRUE(same_bits(tape, fused))
-          << static_cast<int>(head.act) << " batch " << batch;
-      if (head.scale == 1.0) {
-        EXPECT_TRUE(same_bits(tape, mlp.predict(x)));
+        const Matrix x = edge_inputs(batch, shape.input_dim, rng);
+        const Matrix tape = tape_forward(mlp, x, head.scale).value();
+        Matrix fused(batch, 1);
+        fused_forward(mlp, x, head.scale, fused.flat());
+        EXPECT_TRUE(same_bits(tape, fused))
+            << describe(shape) << " head " << static_cast<int>(head.act)
+            << " batch " << batch;
+        if (head.scale == 1.0) {
+          EXPECT_TRUE(same_bits(tape, mlp.predict(x)));
+        }
       }
     }
   }

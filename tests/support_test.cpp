@@ -175,6 +175,17 @@ TEST(Rng, PermutationOfZeroAndOne) {
   EXPECT_EQ(p[0], 0u);
 }
 
+TEST(Rng, PermutationIntoBufferDrawsTheSame) {
+  Rng fresh(7);
+  Rng reused(7);
+  std::vector<std::size_t> buffer(37, 99);
+  for (int round = 0; round < 5; ++round) {
+    reused.permutation(std::span<std::size_t>(buffer));
+    EXPECT_EQ(fresh.permutation(buffer.size()), buffer) << "round " << round;
+  }
+  EXPECT_EQ(fresh.next_u64(), reused.next_u64());
+}
+
 // ---------------------------------------------------------------- stats --
 
 TEST(RunningStats, SingleValue) {
