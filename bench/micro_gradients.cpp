@@ -3,10 +3,14 @@
 // forward gradients (serial vs thread pool, varying sample count S) —
 // the O(S * K2 * MN) term of the complexity analysis (Eq. 21) — and for
 // the predictor MLP on the autograd tape against the tape-free kernels
-// (nn/fused_mlp): one MSE + Adam step, the Adam step alone, the engine's
-// 4 x 10 predict, and a whole TSM pretraining run, its (cluster, head)
-// fits spread over the global pool.
+// (nn/fused_mlp): one MSE + Adam step, the kernels' matrix product at
+// each vector tier, the Adam step alone, the engine's 4 x 10 predict, a
+// predictor copied through text checkpoints, and a whole TSM pretraining
+// run, its (cluster, head) fits spread over the global pool.
 #include <benchmark/benchmark.h>
+
+#include <sstream>
+#include <vector>
 
 #include "diff/kkt.hpp"
 #include "diff/zeroth_order.hpp"
@@ -16,6 +20,7 @@
 #include "mfcp/trainer_tsm.hpp"
 #include "nn/fused_mlp.hpp"
 #include "nn/loss.hpp"
+#include "nn/serialize.hpp"
 #include "sim/dataset.hpp"
 #include "support/rng.hpp"
 
@@ -175,6 +180,44 @@ void BM_MlpStepFused(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpStepFused)->Arg(32)->Arg(64);
 
+// The eight products of one batch-64 fused step on the time head
+// (12 -> 32 -> 32 -> 1): the forward pass, then each layer's weight
+// gradient and hidden gradient, with fused_mlp's strides. Arg: the tier
+// (0 SSE2, 1 AVX-512F); a tier the host lacks is skipped.
+void BM_Product(benchmark::State& state) {
+  const auto tier = static_cast<nn::ProductTier>(state.range(0));
+  if (!nn::product_tier_supported(tier)) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  struct Shape {
+    std::size_t m, n, depth, a_row, a_col;
+  };
+  constexpr Shape kShapes[] = {
+      {64, 32, 12, 12, 1}, {64, 32, 32, 32, 1}, {64, 1, 32, 32, 1},
+      {1, 32, 64, 1, 1},   {64, 32, 1, 1, 1},   {32, 32, 64, 1, 32},
+      {64, 32, 32, 32, 1}, {32, 12, 64, 1, 32}};
+  Rng rng(23);
+  std::vector<double> a(64 * 64);
+  std::vector<double> b(64 * 32);
+  std::vector<double> c(64 * 32);
+  for (double& v : a) {
+    v = rng.normal();
+  }
+  for (double& v : b) {
+    v = rng.normal();
+  }
+  for (auto _ : state) {
+    for (const Shape& s : kShapes) {
+      nn::product(tier, s.m, s.n, s.depth, a.data(), s.a_row, s.a_col,
+                  b.data(), c.data());
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Product)->Arg(0)->Arg(1);
+
 // One Adam step over the time head's 1,505 parameters, the gradients of
 // one batch-32 MSE step left in their slots.
 void BM_AdamStep(benchmark::State& state) {
@@ -230,6 +273,27 @@ void BM_PredictFused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictFused);
+
+// Copies an M = 3 predictor's weights into another through text
+// checkpoints, one stringstream per head, as the gateway set-up clones
+// the pretrained predictor (6 heads, 9,030 doubles).
+void BM_SaveLoadMlp(benchmark::State& state) {
+  Rng rng(21);
+  core::PlatformPredictor from(3, core::PredictorConfig{}, rng);
+  core::PlatformPredictor to(3, core::PredictorConfig{}, rng);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < from.num_clusters(); ++i) {
+      std::stringstream t_buf;
+      nn::save_mlp(t_buf, from.cluster(i).time_model());
+      nn::load_mlp(t_buf, to.cluster(i).time_model());
+      std::stringstream a_buf;
+      nn::save_mlp(a_buf, from.cluster(i).reliability_model());
+      nn::load_mlp(a_buf, to.cluster(i).reliability_model());
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SaveLoadMlp)->Unit(benchmark::kMicrosecond);
 
 // train_tsm in the benchmark platform's set-up shape: M clusters of
 // setting A, 100 profiled tasks, 250 epochs of minibatch 64. Wall time,

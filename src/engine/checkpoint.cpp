@@ -1,6 +1,8 @@
 #include "engine/checkpoint.hpp"
 
 #include <iomanip>
+#include <utility>
+#include <vector>
 
 #include "nn/serialize.hpp"
 #include "support/check.hpp"
@@ -40,9 +42,20 @@ EngineCounters load_checkpoint(std::istream& is,
   MFCP_CHECK(static_cast<bool>(is >> clusters) &&
                  clusters == predictor.num_clusters(),
              "engine checkpoint cluster count does not match predictor");
+  // Parse every model before touching any, so a snapshot that fails
+  // part-way leaves the predictor as it was.
+  std::vector<std::vector<Matrix>> weights;
+  weights.reserve(2 * clusters);
   for (std::size_t i = 0; i < clusters; ++i) {
-    nn::load_mlp(is, predictor.cluster(i).time_model());
-    nn::load_mlp(is, predictor.cluster(i).reliability_model());
+    weights.push_back(nn::read_mlp(is, predictor.cluster(i).time_model()));
+    weights.push_back(
+        nn::read_mlp(is, predictor.cluster(i).reliability_model()));
+  }
+  for (std::size_t i = 0; i < clusters; ++i) {
+    nn::assign_mlp(predictor.cluster(i).time_model(),
+                   std::move(weights[2 * i]));
+    nn::assign_mlp(predictor.cluster(i).reliability_model(),
+                   std::move(weights[2 * i + 1]));
   }
   return counters;
 }

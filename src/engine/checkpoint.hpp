@@ -11,7 +11,9 @@
 //   <num_clusters>
 //   <2 * num_clusters mfcp-mlp blocks: time then reliability, per cluster>
 // Doubles round-trip bit-exactly (max_digits10), so restored predictor
-// weights are identical to the saved ones.
+// weights are identical to the saved ones. The mlp blocks are written
+// with std::to_chars and parsed with std::from_chars (nn/serialize),
+// which accepts exactly what the writer writes.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +42,9 @@ void save_checkpoint(std::ostream& os, core::PlatformPredictor& predictor,
                      const EngineCounters& counters);
 
 /// Restores weights into a predictor with identical architecture and
-/// returns the saved counters. Throws on format or shape mismatch.
+/// returns the saved counters. Throws on format or shape mismatch; the
+/// whole snapshot parses before any weight changes, so a rejected one
+/// leaves the predictor untouched.
 EngineCounters load_checkpoint(std::istream& is,
                                core::PlatformPredictor& predictor);
 

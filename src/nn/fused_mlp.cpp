@@ -30,53 +30,55 @@ double* at_least(std::vector<double>& v, std::size_t n) {
   return v.data();
 }
 
-/// Two doubles in one SSE2 register. The width is fixed: a dependent
-/// vector_size inside a template can silently decay to a plain double.
-/// Wider AVX2 blocks ran slower than these on the x86-64 host measured
-/// (DESIGN.md §2).
+/// Two doubles in one SSE2 register, and eight in one AVX-512 register.
+/// The widths are fixed typedefs: a dependent vector_size inside a
+/// template can silently decay to a plain double. Pair code is baseline
+/// x86-64; Oct code runs only inside functions built for avx512f, and no
+/// Oct crosses a call (its by-value ABI differs without that target).
 typedef double Pair __attribute__((vector_size(16)));
+typedef double Oct __attribute__((vector_size(64)));
 static_assert(sizeof(Pair) == 2 * sizeof(double), "Pair must hold two lanes");
-
-Pair load_pair(const double* p) {
-  Pair v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
+static_assert(sizeof(Oct) == 8 * sizeof(double), "Oct must hold eight lanes");
 
 /// One block of `product`: Rows x Lanes entries of c summed in registers,
-/// two entries to a Pair, each entry in its own lane. Every lane starts
-/// at +0.0 and takes one multiply and one add per k, in k order.
-template <std::size_t Rows, std::size_t Lanes>
-void product_block(std::size_t n, std::size_t depth, const double* a,
-                   std::size_t a_row, std::size_t a_col, const double* b,
-                   double* c) {
-  static_assert(Lanes % 2 == 0, "odd column tails use product_column");
-  constexpr std::size_t kPairs = Lanes / 2;
-  Pair acc[Rows][kPairs] = {};
+/// sizeof(V) / 8 entries to a vector, each entry in its own lane. Every
+/// lane starts at +0.0 and takes one multiply and one add per k, in k
+/// order. Always inlined, so a block compiles for its caller's target.
+template <class V, std::size_t Rows, std::size_t Lanes>
+[[gnu::always_inline]] inline void product_block(
+    std::size_t n, std::size_t depth, const double* a, std::size_t a_row,
+    std::size_t a_col, const double* b, double* c) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+  static_assert(Lanes % kWidth == 0,
+                "a block is whole vectors; odd tails use product_column");
+  constexpr std::size_t kVecs = Lanes / kWidth;
+  // One memcpy per vector: one memcpy for the whole array kept b's
+  // vectors in stack memory, and the products ran 25-40% slower.
+  V acc[Rows][kVecs] = {};
   for (std::size_t k = 0; k < depth; ++k) {
-    const double* bk = b + k * n;
-    Pair bv[kPairs];
-    for (std::size_t p = 0; p < kPairs; ++p) {
-      bv[p] = load_pair(bk + 2 * p);
+    V bv[kVecs];
+    for (std::size_t p = 0; p < kVecs; ++p) {
+      std::memcpy(&bv[p], b + k * n + p * kWidth, sizeof(V));
     }
     for (std::size_t r = 0; r < Rows; ++r) {
       const double ark = a[r * a_row + k * a_col];
-      const Pair av = {ark, ark};
-      for (std::size_t p = 0; p < kPairs; ++p) {
-        acc[r][p] += av * bv[p];
+      for (std::size_t p = 0; p < kVecs; ++p) {
+        acc[r][p] += ark * bv[p];
       }
     }
   }
   for (std::size_t r = 0; r < Rows; ++r) {
-    std::memcpy(c + r * n, acc[r], sizeof acc[r]);
+    for (std::size_t p = 0; p < kVecs; ++p) {
+      std::memcpy(c + r * n + p * kWidth, &acc[r][p], sizeof(V));
+    }
   }
 }
 
 /// The last column of an odd-width block, one scalar sum per row.
 template <std::size_t Rows>
-void product_column(std::size_t n, std::size_t depth, const double* a,
-                    std::size_t a_row, std::size_t a_col, const double* b,
-                    double* c) {
+[[gnu::always_inline]] inline void product_column(
+    std::size_t n, std::size_t depth, const double* a, std::size_t a_row,
+    std::size_t a_col, const double* b, double* c) {
   double acc[Rows] = {};
   for (std::size_t k = 0; k < depth; ++k) {
     const double bk = b[k * n];
@@ -89,21 +91,29 @@ void product_column(std::size_t n, std::size_t depth, const double* a,
   }
 }
 
-/// Rows [0, Rows) of `product`, in column blocks of 8, 4, 2 and 1.
-template <std::size_t Rows>
-void product_rows(std::size_t n, std::size_t depth, const double* a,
-                  std::size_t a_row, std::size_t a_col, const double* b,
-                  double* c) {
+/// Rows [0, Rows) of `product` in column blocks of four V vectors (8
+/// lanes of Pair, 32 of Oct), then single Oct vectors, then the Pair
+/// blocks of 4 and 2 and the scalar column.
+template <class V, std::size_t Rows>
+[[gnu::always_inline]] inline void product_rows(
+    std::size_t n, std::size_t depth, const double* a, std::size_t a_row,
+    std::size_t a_col, const double* b, double* c) {
+  constexpr std::size_t kWide = 4 * sizeof(V) / sizeof(double);
   std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    product_block<Rows, 8>(n, depth, a, a_row, a_col, b + j, c + j);
+  for (; j + kWide <= n; j += kWide) {
+    product_block<V, Rows, kWide>(n, depth, a, a_row, a_col, b + j, c + j);
+  }
+  if constexpr (sizeof(V) == sizeof(Oct)) {
+    for (; j + 8 <= n; j += 8) {
+      product_block<V, Rows, 8>(n, depth, a, a_row, a_col, b + j, c + j);
+    }
   }
   if (j + 4 <= n) {
-    product_block<Rows, 4>(n, depth, a, a_row, a_col, b + j, c + j);
+    product_block<Pair, Rows, 4>(n, depth, a, a_row, a_col, b + j, c + j);
     j += 4;
   }
   if (j + 2 <= n) {
-    product_block<Rows, 2>(n, depth, a, a_row, a_col, b + j, c + j);
+    product_block<Pair, Rows, 2>(n, depth, a, a_row, a_col, b + j, c + j);
     j += 2;
   }
   if (j < n) {
@@ -111,21 +121,43 @@ void product_rows(std::size_t n, std::size_t depth, const double* a,
   }
 }
 
-/// c (m x n, row-major) = A b, where A(i, k) = a[i * a_row + k * a_col]
-/// and b is (depth x n, row-major). Every entry sums its `depth` products
-/// in k order from +0.0, as `matmul`, `matmul_tn` and `matmul_nt` do.
-/// Blocks of two rows stay in registers for the whole sum; the entries
-/// are independent lanes, so blocking reorders no sum.
-void product(std::size_t m, std::size_t n, std::size_t depth,
-             const double* a, std::size_t a_row, std::size_t a_col,
-             const double* b, double* c) {
+/// `product` in blocks of two rows that stay in registers for the whole
+/// sum; the entries are independent lanes, so blocking reorders no sum.
+template <class V>
+[[gnu::always_inline]] inline void product_tier(
+    std::size_t m, std::size_t n, std::size_t depth, const double* a,
+    std::size_t a_row, std::size_t a_col, const double* b, double* c) {
   std::size_t i = 0;
   for (; i + 2 <= m; i += 2) {
-    product_rows<2>(n, depth, a + i * a_row, a_row, a_col, b, c + i * n);
+    product_rows<V, 2>(n, depth, a + i * a_row, a_row, a_col, b, c + i * n);
   }
   if (i < m) {
-    product_rows<1>(n, depth, a + i * a_row, a_row, a_col, b, c + i * n);
+    product_rows<V, 1>(n, depth, a + i * a_row, a_row, a_col, b, c + i * n);
   }
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx512f"))) void product_avx512f(
+    std::size_t m, std::size_t n, std::size_t depth, const double* a,
+    std::size_t a_row, std::size_t a_col, const double* b, double* c) {
+  product_tier<Oct>(m, n, depth, a, a_row, a_col, b, c);
+}
+#endif
+
+/// The widest tier this host runs, decided once. __builtin_cpu_supports
+/// needs __builtin_cpu_init first when it may run before main; its
+/// avx512f bit also requires the OS to save the zmm state.
+ProductTier widest_tier() noexcept {
+  static const ProductTier tier = [] {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) {
+      return ProductTier::kAvx512f;
+    }
+#endif
+    return ProductTier::kSse2;
+  }();
+  return tier;
 }
 
 /// The head's output nonlinearity, as the tape's ops compute it.
@@ -171,7 +203,7 @@ const double* forward(Mlp& mlp, const Matrix& x, Scratch& s) {
       }
     }
     // matmul(in, W^T), then add_row_broadcast's bias.
-    product(rows, n_out, n_in, in, n_in, 1, wt, pre);
+    product(widest_tier(), rows, n_out, n_in, in, n_in, 1, wt, pre);
     const double* bias = lin.bias().value().data();
     for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t j = 0; j < n_out; ++j) {
@@ -199,6 +231,24 @@ bool fused_supported(const MlpConfig& config) noexcept {
   return config.hidden_activation == Activation::kRelu &&
          (head == Activation::kSoftplus || head == Activation::kSigmoid ||
           head == Activation::kIdentity);
+}
+
+bool product_tier_supported(ProductTier tier) noexcept {
+  return tier == ProductTier::kSse2 || widest_tier() == tier;
+}
+
+void product(ProductTier tier, std::size_t m, std::size_t n,
+             std::size_t depth, const double* a, std::size_t a_row,
+             std::size_t a_col, const double* b, double* c) {
+  MFCP_CHECK(product_tier_supported(tier),
+             "product: this host does not support the requested tier");
+#if defined(__x86_64__)
+  if (tier == ProductTier::kAvx512f) {
+    product_avx512f(m, n, depth, a, a_row, a_col, b, c);
+    return;
+  }
+#endif
+  product_tier<Pair>(m, n, depth, a, a_row, a_col, b, c);
 }
 
 void fused_forward(Mlp& mlp, const Matrix& x, double scale,
@@ -283,7 +333,7 @@ double fused_mse_step(Mlp& mlp, Optimizer& opt, const Matrix& x,
 
     // Weight: matmul_tn(in, g) transposed, each entry summed over the
     // batch in row order from +0.0.
-    product(n_out, n_in, rows, g, 1, n_out, in,
+    product(widest_tier(), n_out, n_in, rows, g, 1, n_out, in,
             lin.weight().grad_slot().data());
 
     // The input needs no gradient (the tape skips it as well).
@@ -294,8 +344,8 @@ double fused_mse_step(Mlp& mlp, Optimizer& opt, const Matrix& x,
     // Hidden input: matmul_nt(g, W^T), each entry summed over this
     // layer's outputs from +0.0, then ReLU's mask where the previous
     // pre-activation is <= 0.
-    product(rows, n_in, n_out, g, n_out, 1, lin.weight().value().data(),
-            g_prev);
+    product(widest_tier(), rows, n_in, n_out, g, n_out, 1,
+            lin.weight().value().data(), g_prev);
     const double* prev_pre = s.pre.data() + act_begin - rows * n_in;
     for (std::size_t i = 0; i < rows * n_in; ++i) {
       if (prev_pre[i] <= 0.0) {

@@ -32,6 +32,24 @@ namespace mfcp::nn {
 /// softplus, sigmoid or identity head.
 [[nodiscard]] bool fused_supported(const MlpConfig& config) noexcept;
 
+/// The vector widths of the kernels' matrix product: two-lane SSE2
+/// blocks, or eight-lane AVX-512F blocks (32 and 8 lanes, with the SSE2
+/// blocks for the tails). Every call runs the widest tier the host
+/// supports, decided once per process.
+enum class ProductTier { kSse2, kAvx512f };
+
+/// True when this host can run `tier`; kSse2 runs everywhere.
+[[nodiscard]] bool product_tier_supported(ProductTier tier) noexcept;
+
+/// c (m x n, row-major) = A b at `tier`, where A(i, k) =
+/// a[i * a_row + k * a_col] and b is (depth x n, row-major). Every entry
+/// sums its `depth` products in k order from +0.0, as `matmul`,
+/// `matmul_tn` and `matmul_nt` do, so every tier gives the same bits.
+/// Throws ContractError for a tier the host does not support.
+void product(ProductTier tier, std::size_t m, std::size_t n,
+             std::size_t depth, const double* a, std::size_t a_row,
+             std::size_t a_col, const double* b, double* c);
+
 /// Writes scale * mlp(x) to `out`, row-major (x.rows() x output_dim).
 void fused_forward(Mlp& mlp, const Matrix& x, double scale,
                    std::span<double> out);

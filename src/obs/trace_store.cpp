@@ -219,7 +219,8 @@ std::size_t TraceStore::drain_to(JsonlWriter& out, std::string_view label) {
     out.field("chain", t.chain());
     for (std::size_t i = 0; i < t.spans.size(); ++i) {
       const TaskSpan& s = t.spans[i];
-      const std::string prefix = "s" + std::to_string(i) + "_";
+      const std::string prefix =
+          std::string("s").append(std::to_string(i)).append("_");
       out.field(prefix + "name", s.name);
       out.field(prefix + "start_hours", s.start_hours);
       out.field(prefix + "end_hours", s.end_hours);

@@ -180,7 +180,7 @@ std::vector<Cluster> sample_clusters(std::size_t m, Rng& rng) {
     // Cycle through a shuffled catalog, jittering each profile so even two
     // instances of the same archetype are distinct machines.
     ClusterProfile p = catalog[order[i % catalog.size()]];
-    p.name += "-" + std::to_string(i);
+    p.name.append("-").append(std::to_string(i));
     p.base_seconds_per_unit *= rng.lognormal(0.0, 0.15);
     p.law_param *= rng.lognormal(0.0, 0.2);
     p.reliability_base += rng.normal(0.0, 0.25);

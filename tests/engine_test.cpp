@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
@@ -1085,6 +1086,63 @@ TEST(Engine, CheckpointRestoreRoundTripsWeightsBitExactly) {
     for (std::size_t p = 0; p < ra.size(); ++p) {
       for (std::size_t x = 0; x < ra[p].value().size(); ++x) {
         EXPECT_EQ(ra[p].value()[x], rb[p].value()[x]);
+      }
+    }
+  }
+}
+
+TEST(Engine, RejectedSnapshotLeavesTheColdStartPredictorUntouched) {
+  // The only snapshot parses through cluster 0 and breaks in cluster 1.
+  // With no older generation, recover() cold-starts, and the predictor
+  // must be exactly the cold one: no cluster restored part-way.
+  StorageTempDir dir("corrupt_second_cluster");
+  EngineFixture trained(123);
+  std::stringstream payload;
+  save_checkpoint(payload, trained.predictor, EngineCounters{});
+  std::string text = payload.str();
+  // Four mlp blocks in (cluster 0 time, reliability; cluster 1 time,
+  // reliability), past its magic, layer-count and first header lines.
+  std::size_t pos = 0;
+  for (int block = 0; block < 4; ++block) {
+    pos = text.find("mfcp-mlp 1\n", pos + 1);
+    ASSERT_NE(pos, std::string::npos);
+  }
+  for (int line = 0; line < 3; ++line) {
+    pos = text.find('\n', pos) + 1;
+  }
+  text.insert(pos, "x");
+  {
+    storage::StorageManager storage(storage::StorageConfig{dir.str()});
+    (void)storage.checkpoints().publish(
+        0, [&](std::ostream& os) { os << text; });
+  }
+
+  storage::StorageManager storage(storage::StorageConfig{dir.str()});
+  EngineFixture cold(456);
+  EngineFixture reference(456);
+  EngineConfig cfg = small_engine_config();
+  cfg.storage = &storage;
+  OnlineEngine eng(cfg, cold.platform, cold.embedder, cold.predictor);
+  EXPECT_FALSE(eng.recover().checkpoint_loaded);
+  EXPECT_EQ(eng.counters(), EngineCounters{});
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (const bool time : {true, false}) {
+      auto& got = cold.predictor.cluster(i);
+      auto& want = reference.predictor.cluster(i);
+      const auto pg = (time ? got.time_model() : got.reliability_model())
+                          .parameters();
+      const auto pw = (time ? want.time_model() : want.reliability_model())
+                          .parameters();
+      ASSERT_EQ(pg.size(), pw.size());
+      for (std::size_t p = 0; p < pg.size(); ++p) {
+        const Matrix& vg = pg[p].value();
+        const Matrix& vw = pw[p].value();
+        ASSERT_TRUE(vg.same_shape(vw));
+        EXPECT_EQ(std::memcmp(vg.data(), vw.data(),
+                              vg.size() * sizeof(double)),
+                  0)
+            << "cluster " << i << (time ? " time" : " reliability")
+            << " parameter " << p;
       }
     }
   }

@@ -647,7 +647,8 @@ TEST(HttpServerLive, ServesConcurrentClients) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       for (int k = 0; k < kPerThread; ++k) {
-        const std::string body = "b" + std::to_string(t * 1000 + k);
+        const std::string body =
+            std::string("b").append(std::to_string(t * 1000 + k));
         const ClientResponse r = http_call(
             "127.0.0.1", server.port(), "POST", "/echo", body);
         if (r.ok && r.status == 200 &&

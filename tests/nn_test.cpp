@@ -2,10 +2,14 @@
 // initialization, and checkpoint round-trips.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "autograd/ops.hpp"
 #include "nn/activations.hpp"
@@ -439,9 +443,11 @@ constexpr FusedHead kFusedHeads[] = {{Activation::kSoftplus, 4.0},
                                      {Activation::kIdentity, 1.0}};
 
 // Net shapes for the fused kernels. The product kernels block output
-// columns in 8, 4, 2 and 1 lanes; the predictor's 12 -> 32 -> 32 -> 1
-// alone never reaches the 2-lane block, so these widths (layer outputs
-// for the forward pass, layer inputs for the gradients) take every tail.
+// columns in 8, 4, 2 and 1 lanes (SSE2) or 32, 8, 4, 2 and 1 lanes
+// (AVX-512F); the predictor's 12 -> 32 -> 32 -> 1 alone never reaches
+// the 2-lane block, so these widths (layer outputs for the forward pass,
+// layer inputs for the gradients) take every block and tail of the tier
+// the host runs: 40 = 32 + 8, 9 = 8 + 1, 47 = 32 + 8 + 4 + 2 + 1.
 struct FusedShape {
   std::size_t input_dim;
   std::vector<std::size_t> hidden;
@@ -450,7 +456,7 @@ std::vector<FusedShape> fused_shapes() {
   std::vector<FusedShape> shapes = {{6, {32, 32}}};
   for (const std::size_t input_dim : {1u, 3u, 12u}) {
     for (const auto& hidden : std::vector<std::vector<std::size_t>>{
-             {2}, {5, 3}, {33}}) {
+             {2}, {5, 3}, {33}, {40}, {9}, {47}}) {
       shapes.push_back({input_dim, hidden});
     }
   }
@@ -609,6 +615,114 @@ TEST(FusedForward, OtherConfigurationsStayOnTheTape) {
   EXPECT_THROW(fused_forward(mlp, x, 1.0, out.flat()), ContractError);
 }
 
+// The matrix product at each tier against a plain k-order loop. Widths
+// n reach every block and tail of both tiers (SSE2: 8, 4, 2, 1 lanes;
+// AVX-512F: 32 and 8 lanes, then the SSE2 4, 2 and 1). The A strides are
+// fused_mlp's two patterns (row-major A in the forward pass and the
+// hidden gradient, transposed A in the weight gradient) and a padded row.
+void naive_product(std::size_t m, std::size_t n, std::size_t depth,
+                   const double* a, std::size_t a_row, std::size_t a_col,
+                   const double* b, double* c) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < depth; ++k) {
+        sum += a[i * a_row + k * a_col] * b[k * n + j];
+      }
+      c[i * n + j] = sum;
+    }
+  }
+}
+
+constexpr std::size_t kTierWidths[] = {1,  2,  3,  5,  8,  9, 12,
+                                       16, 31, 32, 33, 40, 47};
+
+// Values of mixed sign and magnitude (so any reordered or fused sum
+// rounds differently), with one row of A all -0.0: its sums must start
+// from +0.0 and stay +0.0.
+std::vector<double> tier_values(std::size_t size, Rng& rng) {
+  std::vector<double> v(size);
+  for (double& x : v) {
+    x = rng.normal(0.0, 1.0) * std::pow(10.0, rng.uniform(-3.0, 3.0));
+  }
+  return v;
+}
+
+// Runs `check(tier_out, naive_out, what)` for every shape and stride.
+template <class Check>
+void for_each_tier_case(ProductTier tier, Check check) {
+  Rng rng(29);
+  for (const std::size_t m : {1u, 2u, 3u, 6u}) {
+    for (const std::size_t depth : {1u, 7u, 33u}) {
+      for (const std::size_t n : kTierWidths) {
+        const std::size_t strides[][2] = {
+            {depth, 1}, {1, m}, {depth + 3, 1}};
+        for (const auto& stride : strides) {
+          const std::size_t a_row = stride[0];
+          const std::size_t a_col = stride[1];
+          std::vector<double> a =
+              tier_values((m - 1) * a_row + (depth - 1) * a_col + 1, rng);
+          for (std::size_t k = 0; k < depth; ++k) {
+            a[(m - 1) * a_row + k * a_col] = -0.0;
+          }
+          const std::vector<double> b = tier_values(depth * n, rng);
+          std::vector<double> want(m * n, 1.0);
+          std::vector<double> got(m * n, 2.0);
+          naive_product(m, n, depth, a.data(), a_row, a_col, b.data(),
+                        want.data());
+          product(tier, m, n, depth, a.data(), a_row, a_col, b.data(),
+                  got.data());
+          check(got, want,
+                "m " + std::to_string(m) + " n " + std::to_string(n) +
+                    " depth " + std::to_string(depth) + " a_row " +
+                    std::to_string(a_row) + " a_col " +
+                    std::to_string(a_col));
+        }
+      }
+    }
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ProductTiers, Sse2MatchesTheKOrderLoopBitForBit) {
+  ASSERT_TRUE(product_tier_supported(ProductTier::kSse2));
+  for_each_tier_case(ProductTier::kSse2,
+                     [](const std::vector<double>& got,
+                        const std::vector<double>& want,
+                        const std::string& what) {
+                       EXPECT_TRUE(same_bits(got, want)) << what;
+                     });
+}
+
+TEST(ProductTiers, Avx512fMatchesTheKOrderLoopAndSse2BitForBit) {
+  if (!product_tier_supported(ProductTier::kAvx512f)) {
+    GTEST_SKIP() << "this host has no AVX-512F; only the SSE2 tier runs";
+  }
+  for_each_tier_case(
+      ProductTier::kAvx512f,
+      [](const std::vector<double>& got, const std::vector<double>& want,
+         const std::string& what) { EXPECT_TRUE(same_bits(got, want)) << what; });
+  // The two tiers against each other, on the same inputs.
+  std::vector<std::vector<double>> sse2;
+  for_each_tier_case(ProductTier::kSse2,
+                     [&](const std::vector<double>& got,
+                         const std::vector<double>&, const std::string&) {
+                       sse2.push_back(got);
+                     });
+  std::size_t i = 0;
+  for_each_tier_case(ProductTier::kAvx512f,
+                     [&](const std::vector<double>& got,
+                         const std::vector<double>&, const std::string& what) {
+                       ASSERT_LT(i, sse2.size());
+                       EXPECT_TRUE(same_bits(got, sse2[i++])) << what;
+                     });
+  EXPECT_EQ(i, sse2.size());
+}
+
 // ------------------------------------------------------------ serialize --
 
 TEST(Serialize, RoundTripPreservesPredictions) {
@@ -645,6 +759,121 @@ TEST(Serialize, RejectsArchitectureMismatch) {
   std::stringstream buffer;
   save_mlp(buffer, a);
   EXPECT_THROW(load_mlp(buffer, b), ContractError);
+}
+
+// The writer before std::to_chars: operator<< at precision 17. Kept as
+// the oracle for the checkpoint bytes.
+std::string iostream_rendering(Mlp& model) {
+  std::ostringstream os;
+  const auto& layers = model.linear_layers();
+  os << "mfcp-mlp 1\n" << layers.size() << '\n';
+  for (Linear* lin : layers) {
+    for (const Matrix* m : {&lin->weight().value(), &lin->bias().value()}) {
+      os << m->rows() << ' ' << m->cols() << '\n';
+      os << std::setprecision(17);
+      for (std::size_t i = 0; i < m->size(); ++i) {
+        os << (*m)[i] << (i + 1 == m->size() ? '\n' : ' ');
+      }
+    }
+  }
+  return os.str();
+}
+
+bool same_parameters(Mlp& a, Mlp& b) {
+  const auto pa = a.parameters();
+  const auto pb = b.parameters();
+  if (pa.size() != pb.size()) {
+    return false;
+  }
+  for (std::size_t p = 0; p < pa.size(); ++p) {
+    if (!same_bits(pa[p].value(), pb[p].value())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Serialize, BytesMatchTheIostreamWriterAndLoadBitForBit) {
+  Rng rng(15);
+  MlpConfig cfg;
+  cfg.input_dim = 4;
+  cfg.hidden = {9, 3};
+  Mlp trained(cfg, rng);
+  Adam opt(trained.parameters(), 1e-2);
+  const Matrix x = random_matrix(16, 4, rng);
+  const Matrix y = random_matrix(16, 1, rng);
+  for (int step = 0; step < 50; ++step) {
+    fused_mse_step(trained, opt, x, y, 1.0);
+  }
+  Mlp edge(cfg, rng);
+  const double specials[] = {-0.0,
+                             0.0,
+                             5e-324,
+                             -5e-324,
+                             2.2250738585072009e-308,
+                             DBL_MIN,
+                             DBL_MAX,
+                             -DBL_MAX,
+                             0.1,
+                             1e22,
+                             1.0 / 3.0,
+                             -123456789.0};
+  Matrix& w = edge.linear_layers()[0]->weight().mutable_value();
+  for (std::size_t i = 0; i < std::size(specials); ++i) {
+    w[i] = specials[i];
+  }
+  for (Mlp* model : {&trained, &edge}) {
+    std::stringstream buffer;
+    save_mlp(buffer, *model);
+    EXPECT_EQ(buffer.str(), iostream_rendering(*model));
+    Mlp restored(cfg, rng);
+    ASSERT_FALSE(same_parameters(*model, restored));
+    load_mlp(buffer, restored);
+    EXPECT_TRUE(same_parameters(*model, restored));
+  }
+}
+
+TEST(Serialize, RejectsMalformedValuesAndLeavesTheModelUntouched) {
+  Rng rng(16);
+  MlpConfig cfg;
+  cfg.input_dim = 2;
+  cfg.hidden = {3};
+  Mlp source(cfg, rng);
+  std::stringstream saved;
+  save_mlp(saved, source);
+  const std::string good = saved.str();
+  // The first matrix: header "3 2" on line 3, six values on line 4.
+  const std::size_t header = good.find("\n3 2\n") + 1;
+  const std::size_t values = header + 4;
+  const std::size_t values_end = good.find('\n', values);
+  const std::size_t last_space = good.rfind(' ', values_end);
+  ASSERT_NE(last_space, std::string::npos);
+  const std::string bad[] = {
+      // A header far beyond the model: rejected before any allocation.
+      good.substr(0, header) + "999999999 999999999" +
+          good.substr(header + 3),
+      // A value line one value short.
+      good.substr(0, last_space) + good.substr(values_end),
+      // One extra value.
+      good.substr(0, values_end) + " 1" + good.substr(values_end),
+      // A non-numeric token.
+      good.substr(0, values) + "abc" + good.substr(good.find(' ', values)),
+  };
+  for (const std::string& text : bad) {
+    Mlp target(cfg, rng);
+    Mlp before(cfg, rng);
+    std::stringstream untouched;
+    save_mlp(untouched, target);
+    load_mlp(untouched, before);
+    std::istringstream is(text);
+    EXPECT_THROW(load_mlp(is, target), ContractError) << text;
+    EXPECT_TRUE(same_parameters(target, before)) << text;
+  }
+  // The unmodified text loads.
+  Mlp target(cfg, rng);
+  std::istringstream is(good);
+  load_mlp(is, target);
+  EXPECT_TRUE(same_parameters(target, source));
 }
 
 // Property sweep over widths: forward shape and head ranges hold.
