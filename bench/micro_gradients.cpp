@@ -4,11 +4,13 @@
 // the O(S * K2 * MN) term of the complexity analysis (Eq. 21) — and for
 // the predictor MLP on the autograd tape against the tape-free kernels
 // (nn/fused_mlp): one MSE + Adam step, the kernels' matrix product at
-// each vector tier, the Adam step alone, the engine's 4 x 10 predict, a
-// predictor copied through text checkpoints, and a whole TSM pretraining
-// run, its (cluster, head) fits spread over the global pool.
+// each vector tier, the Adam step alone, the engine's 4-cluster predict
+// at 2 and 10 rows, a predictor copied through text checkpoints, and a
+// whole TSM pretraining run, its (cluster, head) fits spread over the
+// global pool.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -157,25 +159,48 @@ MlpStepInstance make_step_instance(std::size_t batch) {
                          std::move(target)};
 }
 
+// Both step benchmarks start a fresh instance every 250 steps, the
+// length of one set-up fit, with the timer paused. Stepping one fixed
+// batch for much longer slowed the step from about 51 to 110-126 us by
+// 33k-40k steps, and not with FTZ/DAZ set: the dead units' Adam moments
+// decay through the subnormal range, a cost train_tsm never pays.
+constexpr int kStepsPerInstance = 250;
+
+void renew_every_fit(benchmark::State& state, int& steps,
+                     std::optional<MlpStepInstance>& inst) {
+  if (++steps < kStepsPerInstance) {
+    return;
+  }
+  state.PauseTiming();
+  inst.emplace(make_step_instance(static_cast<std::size_t>(state.range(0))));
+  steps = 0;
+  state.ResumeTiming();
+}
+
 void BM_MlpStepTape(benchmark::State& state) {
-  auto inst = make_step_instance(static_cast<std::size_t>(state.range(0)));
+  std::optional<MlpStepInstance> inst;
+  int steps = kStepsPerInstance - 1;
   for (auto _ : state) {
-    inst.opt.zero_grad();
+    renew_every_fit(state, steps, inst);
+    inst->opt.zero_grad();
     auto loss = nn::mse(
-        inst.cluster.forward_time(nn::Variable(inst.x, false)), inst.target);
+        inst->cluster.forward_time(nn::Variable(inst->x, false)),
+        inst->target);
     loss.backward();
-    inst.opt.step();
+    inst->opt.step();
     benchmark::DoNotOptimize(loss.value()[0]);
   }
 }
 BENCHMARK(BM_MlpStepTape)->Arg(32)->Arg(64);
 
 void BM_MlpStepFused(benchmark::State& state) {
-  auto inst = make_step_instance(static_cast<std::size_t>(state.range(0)));
+  std::optional<MlpStepInstance> inst;
+  int steps = kStepsPerInstance - 1;
   for (auto _ : state) {
+    renew_every_fit(state, steps, inst);
     benchmark::DoNotOptimize(nn::fused_mse_step(
-        inst.cluster.time_model(), inst.opt, inst.x, inst.target,
-        inst.cluster.time_scale()));
+        inst->cluster.time_model(), inst->opt, inst->x, inst->target,
+        inst->cluster.time_scale()));
   }
 }
 BENCHMARK(BM_MlpStepFused)->Arg(32)->Arg(64);
@@ -234,16 +259,17 @@ void BM_AdamStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamStep);
 
-// T-hat and A-hat for one engine round: 4 clusters x a batch of 10 tasks.
+// T-hat and A-hat for one engine round: 4 clusters x a batch of tasks,
+// 10 for the tape (replay's batch).
 struct PredictInstance {
   core::PlatformPredictor predictor;
   Matrix features;
 };
 
-PredictInstance make_predict_instance() {
+PredictInstance make_predict_instance(std::size_t rows) {
   Rng rng(19);
   core::PlatformPredictor predictor(4, core::PredictorConfig{}, rng);
-  Matrix features(10, core::PredictorConfig{}.feature_dim);
+  Matrix features(rows, core::PredictorConfig{}.feature_dim);
   for (std::size_t i = 0; i < features.size(); ++i) {
     features[i] = rng.normal();
   }
@@ -251,7 +277,7 @@ PredictInstance make_predict_instance() {
 }
 
 void BM_PredictTape(benchmark::State& state) {
-  auto inst = make_predict_instance();
+  auto inst = make_predict_instance(10);
   for (auto _ : state) {
     for (std::size_t i = 0; i < inst.predictor.num_clusters(); ++i) {
       auto& cluster = inst.predictor.cluster(i);
@@ -263,8 +289,11 @@ void BM_PredictTape(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictTape);
 
+// Arg: the batch's rows, 2 (the gateway's batches on steady) or 10
+// (replay's).
 void BM_PredictFused(benchmark::State& state) {
-  auto inst = make_predict_instance();
+  auto inst =
+      make_predict_instance(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         inst.predictor.predict_time_matrix(inst.features).data());
@@ -272,7 +301,7 @@ void BM_PredictFused(benchmark::State& state) {
         inst.predictor.predict_reliability_matrix(inst.features).data());
   }
 }
-BENCHMARK(BM_PredictFused);
+BENCHMARK(BM_PredictFused)->Arg(2)->Arg(10);
 
 // Copies an M = 3 predictor's weights into another through text
 // checkpoints, one stringstream per head, as the gateway set-up clones

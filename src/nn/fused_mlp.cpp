@@ -160,15 +160,58 @@ ProductTier widest_tier() noexcept {
   return tier;
 }
 
-/// The head's output nonlinearity, as the tape's ops compute it.
-double head_activation(Activation act, double z) {
+/// The head's output nonlinearity over n values, as the tape's ops
+/// compute it, one loop per activation.
+void head_activation(Activation act, const double* z, double* out,
+                     std::size_t n) {
   switch (act) {
     case Activation::kSoftplus:
-      return autograd::softplus_scalar(z);
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = autograd::softplus_scalar(z[i]);
+      }
+      break;
     case Activation::kSigmoid:
-      return autograd::sigmoid_scalar(z);
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = autograd::sigmoid_scalar(z[i]);
+      }
+      break;
     default:
-      return z;
+      std::copy(z, z + n, out);
+      break;
+  }
+}
+
+/// dst (cols x rows) = src^T, for a row-major src (rows x cols), in
+/// 2 x 2 tiles: two Pair loads from two rows of src, two unpacks, two
+/// Pair stores to two rows of dst. An odd last row or column goes one
+/// value at a time. It only copies values, so it changes no bit.
+void transpose(const double* src, std::size_t rows, std::size_t cols,
+               double* dst) {
+  typedef long long PairMask __attribute__((vector_size(16)));
+  std::size_t r = 0;
+  for (; r + 2 <= rows; r += 2) {
+    const double* s0 = src + r * cols;
+    const double* s1 = s0 + cols;
+    std::size_t c = 0;
+    for (; c + 2 <= cols; c += 2) {
+      Pair x;
+      Pair y;
+      std::memcpy(&x, s0 + c, sizeof(Pair));
+      std::memcpy(&y, s1 + c, sizeof(Pair));
+      const Pair lo = __builtin_shuffle(x, y, PairMask{0, 2});
+      const Pair hi = __builtin_shuffle(x, y, PairMask{1, 3});
+      std::memcpy(dst + c * rows + r, &lo, sizeof(Pair));
+      std::memcpy(dst + (c + 1) * rows + r, &hi, sizeof(Pair));
+    }
+    if (c < cols) {
+      dst[c * rows + r] = s0[c];
+      dst[c * rows + r + 1] = s1[c];
+    }
+  }
+  if (r < rows) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      dst[c * rows + r] = src[r * cols + c];
+    }
   }
 }
 
@@ -196,25 +239,28 @@ const double* forward(Mlp& mlp, const Matrix& x, Scratch& s) {
     Linear& lin = *layers[l];
     const std::size_t n_in = lin.in_features();
     const std::size_t n_out = lin.out_features();
-    const double* w = lin.weight().value().data();
-    for (std::size_t j = 0; j < n_out; ++j) {
-      for (std::size_t k = 0; k < n_in; ++k) {
-        wt[k * n_out + j] = w[j * n_in + k];
-      }
-    }
-    // matmul(in, W^T), then add_row_broadcast's bias.
+    // matmul(in, W^T).
+    transpose(lin.weight().value().data(), n_out, n_in, wt);
     product(widest_tier(), rows, n_out, n_in, in, n_in, 1, wt, pre);
+    // add_row_broadcast's bias; a hidden layer applies ReLU in the same
+    // pass, as relu computes it.
     const double* bias = lin.bias().value().data();
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < n_out; ++j) {
-        pre[r * n_out + j] += bias[j];
-      }
-    }
     const std::size_t n = rows * n_out;
-    const bool hidden = l + 1 < layers.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      post[i] = hidden ? std::max(0.0, pre[i])
-                       : head_activation(config.output_activation, pre[i]);
+    if (l + 1 < layers.size()) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t j = 0; j < n_out; ++j) {
+          const double z = pre[r * n_out + j] + bias[j];
+          pre[r * n_out + j] = z;
+          post[r * n_out + j] = std::max(0.0, z);
+        }
+      }
+    } else {
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t j = 0; j < n_out; ++j) {
+          pre[r * n_out + j] += bias[j];
+        }
+      }
+      head_activation(config.output_activation, pre, post, n);
     }
     in = post;
     wt += n_in * n_out;
@@ -343,14 +389,15 @@ double fused_mse_step(Mlp& mlp, Optimizer& opt, const Matrix& x,
 
     // Hidden input: matmul_nt(g, W^T), each entry summed over this
     // layer's outputs from +0.0, then ReLU's mask where the previous
-    // pre-activation is <= 0.
+    // pre-activation is <= 0. The mask is a select, not a branch: the
+    // signs depend on the data, and a branch mispredicted on about half
+    // of them. It stores +0.0 exactly where the tape's branch does and
+    // keeps g elsewhere, NaN included (NaN <= 0 is false).
     product(widest_tier(), rows, n_in, n_out, g, n_out, 1,
             lin.weight().value().data(), g_prev);
     const double* prev_pre = s.pre.data() + act_begin - rows * n_in;
     for (std::size_t i = 0; i < rows * n_in; ++i) {
-      if (prev_pre[i] <= 0.0) {
-        g_prev[i] = 0.0;
-      }
+      g_prev[i] = prev_pre[i] <= 0.0 ? 0.0 : g_prev[i];
     }
     std::swap(g, g_prev);
     act_begin -= rows * n_in;

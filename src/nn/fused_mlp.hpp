@@ -11,9 +11,11 @@
 // (as `matmul` + `add_row_broadcast`); the backward pass sums like
 // `matmul_tn` (weight gradients, over the batch) and `matmul_nt` (hidden
 // gradients, over the layer's outputs). Vectorization runs only across
-// independent output lanes, never across a sum. So the forward values,
-// the loss and every parameter gradient equal the tape's bit for bit,
-// and the weights after an optimizer step do too.
+// independent output lanes, never across a sum. The element passes
+// between the products do not branch on data: ReLU's backward mask is a
+// select, which stores +0.0 exactly where the tape's branch does. So the
+// forward values, the loss and every parameter gradient equal the tape's
+// bit for bit, and the weights after an optimizer step do too.
 //
 // All calls on one thread share one scratch (activations, their
 // gradients and the transposed weights). It grows to the largest batch

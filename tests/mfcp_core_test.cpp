@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "matching/entropy.hpp"
 #include "matching/penalty.hpp"
@@ -463,6 +465,54 @@ TEST(Tsm, ConcurrentCallsMatchSequential) {
   EXPECT_TRUE(same_bits(got_b.rel_loss_history, want_b.rel_loss_history));
   EXPECT_TRUE(same_weights(par_a, seq_a));
   EXPECT_TRUE(same_weights(par_b, seq_b));
+}
+
+// 64-bit FNV-1a over every head's weight bytes, cluster by cluster, the
+// time head before the reliability head, parameters in Mlp order.
+std::uint64_t weight_digest(PlatformPredictor& predictor) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto absorb = [&h](nn::Mlp& mlp) {
+    for (const auto& p : mlp.parameters()) {
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(p.value().data());
+      for (std::size_t i = 0; i < p.value().size() * sizeof(double); ++i) {
+        h = (h ^ bytes[i]) * 0x100000001b3ULL;
+      }
+    }
+  };
+  for (std::size_t i = 0; i < predictor.num_clusters(); ++i) {
+    absorb(predictor.cluster(i).time_model());
+    absorb(predictor.cluster(i).reliability_model());
+  }
+  return h;
+}
+
+TEST(Tsm, SetUpPretrainingMatchesCommittedDigest) {
+  // The platform's set-up pretraining as online_platform and perfbench
+  // run it: setting A, 100 profiled tasks, 250 epochs, Rng(0x0417e5)
+  // init. The digests were taken from the tape-equivalent kernels before
+  // their element loops became branch-free; they hold the weights to
+  // those bits across commits. They also depend on libm's exp and log1p
+  // (softplus, sigmoid), so a host with another libm may disagree.
+  // Never update a digest to make this pass on unchanged kernels.
+  constexpr std::pair<std::size_t, std::uint64_t> kDigests[] = {
+      {3, 0x3a7848dae488c13cULL}, {4, 0x09edbed04e0a40bdULL}};
+  for (const auto& [clusters, digest] : kDigests) {
+    const auto platform =
+        sim::Platform::make_setting(sim::Setting::kA, clusters);
+    sim::PseudoGnnEmbedder embedder;
+    sim::DatasetConfig data_cfg;
+    data_cfg.num_tasks = 100;
+    const sim::Dataset profile = build_dataset(platform, embedder, data_cfg);
+    Rng init(0x0417e5ULL);
+    PlatformPredictor predictor(clusters, PredictorConfig{}, init);
+    TsmConfig tsm;
+    tsm.epochs = 250;
+    train_tsm(predictor, profile, tsm);
+    const std::uint64_t got = weight_digest(predictor);
+    EXPECT_EQ(got, digest) << "clusters " << clusters << ": 0x" << std::hex
+                           << got;
+  }
 }
 
 TEST(Tsm, RejectsMismatchedClusterCount) {

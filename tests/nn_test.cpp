@@ -447,7 +447,9 @@ constexpr FusedHead kFusedHeads[] = {{Activation::kSoftplus, 4.0},
 // (AVX-512F); the predictor's 12 -> 32 -> 32 -> 1 alone never reaches
 // the 2-lane block, so these widths (layer outputs for the forward pass,
 // layer inputs for the gradients) take every block and tail of the tier
-// the host runs: 40 = 32 + 8, 9 = 8 + 1, 47 = 32 + 8 + 4 + 2 + 1.
+// the host runs: 40 = 32 + 8, 9 = 8 + 1, 47 = 32 + 8 + 4 + 2 + 1. Odd and
+// even widths on both sides of a layer also take the weight transpose's
+// 2 x 2 tiles, its odd last row and its odd last column.
 struct FusedShape {
   std::size_t input_dim;
   std::vector<std::size_t> hidden;
@@ -576,7 +578,8 @@ TEST(FusedStep, MatchesTapeBitForBit) {
 TEST(FusedForward, MatchesTape) {
   for (const FusedShape& shape : fused_shapes()) {
     for (const FusedHead head : kFusedHeads) {
-      for (const std::size_t batch : {1u, 7u, 10u, 64u}) {
+      // The gateway's batches (1 to 3 rows), replay's 10 and TSM's 64.
+      for (const std::size_t batch : {1u, 2u, 3u, 7u, 10u, 64u}) {
         Mlp mlp = make_edge_mlp(head.act, 43, shape);
         Rng rng(batch + 100);
         for (Linear* lin : mlp.linear_layers()) {
