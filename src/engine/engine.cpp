@@ -25,6 +25,10 @@ constexpr std::uint64_t kQueueRejected = 3;
 constexpr std::uint64_t kShedThrottled = 1;  // token bucket refused
 constexpr std::uint64_t kShedCapacity = 2;   // queue rejected the push
 
+/// Upper bound on one serve() wait: submissions wake the loop early, so
+/// this only bounds how stale the stop-flag check can get.
+constexpr int kServePollMs = 20;
+
 /// One JSONL record written by `fill`, as a chunk-journal line (without
 /// the trailing newline).
 template <typename Fill>
@@ -489,78 +493,12 @@ void OnlineEngine::admit(Arrival arrival, RunLog& log) {
   }
 }
 
-EngineResult OnlineEngine::run() {
-  MFCP_CHECK(!ran_, "OnlineEngine::run is single-shot per instance");
-  ran_ = true;
-
-  Stopwatch wall;
-  RunLog log;
-  obs::HeartbeatHandle pulse;
-  if (config_.flight != nullptr) {
-    pulse = config_.flight->register_heartbeat("engine_run");
-  }
-  // The round loop runs every stage on this thread (minus pool-offloaded
-  // solves, which the workers tag themselves), so it is the profiler's
-  // primary sampling target.
-  obs::SamplingProfiler* profiler = obs::default_profiler();
-  if (profiler != nullptr) {
-    profiler->register_current_thread("engine");
-  }
-  // A recovered clock resumes ahead of the seeded stream's origin; shift
-  // the stream so "t hours into the stream" means t hours after the
-  // resume point. A fresh process has a zero base, so undisturbed runs
-  // keep their byte-identical journals.
-  const double stream_base = clock_hours_;
-
-  for (;;) {
-    pulse.beat();
-    if (config_.stop_flag != nullptr &&
-        config_.stop_flag->load(std::memory_order_relaxed)) {
-      // Cooperative stop: no further arrivals, drain what is waiting.
-      while (finish_round(RoundTrigger::kFlush, log)) {
-      }
-      break;
-    }
-    std::optional<double> next_arrival = arrivals_.peek_time();
-    if (next_arrival.has_value()) {
-      *next_arrival += stream_base;
-    }
-    std::optional<double> next_timeout;
-    if (!queue_.empty()) {
-      next_timeout = batcher_.timeout_at(queue_.oldest_arrival_time());
-    }
-
-    if (next_arrival.has_value() &&
-        (!next_timeout.has_value() || *next_arrival <= *next_timeout)) {
-      advance_clock(*next_arrival);
-      auto arrival = arrivals_.next();
-      arrival->time_hours += stream_base;
-      arrival->deadline_hours += stream_base;
-      admit(std::move(*arrival), log);
-    } else if (next_timeout.has_value()) {
-      advance_clock(*next_timeout);
-      finish_round(RoundTrigger::kTimeout, log);
-    } else {
-      break;
-    }
-  }
-
-  pulse.idle();
-  if (profiler != nullptr) {
-    profiler->unregister_current_thread();
-  }
-  finalize(log, wall.seconds());
-  return std::move(log.result);
-}
+EngineResult OnlineEngine::run() { return event_loop(0.0); }
 
 EngineResult OnlineEngine::serve(GatewayLink& link,
                                  const ServeConfig& serve_config) {
-  MFCP_CHECK(!ran_, "OnlineEngine::run/serve is single-shot per instance");
-  ran_ = true;
   MFCP_CHECK(serve_config.hours_per_second > 0.0,
              "serve needs a positive simulated-clock rate");
-
-  link_ = &link;
   std::vector<std::string> names;
   for (std::size_t i = 0; i < platform_.num_clusters(); ++i) {
     names.push_back(platform_.cluster(i).name());
@@ -578,79 +516,120 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
   // need the serve clock rate.
   link.note_sim_rate(serve_config.hours_per_second);
 
+  link_ = &link;
+  EngineResult result = event_loop(serve_config.hours_per_second);
+  link.note_sim_time(clock_hours_);  // the flush already noted depth 0
+  link_ = nullptr;
+  return result;
+}
+
+EngineResult OnlineEngine::event_loop(double hours_per_second) {
+  MFCP_CHECK(!ran_, "OnlineEngine::run/serve is single-shot per instance");
+  ran_ = true;
+  GatewayLink* const link = link_;  // null: replay the seeded stream
+
   Stopwatch wall;
   RunLog log;
-  log.last_round_only = true;
+  log.last_round_only = link != nullptr;
   obs::HeartbeatHandle pulse;
   if (config_.flight != nullptr) {
-    pulse = config_.flight->register_heartbeat("engine_serve");
+    pulse = config_.flight->register_heartbeat(
+        link != nullptr ? "engine_serve" : "engine_run");
   }
+  // The round loop runs every stage on this thread (minus pool-offloaded
+  // solves, which the workers tag themselves), so it is the profiler's
+  // primary sampling target.
   obs::SamplingProfiler* profiler = obs::default_profiler();
   if (profiler != nullptr) {
     profiler->register_current_thread("engine");
   }
+  // Both clocks start at the entry clock. A recovered clock resumes ahead
+  // of the seeded stream's origin, so "t hours into the stream" means t
+  // hours after the resume point (a fresh process has a zero base, so
+  // undisturbed journals stay byte-identical). A replay's rate is zero:
+  // sim_now() never moves its clock.
   const double base_hours = clock_hours_;
   const auto sim_now = [&] {
-    return base_hours + wall.seconds() * serve_config.hours_per_second;
+    return base_hours + wall.seconds() * hours_per_second;
   };
 
   for (;;) {
     pulse.beat();
-    const bool stopping =
-        link.stop_requested() ||
-        (config_.stop_flag != nullptr &&
-         config_.stop_flag->load(std::memory_order_relaxed));
-    if (stopping) {
-      link.request_stop();  // idempotent; submit() starts rejecting
-    }
-
-    // External submissions, stamped at the current simulated time. Even
-    // while stopping, anything accepted before the stop is still served.
-    for (ExternalSubmission& sub : link.drain()) {
-      advance_clock(std::max(sim_now(), clock_hours_));
-      Arrival arrival;
-      arrival.id = sub.id;
-      arrival.time_hours = clock_hours_;
-      arrival.deadline_hours = clock_hours_ + sub.deadline_hours;
-      arrival.task = sub.task;
-      admit(std::move(arrival), log);
-    }
-
-    // Timeout-triggered rounds.
-    if (!queue_.empty()) {
-      const double fire_at =
-          batcher_.timeout_at(queue_.oldest_arrival_time());
-      if (fire_at <= sim_now()) {
-        advance_clock(std::max(fire_at, clock_hours_));
-        finish_round(RoundTrigger::kTimeout, log);
+    bool stopping = config_.stop_flag != nullptr &&
+                    config_.stop_flag->load(std::memory_order_relaxed);
+    if (link != nullptr) {
+      stopping = stopping || link->stop_requested();
+      if (stopping) {
+        link->request_stop();  // idempotent; submit() starts rejecting
+      }
+      // External submissions, stamped at the current simulated time. Even
+      // while stopping, anything accepted before the stop is still served.
+      for (ExternalSubmission& sub : link->drain()) {
+        advance_clock(std::max(sim_now(), clock_hours_));
+        admit(Arrival{.id = sub.id,
+                      .time_hours = clock_hours_,
+                      .deadline_hours = clock_hours_ + sub.deadline_hours,
+                      .task = sub.task},
+              log);
       }
     }
-    link.note_queue_depth(queue_.depth());
-    link.note_sim_time(clock_hours_);
-
     if (stopping) {
+      // Cooperative stop: no further arrivals, drain what is waiting.
       advance_clock(std::max(sim_now(), clock_hours_));
       while (finish_round(RoundTrigger::kFlush, log)) {
       }
       break;
     }
 
-    // Sleep until the next batch timeout on the simulated clock;
-    // submissions (and stop requests via their own poll bound) wake the
-    // loop early.
-    int wait_ms = serve_config.poll_ms;
+    std::optional<double> next_arrival;
+    if (link == nullptr) {
+      next_arrival = arrivals_.peek_time();
+      if (next_arrival.has_value()) {
+        *next_arrival += base_hours;
+      }
+    }
+    std::optional<double> next_timeout;
     if (!queue_.empty()) {
-      const double next_hours =
-          batcher_.timeout_at(queue_.oldest_arrival_time());
-      const double ms = (next_hours - sim_now()) /
-                        serve_config.hours_per_second * 1000.0;
+      next_timeout = batcher_.timeout_at(queue_.oldest_arrival_time());
+    }
+    if (next_arrival.has_value() &&
+        (!next_timeout.has_value() || *next_arrival <= *next_timeout)) {
+      advance_clock(*next_arrival);
+      auto arrival = arrivals_.next();
+      arrival->time_hours += base_hours;
+      arrival->deadline_hours += base_hours;
+      admit(std::move(*arrival), log);
+      continue;
+    }
+    if (next_timeout.has_value() &&
+        (link == nullptr || *next_timeout <= sim_now())) {
+      // An overdue timeout (tasks recovered from before the resume point,
+      // a late wake-up) closes now, never in the simulated past.
+      advance_clock(std::max(*next_timeout, clock_hours_));
+      finish_round(RoundTrigger::kTimeout, log);
+      if (link == nullptr) {
+        continue;
+      }
+    } else if (link == nullptr) {
+      break;  // stream and queue both exhausted
+    }
+
+    link->note_queue_depth(queue_.depth());
+    link->note_sim_time(clock_hours_);
+    // Sleep until the next batch timeout on the simulated clock;
+    // submissions wake the loop early.
+    int wait_ms = kServePollMs;
+    if (!queue_.empty()) {
+      const double ms = (batcher_.timeout_at(queue_.oldest_arrival_time()) -
+                         sim_now()) /
+                        hours_per_second * 1000.0;
       wait_ms = static_cast<int>(std::clamp(
-          std::ceil(ms), 0.0, static_cast<double>(serve_config.poll_ms)));
+          std::ceil(ms), 0.0, static_cast<double>(kServePollMs)));
     }
     if (wait_ms > 0) {
       // A parked wait is not a stall: the watchdog only times busy beats.
       pulse.idle();
-      link.wait_for_event(std::chrono::milliseconds(wait_ms));
+      link->wait_for_event(std::chrono::milliseconds(wait_ms));
       pulse.beat();
     }
   }
@@ -660,9 +639,6 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
     profiler->unregister_current_thread();
   }
   finalize(log, wall.seconds());
-  link.note_queue_depth(queue_.depth());
-  link.note_sim_time(clock_hours_);
-  link_ = nullptr;
   return std::move(log.result);
 }
 

@@ -92,8 +92,10 @@ struct EngineConfig {
   /// Scheduled environment drift, sorted or not (the engine sorts).
   std::vector<DriftEventSpec> drift_events;
 
-  /// Optional cooperative-stop flag, polled between events: when it flips
-  /// true, run() stops consuming arrivals, drains the queue with flush
+  /// Optional cooperative-stop flag, polled between events by run() and
+  /// serve() alike: when it flips true, the loop stops consuming arrivals
+  /// (serve() also marks its link draining, so submit() refuses), admits
+  /// what the link had already accepted, drains the queue with flush
   /// rounds, and returns. Unset (the default) preserves run-to-exhaustion
   /// semantics exactly. This is how SIGINT/SIGTERM shut the example down
   /// gracefully — a signal handler's atomic store is all it takes.
@@ -232,17 +234,15 @@ struct EngineResult {
   std::uint64_t throttled = 0;
 };
 
-/// How serve() maps wall time onto the simulated clock and paces its
-/// event loop (see OnlineEngine::serve).
+/// How serve() maps wall time onto the simulated clock (see
+/// OnlineEngine::serve). The loop parks at most 20 ms per wait, which
+/// bounds how stale the stop check can get; submissions wake it early.
 struct ServeConfig {
   /// Simulated hours that elapse per wall-clock second. Batcher timeouts
   /// and task deadlines are simulated-time quantities, so this sets the
   /// real-time round cadence: at 120 h/s a 0.25 h batching window closes
   /// in ~2 ms of wall time.
   double hours_per_second = 120.0;
-  /// Upper bound on one condition-variable wait, bounding how stale the
-  /// stop flag / signal check can get. Submissions wake the loop early.
-  int poll_ms = 20;
 };
 
 class OnlineEngine {
@@ -255,19 +255,25 @@ class OnlineEngine {
                core::PlatformPredictor& predictor,
                ThreadPool* pool = nullptr);
 
-  /// Consumes the arrival stream to exhaustion and returns the full
-  /// per-round trace. Callable once per engine instance.
+  /// Replays the seeded arrival stream to exhaustion (or to the stop
+  /// flag) and returns the full per-round trace. Events run in simulated
+  /// time order: an arrival goes first when it is at or before the oldest
+  /// task's batch timeout, a full batch closes a size round on admission,
+  /// and an overdue timeout closes at max(timeout, clock). Callable once
+  /// per engine instance.
   EngineResult run();
 
   /// Real-time service mode: the engine becomes the backend of a platform
-  /// gateway. Wall time drives the simulated clock (ServeConfig), external
-  /// submissions drain from `link` into the admission queue (stamped at
-  /// the current simulated time), and their lifecycle is written to the
+  /// gateway. The same event loop as run(), with wall time driving the
+  /// simulated clock (ServeConfig) and `link` as the arrival source:
+  /// external submissions drain into the admission queue (stamped at the
+  /// current simulated time), and their lifecycle is written to the
   /// link's status table (queued → matched → dispatched / expired /
   /// rejected). Runs until link.request_stop() or the config's stop_flag,
-  /// then flushes the queue and returns. Mutually exclusive with run()
-  /// (one shot per engine instance either way). Unlike run(), wall-clock
-  /// scheduling makes serve() runs nondeterministic by construction.
+  /// admits what the link accepted before the stop, flushes the queue,
+  /// and returns. Mutually exclusive with run() (one shot per engine
+  /// instance either way). Unlike run(), wall-clock scheduling makes
+  /// serve() runs nondeterministic by construction.
   EngineResult serve(GatewayLink& link, const ServeConfig& serve_config);
 
   /// Crash recovery from EngineConfig::storage, before run()/serve():
@@ -292,8 +298,8 @@ class OnlineEngine {
   }
 
  private:
-  /// Shared per-round bookkeeping for run() and serve(): the rolling
-  /// regret window, tumbling metric windows, and the JSONL journal.
+  /// Per-round bookkeeping of the event loop: the rolling regret window,
+  /// tumbling metric windows, and the JSONL journal.
   struct RunLog {
     EngineResult result;
     core::MetricsAccumulator window;
@@ -301,6 +307,11 @@ class OnlineEngine {
     bool last_round_only = false;  // serve(): see EngineResult::rounds
   };
 
+  /// The one event loop behind run() (rate 0: the seeded stream is the
+  /// arrival source, its event times move the clock) and serve() (link_
+  /// set: wall time at `hours_per_second` moves the clock, the link is the
+  /// arrival source).
+  EngineResult event_loop(double hours_per_second);
   void advance_clock(double to_hours);
   /// Admits one arrival stamped at the current clock (run() and serve()
   /// alike): expiry sweep, token-bucket check, WAL acceptance, queue push,

@@ -70,29 +70,21 @@ std::string read_int_field(const std::map<std::string, JsonValue>& fields,
 /// Route label for the request metrics: a small closed set so the metric
 /// family stays bounded no matter what paths clients probe.
 std::string_view route_label(const HttpRequest& request) {
-  if (request.path == "/submit") return "/submit";
-  if (request.path.rfind("/task/", 0) == 0) return "/task";
-  if (request.path.rfind("/trace/", 0) == 0) return "/trace";
-  if (request.path == "/alerts") return "/alerts";
-  if (request.path == "/ratekeeper") return "/ratekeeper";
-  if (request.path == "/stats") return "/stats";
-  if (request.path == "/metrics") return "/metrics";
-  if (request.path == "/healthz") return "/healthz";
-  if (request.path == "/debug/flight" ||
-      request.path.rfind("/debug/flight?", 0) == 0) {
-    return "/debug/flight";
-  }
-  if (request.path == "/debug/threads") return "/debug/threads";
-  if (request.path == "/debug/profile" ||
-      request.path.rfind("/debug/profile?", 0) == 0) {
-    return "/debug/profile";
-  }
-  if (request.path == "/debug/build") return "/debug/build";
-  if (request.path == "/debug/storage") return "/debug/storage";
-  if (request.path == "/journal" ||
-      request.path.rfind("/journal?", 0) == 0) {
-    return "/journal";
-  }
+  const std::string& path = request.path;
+  if (path == "/submit") return "/submit";
+  if (path.rfind("/task/", 0) == 0) return "/task";
+  if (path.rfind("/trace/", 0) == 0) return "/trace";
+  if (path == "/alerts") return "/alerts";
+  if (path == "/ratekeeper") return "/ratekeeper";
+  if (path == "/stats") return "/stats";
+  if (path == "/metrics") return "/metrics";
+  if (path == "/healthz") return "/healthz";
+  if (matches_route(path, "/debug/flight")) return "/debug/flight";
+  if (path == "/debug/threads") return "/debug/threads";
+  if (matches_route(path, "/debug/profile")) return "/debug/profile";
+  if (path == "/debug/build") return "/debug/build";
+  if (path == "/debug/storage") return "/debug/storage";
+  if (matches_route(path, "/journal")) return "/journal";
   return "other";
 }
 
@@ -501,13 +493,7 @@ std::string ratekeeper_status_json(const control::RatekeeperStatus& status,
 HttpResponse route_gateway_request(const HttpRequest& request,
                                    engine::GatewayLink& link,
                                    obs::MetricsRegistry* registry,
-                                   obs::SloMonitor* slo,
-                                   obs::TraceStore* traces,
-                                   const control::Ratekeeper* ratekeeper,
-                                   const control::TokenBucketTable* buckets,
-                                   const obs::FlightRecorder* flight,
-                                   obs::SamplingProfiler* profiler,
-                                   const storage::StorageManager* storage) {
+                                   const GatewayConfig& sources) {
   if (!request.valid) {
     return text_response(400, "bad request\n");
   }
@@ -524,20 +510,19 @@ HttpResponse route_gateway_request(const HttpRequest& request,
       return handle_task(request, link);
     }
     if (request.path.rfind("/trace/", 0) == 0) {
-      return handle_trace(request, traces);
+      return handle_trace(request, sources.traces);
     }
     if (request.path == "/alerts") {
-      return handle_alerts(link, slo);
+      return handle_alerts(link, sources.slo);
     }
     if (request.path == "/ratekeeper") {
-      return handle_ratekeeper(ratekeeper, buckets);
+      return handle_ratekeeper(sources.ratekeeper, sources.buckets);
     }
     if (request.path == "/debug/storage") {
-      return handle_debug_storage(storage);
+      return handle_debug_storage(sources.storage);
     }
-    if (request.path == "/journal" ||
-        request.path.rfind("/journal?", 0) == 0) {
-      return handle_journal(request, storage);
+    if (matches_route(request.path, "/journal")) {
+      return handle_journal(request, sources.storage);
     }
     if (request.path == "/stats") {
       return json_response(200, service_stats_json(link.stats()));
@@ -545,38 +530,29 @@ HttpResponse route_gateway_request(const HttpRequest& request,
   }
   // Everything else — the observability routes, 404 and 405 — is the
   // table the metrics exporter serves too.
-  obs::DebugSources sources;
+  obs::DebugSources debug;
   if (registry != nullptr) {
-    sources.snapshot = [registry] { return registry->snapshot(); };
+    debug.snapshot = [registry] { return registry->snapshot(); };
   }
-  sources.flight = flight;
-  sources.profiler = profiler;
-  return obs::route_debug_request(request, sources);
+  debug.flight = sources.flight;
+  debug.profiler = sources.profiler;
+  return obs::route_debug_request(request, debug);
 }
 
 PlatformGateway::PlatformGateway(engine::GatewayLink& link,
                                  obs::MetricsRegistry* registry,
                                  obs::TraceRing* trace, GatewayConfig config)
-    : link_(link),
-      registry_(registry),
-      trace_(trace),
-      slo_(config.slo),
-      traces_(config.traces),
-      ratekeeper_(config.ratekeeper),
-      buckets_(config.buckets),
-      flight_(config.flight),
-      profiler_(config.profiler),
-      storage_(config.storage) {
+    : link_(link), registry_(registry), trace_(trace), config_(config) {
   if (registry_ != nullptr) {
     submit_seconds_ = &registry_->histogram("mfcp_gateway_submit_seconds",
                                             obs::default_time_bounds());
-    if (slo_ != nullptr) {
-      slo_->bind_metrics(registry_);
+    if (config_.slo != nullptr) {
+      config_.slo->bind_metrics(registry_);
     }
   }
   server_ = std::make_unique<HttpServer>(
       [this](const HttpRequest& request) { return handle(request); },
-      config.http);
+      config_.http);
 }
 
 HttpResponse PlatformGateway::handle(const HttpRequest& request) {
@@ -584,12 +560,11 @@ HttpResponse PlatformGateway::handle(const HttpRequest& request) {
                          request.method == "POST";
   obs::ScopedSpan span(is_submit ? submit_seconds_ : nullptr,
                        "gateway_submit", is_submit ? trace_ : nullptr);
-  HttpResponse response = route_gateway_request(
-      request, link_, registry_, slo_, traces_, ratekeeper_, buckets_,
-      flight_, profiler_, storage_);
+  HttpResponse response =
+      route_gateway_request(request, link_, registry_, config_);
   const double seconds = span.stop();
-  if (is_submit && slo_ != nullptr) {
-    slo_->observe_submit(link_.sim_time_hours(), seconds);
+  if (is_submit && config_.slo != nullptr) {
+    config_.slo->observe_submit(link_.sim_time_hours(), seconds);
   }
   if (registry_ != nullptr) {
     registry_

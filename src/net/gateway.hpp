@@ -112,25 +112,11 @@ struct SubmitParse {
     const control::RatekeeperStatus& status,
     const control::TokenBucketTable& buckets);
 
-/// Maps one parsed request to its response — the socket-free core of the
-/// gateway. Its own routes come first; every other request falls through
-/// to obs::route_debug_request. `registry` backs GET /metrics, `flight`
-/// GET /debug/flight and /debug/threads, `profiler` GET /debug/profile,
-/// `slo` GET /alerts, `traces` GET /trace/<id>, `ratekeeper`+`buckets`
-/// GET /ratekeeper, and `storage` GET /journal and /debug/storage — all
-/// optional (404 when absent).
-[[nodiscard]] HttpResponse route_gateway_request(
-    const HttpRequest& request, engine::GatewayLink& link,
-    obs::MetricsRegistry* registry, obs::SloMonitor* slo = nullptr,
-    obs::TraceStore* traces = nullptr,
-    const control::Ratekeeper* ratekeeper = nullptr,
-    const control::TokenBucketTable* buckets = nullptr,
-    const obs::FlightRecorder* flight = nullptr,
-    obs::SamplingProfiler* profiler = nullptr,
-    const storage::StorageManager* storage = nullptr);
-
+/// The gateway's server settings and the optional sources behind its
+/// routes. Every source is borrowed and optional; a route whose source is
+/// absent answers 404.
 struct GatewayConfig {
-  HttpServerConfig http;
+  HttpServerConfig http{};
   /// Burn-rate monitor behind GET /alerts; submit latencies are observed
   /// into it per request. Borrowed, optional.
   obs::SloMonitor* slo = nullptr;
@@ -154,6 +140,15 @@ struct GatewayConfig {
   /// (404 when absent).
   const storage::StorageManager* storage = nullptr;
 };
+
+/// Maps one parsed request to its response — the socket-free core of the
+/// gateway. Its own routes come first; every other request falls through
+/// to obs::route_debug_request. `registry` backs GET /metrics; the other
+/// routes read their sources from `sources` (its `http` part is unused
+/// here), e.g. `GatewayConfig{.flight = &recorder}`.
+[[nodiscard]] HttpResponse route_gateway_request(
+    const HttpRequest& request, engine::GatewayLink& link,
+    obs::MetricsRegistry* registry, const GatewayConfig& sources = {});
 
 /// The running service: an HttpServer whose handler routes into `link`
 /// and records per-route request metrics into `registry` (both borrowed;
@@ -186,13 +181,7 @@ class PlatformGateway {
   engine::GatewayLink& link_;
   obs::MetricsRegistry* registry_;
   obs::TraceRing* trace_;
-  obs::SloMonitor* slo_;
-  obs::TraceStore* traces_;
-  const control::Ratekeeper* ratekeeper_;
-  const control::TokenBucketTable* buckets_;
-  const obs::FlightRecorder* flight_;
-  obs::SamplingProfiler* profiler_;
-  const storage::StorageManager* storage_;
+  GatewayConfig config_;
   obs::Histogram* submit_seconds_ = nullptr;
   std::unique_ptr<HttpServer> server_;
 };

@@ -183,6 +183,11 @@ HttpResponse error_json(int status, std::string_view message) {
                        "{\"error\":" + json_quote(message) + "}\n");
 }
 
+bool matches_route(std::string_view path, std::string_view route) noexcept {
+  return path.substr(0, route.size()) == route &&
+         (path.size() == route.size() || path[route.size()] == '?');
+}
+
 std::optional<std::vector<QueryParam>> parse_query(std::string_view path) {
   std::vector<QueryParam> params;
   const std::size_t qpos = path.find('?');

@@ -64,6 +64,10 @@ struct HttpResponse {
 /// Flat JSON error body: {"error":"<message>"}.
 [[nodiscard]] HttpResponse error_json(int status, std::string_view message);
 
+/// True for `path` equal to `route` and for `route?<query>`.
+[[nodiscard]] bool matches_route(std::string_view path,
+                                 std::string_view route) noexcept;
+
 /// One `key=value` pair of a request path's query string.
 struct QueryParam {
   std::string_view key;

@@ -5,16 +5,6 @@
 
 namespace mfcp::obs {
 
-namespace {
-
-/// True for `path` itself and for `path?<query>`.
-bool matches_route(const std::string& path, std::string_view route) {
-  return path.compare(0, route.size(), route) == 0 &&
-         (path.size() == route.size() || path[route.size()] == '?');
-}
-
-}  // namespace
-
 net::HttpResponse route_debug_request(const net::HttpRequest& request,
                                       const DebugSources& sources) {
   if (request.method != "GET") {
@@ -35,7 +25,7 @@ net::HttpResponse route_debug_request(const net::HttpRequest& request,
   if (path == "/healthz") {
     return net::text_response(200, "ok\n");
   }
-  if (matches_route(path, "/debug/flight")) {
+  if (net::matches_route(path, "/debug/flight")) {
     if (sources.flight == nullptr) {
       return net::error_json(404, "flight recorder disabled");
     }
@@ -53,7 +43,7 @@ net::HttpResponse route_debug_request(const net::HttpRequest& request,
     }
     return net::json_response(200, flight_threads_json(*sources.flight));
   }
-  if (matches_route(path, "/debug/profile")) {
+  if (net::matches_route(path, "/debug/profile")) {
     // profile_route owns the whole status mapping (404 disabled, 400
     // malformed query, 409 concurrent session, 200 folded stacks); the
     // body is text/plain folded-flamegraph lines, not JSON. It blocks

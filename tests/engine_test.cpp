@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -1256,6 +1257,83 @@ TEST(Engine, GatewayLinkWalRecoveryConservesAcceptedTasks) {
   const SubmitTicket fresh = link.submit(task, 2.0);
   ASSERT_TRUE(fresh.accepted);
   EXPECT_GT(fresh.id, ids.back());
+}
+
+TEST(Engine, RunAfterRecoveryNeverClosesARoundBeforeTheResumePoint) {
+  // Tasks accepted at 0 h and at 1 h survive a crash, so the recovered
+  // clock resumes at 1 h while the early tasks' 0.2 h batch timeouts are
+  // long overdue. Those rounds close at the resume point, never in the
+  // simulated past.
+  StorageTempDir dir("recovery_clock");
+  sim::TaskDescriptor task;
+  task.family = sim::TaskFamily::kCnn;
+  {
+    storage::StorageManager storage(storage::StorageConfig{dir.str()});
+    GatewayLinkConfig link_cfg;
+    link_cfg.wal = &storage.wal();
+    GatewayLink link(link_cfg);
+    for (const double hours : {0.0, 1.0}) {
+      link.note_sim_time(hours);
+      for (int k = 0; k < 3; ++k) {
+        ASSERT_TRUE(link.submit(task, 2.0).accepted);
+      }
+    }
+  }
+
+  storage::StorageManager storage(storage::StorageConfig{dir.str()});
+  EngineFixture f;
+  EngineConfig cfg = small_engine_config();
+  cfg.storage = &storage;
+  OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
+  const RecoveryReport report = eng.recover();
+  ASSERT_EQ(report.replayed, 6u);
+  ASSERT_EQ(report.resume_hours, 1.0);
+  const EngineResult result = eng.run();
+  ASSERT_FALSE(result.rounds.empty());
+  EXPECT_EQ(result.rounds.front().trigger, RoundTrigger::kTimeout);
+  for (const RoundRecord& r : result.rounds) {
+    EXPECT_GE(r.close_hours, report.resume_hours) << "round " << r.round;
+  }
+}
+
+// ------------------------------------------------------ cooperative stop --
+
+TEST(Engine, RunWithTheStopFlagAlreadySetConsumesNoArrival) {
+  EngineFixture f;
+  const std::atomic<bool> stop{true};
+  EngineConfig cfg = small_engine_config();
+  cfg.stop_flag = &stop;
+  OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
+  const EngineResult result = eng.run();
+  EXPECT_EQ(result.counters.arrivals, 0u);
+  EXPECT_EQ(result.queue.offered, 0u);
+  EXPECT_TRUE(result.rounds.empty());
+}
+
+TEST(Engine, ServeStoppedByTheFlagDrainsTheLinkAndServesItsInbox) {
+  // Only the flag stops the loop (the link is never asked), yet the link
+  // turns draining, and the submission already in its inbox is served.
+  EngineFixture f;
+  const std::atomic<bool> stop{true};
+  EngineConfig cfg = small_engine_config();
+  cfg.stop_flag = &stop;
+  GatewayLink link;
+  sim::TaskDescriptor task;
+  task.family = sim::TaskFamily::kCnn;
+  ASSERT_TRUE(link.submit(task, 2.0).accepted);
+  OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
+  const EngineResult result = eng.serve(link, ServeConfig{});
+
+  EXPECT_TRUE(link.stats().draining);
+  EXPECT_FALSE(link.submit(task, 2.0).accepted);
+  const ServiceStats stats = link.stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.tasks.dispatched, 1u);
+  EXPECT_EQ(stats.submitted, stats.tasks.dispatched + stats.tasks.expired +
+                                 stats.tasks.rejected);
+  EXPECT_EQ(result.counters.arrivals, 1u);
+  ASSERT_EQ(result.rounds.size(), 1u);
+  EXPECT_EQ(result.rounds[0].trigger, RoundTrigger::kFlush);
 }
 
 TEST(Engine, RetrainScheduleSurvivesRestart) {

@@ -91,6 +91,16 @@ TEST(HttpParse, QueryStringSplitsIntoPairsOrFails) {
   EXPECT_FALSE(parse_query("/journal?a=1&&b=2").has_value()); // empty pair
 }
 
+TEST(HttpParse, RouteMatchesThePathOrThePathWithAQuery) {
+  EXPECT_TRUE(matches_route("/journal", "/journal"));
+  EXPECT_TRUE(matches_route("/journal?from=1", "/journal"));
+  EXPECT_TRUE(matches_route("/journal?", "/journal"));
+  EXPECT_FALSE(matches_route("/journals", "/journal"));
+  EXPECT_FALSE(matches_route("/journal/x", "/journal"));
+  EXPECT_FALSE(matches_route("/jour", "/journal"));
+  EXPECT_FALSE(matches_route("", "/journal"));
+}
+
 TEST(HttpParse, NumbersAreCheckedNotWrapped) {
   EXPECT_EQ(parse_u64("0"), 0u);
   EXPECT_EQ(parse_u64("18446744073709551615"), ~0ULL);
@@ -416,8 +426,8 @@ TEST(GatewayRoute, RatekeeperRouteServesStateOr404WhenDisabled) {
   buckets.set_global_rate(100.0, 0.0);
   buckets.try_admit("alice", 0.0);
   const HttpResponse r = route_gateway_request(
-      make_request("GET", "/ratekeeper"), link, nullptr, nullptr, nullptr,
-      &ratekeeper, &buckets);
+      make_request("GET", "/ratekeeper"), link, nullptr,
+      GatewayConfig{.ratekeeper = &ratekeeper, .buckets = &buckets});
   ASSERT_EQ(r.status, 200);
   EXPECT_EQ(body_str(r.body, "limiting_signal"), "none");
   EXPECT_GT(body_u64(r.body, "rate_per_hour"), 0u);
@@ -466,7 +476,7 @@ TEST(GatewayRoute, SubmitMintsTraceAndTraceRouteServesIt) {
 
   const HttpResponse submit = route_gateway_request(
       make_request("POST", "/submit", "{\"family\":\"cnn\"}"), link, nullptr,
-      nullptr, &traces);
+      GatewayConfig{.traces = &traces});
   ASSERT_EQ(submit.status, 200) << submit.body;
   const std::string trace_hex = body_str(submit.body, "trace_id");
   EXPECT_EQ(trace_hex.size(), 16u);
@@ -480,8 +490,8 @@ TEST(GatewayRoute, SubmitMintsTraceAndTraceRouteServesIt) {
   EXPECT_TRUE(header_matches);
 
   const HttpResponse trace = route_gateway_request(
-      make_request("GET", "/trace/" + trace_hex), link, nullptr, nullptr,
-      &traces);
+      make_request("GET", "/trace/" + trace_hex), link, nullptr,
+      GatewayConfig{.traces = &traces});
   ASSERT_EQ(trace.status, 200) << trace.body;
   EXPECT_EQ(body_str(trace.body, "trace_id"), trace_hex);
   EXPECT_EQ(body_str(trace.body, "state"), "in_flight");
@@ -495,31 +505,31 @@ TEST(GatewayRoute, TraceRouteErrorStates) {
   engine::GatewayLink link;  // sampling off: nothing is ever recorded
   // Malformed id -> 400.
   EXPECT_EQ(route_gateway_request(make_request("GET", "/trace/xyz"), link,
-                                  nullptr, nullptr, &traces)
+                                  nullptr, GatewayConfig{.traces = &traces})
                 .status,
             400);
   // Well-formed but unknown -> 404.
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/trace/00000000000000ff"), link,
-                nullptr, nullptr, &traces)
+                nullptr, GatewayConfig{.traces = &traces})
                 .status,
             404);
   // Tracing disabled entirely -> 404 as well, not a crash.
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/trace/00000000000000ff"), link,
-                nullptr, nullptr, nullptr)
+                nullptr)
                 .status,
             404);
   // An unsampled submit still mints an id, but /trace cannot resolve it.
   const HttpResponse submit = route_gateway_request(
       make_request("POST", "/submit", "{\"family\":\"mlp\"}"), link, nullptr,
-      nullptr, &traces);
+      GatewayConfig{.traces = &traces});
   ASSERT_EQ(submit.status, 200);
   EXPECT_EQ(body_str(submit.body, "trace_id").size(), 16u);
   EXPECT_EQ(route_gateway_request(
                 make_request("GET",
                              "/trace/" + body_str(submit.body, "trace_id")),
-                link, nullptr, nullptr, &traces)
+                link, nullptr, GatewayConfig{.traces = &traces})
                 .status,
             404);
 }
@@ -534,7 +544,8 @@ TEST(GatewayRoute, AlertsRouteReportsSloState) {
   obs::SloMonitor slo;
   slo.observe_submit(0.0, 1.0);  // one slow submit
   const HttpResponse alerts = route_gateway_request(
-      make_request("GET", "/alerts"), link, nullptr, &slo, nullptr);
+      make_request("GET", "/alerts"), link, nullptr,
+      GatewayConfig{.slo = &slo});
   ASSERT_EQ(alerts.status, 200) << alerts.body;
   EXPECT_EQ(body_u64(alerts.body, "rules"), 4u);
   const auto obj = parse_json_object(alerts.body);
@@ -807,7 +818,6 @@ TEST(GatewayLive, EndToEndConservationAndForwardOnlyStatus) {
 
   engine::ServeConfig serve_cfg;
   serve_cfg.hours_per_second = 120.0;
-  serve_cfg.poll_ms = 5;
   engine::EngineResult result;
   std::thread engine_thread(
       [&] { result = eng.serve(link, serve_cfg); });
@@ -945,7 +955,6 @@ TEST(GatewayLive, ThrottledServeModeStillConservesAcceptedWork) {
 
   engine::ServeConfig serve_cfg;
   serve_cfg.hours_per_second = 120.0;
-  serve_cfg.poll_ms = 5;
   engine::EngineResult result;
   std::thread engine_thread(
       [&] { result = eng.serve(link, serve_cfg); });
@@ -1033,8 +1042,8 @@ TEST(GatewayRoute, FlightDebugRoutesServeAndFilter) {
   pulse.beat();
 
   const HttpResponse events = route_gateway_request(
-      make_request("GET", "/debug/flight"), link, nullptr, nullptr,
-      nullptr, nullptr, nullptr, &recorder);
+      make_request("GET", "/debug/flight"), link, nullptr,
+      GatewayConfig{.flight = &recorder});
   ASSERT_EQ(events.status, 200);
   EXPECT_NE(events.body.find("\"kind\":\"admission\""), std::string::npos);
   EXPECT_NE(events.body.find("\"trace_id\":\"000000000000beef\""),
@@ -1042,19 +1051,19 @@ TEST(GatewayRoute, FlightDebugRoutesServeAndFilter) {
 
   const HttpResponse filtered = route_gateway_request(
       make_request("GET", "/debug/flight?kind=round_end"), link, nullptr,
-      nullptr, nullptr, nullptr, nullptr, &recorder);
+      GatewayConfig{.flight = &recorder});
   ASSERT_EQ(filtered.status, 200);
   EXPECT_NE(filtered.body.find("\"count\":0"), std::string::npos);
 
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/debug/flight?kind=bogus"), link,
-                nullptr, nullptr, nullptr, nullptr, nullptr, &recorder)
+                nullptr, GatewayConfig{.flight = &recorder})
                 .status,
             400);
 
   const HttpResponse threads = route_gateway_request(
-      make_request("GET", "/debug/threads"), link, nullptr, nullptr,
-      nullptr, nullptr, nullptr, &recorder);
+      make_request("GET", "/debug/threads"), link, nullptr,
+      GatewayConfig{.flight = &recorder});
   ASSERT_EQ(threads.status, 200);
   EXPECT_NE(threads.body.find("\"name\":\"route_test\""),
             std::string::npos);
@@ -1086,20 +1095,18 @@ TEST(GatewayRoute, ProfileRouteStatusesMatchWiring) {
 
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/debug/profile?seconds=99"), link,
-                nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-                &profiler)
+                nullptr, GatewayConfig{.profiler = &profiler})
                 .status,
             400);
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/debug/profile?bogus=1"), link,
-                nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-                &profiler)
+                nullptr, GatewayConfig{.profiler = &profiler})
                 .status,
             400);
 
   const HttpResponse ok = route_gateway_request(
       make_request("GET", "/debug/profile?seconds=0.05&hz=100"), link,
-      nullptr, nullptr, nullptr, nullptr, nullptr, nullptr, &profiler);
+      nullptr, GatewayConfig{.profiler = &profiler});
   ASSERT_EQ(ok.status, 200);
   EXPECT_NE(ok.body.find("[stage_totals];"), std::string::npos);
 
@@ -1107,8 +1114,7 @@ TEST(GatewayRoute, ProfileRouteStatusesMatchWiring) {
   ASSERT_TRUE(profiler.start(50.0));
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/debug/profile?seconds=0.05"), link,
-                nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-                &profiler)
+                nullptr, GatewayConfig{.profiler = &profiler})
                 .status,
             409);
   EXPECT_TRUE(profiler.session_active());
@@ -1156,8 +1162,7 @@ TEST(GatewayRoute, SharedRoutesAnswerLikeTheExporterTable) {
     sources.flight = c.flight;
     const HttpResponse exporter = obs::route_debug_request(request, sources);
     const HttpResponse gateway = route_gateway_request(
-        request, link, nullptr, nullptr, nullptr, nullptr, nullptr,
-        c.flight);
+        request, link, nullptr, GatewayConfig{.flight = c.flight});
     EXPECT_EQ(exporter.status, c.status) << c.path;
     EXPECT_EQ(gateway.status, c.status) << c.path;
     EXPECT_EQ(gateway.body, exporter.body) << c.path;
