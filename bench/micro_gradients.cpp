@@ -134,32 +134,48 @@ void BM_ZerothOrderRowPooled(benchmark::State& state) {
 }
 BENCHMARK(BM_ZerothOrderRowPooled)->Arg(16)->Arg(64);
 
-// One cluster's time head (d = 12 -> 32 -> 32 -> 1, softplus x 4) and a
-// random batch with its targets, as train_tsm steps it.
+// One cluster's head (d = 12 -> 32 -> 32 -> 1) and a random batch with
+// its targets, as train_tsm steps it: the time head (softplus x 4) or the
+// reliability head (sigmoid, targets in (0, 1)).
+enum class Head { kTime, kReliability };
+
 struct MlpStepInstance {
   core::ClusterPredictor cluster;
+  Head head;
   nn::Adam opt;
   Matrix x;
   Matrix target;
+
+  nn::Mlp& model() {
+    return head == Head::kTime ? cluster.time_model()
+                               : cluster.reliability_model();
+  }
+  double scale() const {
+    return head == Head::kTime ? cluster.time_scale() : 1.0;
+  }
 };
 
-MlpStepInstance make_step_instance(std::size_t batch) {
+MlpStepInstance make_step_instance(std::size_t batch,
+                                   Head head = Head::kTime) {
   Rng rng(17);
   core::ClusterPredictor cluster(core::PredictorConfig{}, rng);
-  nn::Adam opt(cluster.time_model().parameters(), 1e-2);
+  nn::Adam opt(head == Head::kTime ? cluster.time_model().parameters()
+                                   : cluster.reliability_model().parameters(),
+               1e-2);
   Matrix x(batch, core::PredictorConfig{}.feature_dim);
   Matrix target(batch, 1);
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = rng.normal();
   }
   for (std::size_t i = 0; i < target.size(); ++i) {
-    target[i] = rng.uniform(0.5, 8.0);
+    target[i] = head == Head::kTime ? rng.uniform(0.5, 8.0)
+                                    : rng.uniform(0.0, 1.0);
   }
-  return MlpStepInstance{std::move(cluster), std::move(opt), std::move(x),
-                         std::move(target)};
+  return MlpStepInstance{std::move(cluster), head, std::move(opt),
+                         std::move(x), std::move(target)};
 }
 
-// Both step benchmarks start a fresh instance every 250 steps, the
+// Every step benchmark starts a fresh instance every 250 steps, the
 // length of one set-up fit, with the timer paused. Stepping one fixed
 // batch for much longer slowed the step from about 51 to 110-126 us by
 // 33k-40k steps, and not with FTZ/DAZ set: the dead units' Adam moments
@@ -167,12 +183,14 @@ MlpStepInstance make_step_instance(std::size_t batch) {
 constexpr int kStepsPerInstance = 250;
 
 void renew_every_fit(benchmark::State& state, int& steps,
-                     std::optional<MlpStepInstance>& inst) {
+                     std::optional<MlpStepInstance>& inst,
+                     Head head = Head::kTime) {
   if (++steps < kStepsPerInstance) {
     return;
   }
   state.PauseTiming();
-  inst.emplace(make_step_instance(static_cast<std::size_t>(state.range(0))));
+  inst.emplace(
+      make_step_instance(static_cast<std::size_t>(state.range(0)), head));
   steps = 0;
   state.ResumeTiming();
 }
@@ -193,17 +211,27 @@ void BM_MlpStepTape(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpStepTape)->Arg(32)->Arg(64);
 
-void BM_MlpStepFused(benchmark::State& state) {
+void step_fused(benchmark::State& state, Head head) {
   std::optional<MlpStepInstance> inst;
   int steps = kStepsPerInstance - 1;
   for (auto _ : state) {
-    renew_every_fit(state, steps, inst);
+    renew_every_fit(state, steps, inst, head);
     benchmark::DoNotOptimize(nn::fused_mse_step(
-        inst->cluster.time_model(), inst->opt, inst->x, inst->target,
-        inst->cluster.time_scale()));
+        inst->model(), inst->opt, inst->x, inst->target, inst->scale()));
   }
 }
+
+void BM_MlpStepFused(benchmark::State& state) {
+  step_fused(state, Head::kTime);
+}
 BENCHMARK(BM_MlpStepFused)->Arg(32)->Arg(64);
+
+// The sigmoid reliability head, which set-up trains as often as the time
+// head.
+void BM_MlpStepFusedReliability(benchmark::State& state) {
+  step_fused(state, Head::kReliability);
+}
+BENCHMARK(BM_MlpStepFusedReliability)->Arg(32)->Arg(64);
 
 // The eight products of one batch-64 fused step on the time head
 // (12 -> 32 -> 32 -> 1): the forward pass, then each layer's weight
@@ -243,12 +271,51 @@ void BM_Product(benchmark::State& state) {
 }
 BENCHMARK(BM_Product)->Arg(0)->Arg(1);
 
+// The step's two narrow products, alone: Args (tier, shape), shape 0 the
+// first layer's weight gradient (32 x 12, depth 64, transposed A with
+// a_col = 32), shape 1 the head's forward (64 x 1, depth 32). Both are
+// bound by add latency unless a block holds enough independent sums.
+void BM_ProductNarrow(benchmark::State& state) {
+  const auto tier = static_cast<nn::ProductTier>(state.range(0));
+  if (!nn::product_tier_supported(tier)) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  const bool head = state.range(1) == 1;
+  const std::size_t m = head ? 64 : 32;
+  const std::size_t n = head ? 1 : 12;
+  const std::size_t depth = head ? 32 : 64;
+  const std::size_t a_row = head ? 32 : 1;
+  const std::size_t a_col = head ? 1 : 32;
+  Rng rng(23);
+  std::vector<double> a(64 * 32);
+  std::vector<double> b(depth * n);
+  std::vector<double> c(m * n);
+  for (double& v : a) {
+    v = rng.normal();
+  }
+  for (double& v : b) {
+    v = rng.normal();
+  }
+  for (auto _ : state) {
+    nn::product(tier, m, n, depth, a.data(), a_row, a_col, b.data(),
+                c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ProductNarrow)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
+
 // One Adam step over the time head's 1,505 parameters, the gradients of
 // one batch-32 MSE step left in their slots.
 void BM_AdamStep(benchmark::State& state) {
   auto inst = make_step_instance(32);
-  nn::fused_mse_step(inst.cluster.time_model(), inst.opt, inst.x, inst.target,
-                     inst.cluster.time_scale());
+  nn::fused_mse_step(inst.model(), inst.opt, inst.x, inst.target,
+                     inst.scale());
   double* weights =
       inst.cluster.time_model().parameters().front().mutable_value().data();
   for (auto _ : state) {

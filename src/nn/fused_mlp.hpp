@@ -11,11 +11,20 @@
 // (as `matmul` + `add_row_broadcast`); the backward pass sums like
 // `matmul_tn` (weight gradients, over the batch) and `matmul_nt` (hidden
 // gradients, over the layer's outputs). Vectorization runs only across
-// independent output lanes, never across a sum. The element passes
-// between the products do not branch on data: ReLU's backward mask is a
-// select, which stores +0.0 exactly where the tape's branch does. So the
-// forward values, the loss and every parameter gradient equal the tape's
-// bit for bit, and the weights after an optimizer step do too.
+// independent output lanes, never across a sum. A hidden layer's bias
+// and ReLU, and the ReLU mask on a hidden gradient, run in the product's
+// epilogue, on each finished sum while it is still in a register. They
+// do not branch on data:
+//   - forward, z = sum + bias, then pre = z and post = (0.0 < z) ? z : 0.0,
+//     which is relu's std::max(0.0, z): +0.0 for z = +0.0, -0.0 or NaN;
+//   - backward, g = pre <= 0.0 ? 0.0 : sum, which stores +0.0 exactly
+//     where relu's `if (x <= 0.0) g = 0.0` does (pre = +0.0 or -0.0) and
+//     keeps the sum for a NaN pre-activation (NaN <= 0.0 is false).
+// A bias gradient is the product of a row of ones and g; 1.0 * g is
+// exact, so it sums the rows in order from +0.0 as add_row_broadcast
+// does. The head keeps its own bias pass and libm's softplus/sigmoid. So
+// the forward values, the loss and every parameter gradient equal the
+// tape's bit for bit, and the weights after an optimizer step do too.
 //
 // All calls on one thread share one scratch (activations, their
 // gradients and the transposed weights). It grows to the largest batch
@@ -35,9 +44,9 @@ namespace mfcp::nn {
 [[nodiscard]] bool fused_supported(const MlpConfig& config) noexcept;
 
 /// The vector widths of the kernels' matrix product: two-lane SSE2
-/// blocks, or eight-lane AVX-512F blocks (32 and 8 lanes, with the SSE2
-/// blocks for the tails). Every call runs the widest tier the host
-/// supports, decided once per process.
+/// blocks, or eight-lane AVX-512F blocks (32 and 8 lanes, then four- and
+/// two-lane blocks and a scalar column for the tails). Every call runs
+/// the widest tier the host supports, decided once per process.
 enum class ProductTier { kSse2, kAvx512f };
 
 /// True when this host can run `tier`; kSse2 runs everywhere.
@@ -51,6 +60,20 @@ enum class ProductTier { kSse2, kAvx512f };
 void product(ProductTier tier, std::size_t m, std::size_t n,
              std::size_t depth, const double* a, std::size_t a_row,
              std::size_t a_col, const double* b, double* c);
+
+/// `product`, then for each entry z = c(i, j) + bias[j]: pre(i, j) = z and
+/// post(i, j) = (0.0 < z) ? z : 0.0 (a hidden layer's forward pass).
+void product_bias_relu(ProductTier tier, std::size_t m, std::size_t n,
+                       std::size_t depth, const double* a, std::size_t a_row,
+                       std::size_t a_col, const double* b, const double* bias,
+                       double* pre, double* post);
+
+/// `product`, then c(i, j) = mask(i, j) <= 0.0 ? 0.0 : c(i, j), where mask
+/// is (m x n, row-major) (ReLU's mask on a hidden gradient).
+void product_relu_mask(ProductTier tier, std::size_t m, std::size_t n,
+                       std::size_t depth, const double* a, std::size_t a_row,
+                       std::size_t a_col, const double* b, const double* mask,
+                       double* c);
 
 /// Writes scale * mlp(x) to `out`, row-major (x.rows() x output_dim).
 void fused_forward(Mlp& mlp, const Matrix& x, double scale,

@@ -603,6 +603,84 @@ TEST(FusedForward, MatchesTape) {
   }
 }
 
+// ReLU's edges against the tape. In both hidden layers unit 0 has a
+// zero bias and unit 1 a -0.0 bias, so on a zero input row their
+// pre-activations are exactly +0.0 (layer 2's unit 0 also has zero
+// weights, so it is +0.0 on every row), and unit 2 has a NaN bias, so its
+// pre-activation is NaN on every row. The forward outputs, and the loss,
+// every weight and bias gradient and the weights of a few fused steps,
+// equal the tape's relu forward and backward bit for bit.
+TEST(FusedStep, ReluEdgeValuesMatchTheTape) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const FusedHead head : kFusedHeads) {
+    SCOPED_TRACE("head " + std::to_string(static_cast<int>(head.act)));
+    auto make_mlp = [&] {
+      Rng rng(47);
+      MlpConfig cfg;
+      cfg.input_dim = 3;
+      cfg.hidden = {5, 5};
+      cfg.output_activation = head.act;
+      Mlp mlp(cfg, rng);
+      for (std::size_t l = 0; l < 2; ++l) {
+        Matrix& b = mlp.linear_layers()[l]->bias().mutable_value();
+        b[0] = 0.0;
+        b[1] = -0.0;
+        b[2] = nan;
+      }
+      Matrix& w = mlp.linear_layers()[1]->weight().mutable_value();
+      for (std::size_t k = 0; k < w.cols(); ++k) {
+        w(0, k) = 0.0;
+      }
+      return mlp;
+    };
+    Mlp tape = make_mlp();
+    Mlp fused = make_mlp();
+    Rng data(48);
+    Matrix x = random_matrix(6, 3, data);
+    for (std::size_t c = 0; c < 3; ++c) {
+      x(0, c) = 0.0;
+      x(3, c) = 0.0;
+    }
+    const Matrix target = head_targets(head.act, 6, data);
+
+    // The edges are there: the first layer's pre-activations on a zero
+    // row are +0.0, +0.0 and NaN.
+    const Matrix pre =
+        tape.linear_layers()[0]->forward(Variable(x, false)).value();
+    EXPECT_TRUE(same_bits(pre(0, 0), 0.0));
+    EXPECT_TRUE(same_bits(pre(0, 1), 0.0));
+    EXPECT_TRUE(std::isnan(pre(0, 2)));
+
+    Matrix out(6, 1);
+    fused_forward(fused, x, head.scale, out.flat());
+    EXPECT_TRUE(same_bits(tape_forward(tape, x, head.scale).value(), out));
+
+    Adam tape_opt(tape.parameters(), 1e-2);
+    Adam fused_opt(fused.parameters(), 1e-2);
+    for (int step = 0; step < 3; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      tape_opt.zero_grad();
+      auto loss = mse(tape_forward(tape, x, head.scale), target);
+      loss.backward();
+      tape_opt.step();
+      const double fused_loss =
+          fused_mse_step(fused, fused_opt, x, target, head.scale);
+      EXPECT_TRUE(std::isfinite(fused_loss));
+      EXPECT_TRUE(same_bits(loss.value()[0], fused_loss));
+      const auto tape_params = tape.parameters();
+      const auto fused_params = fused.parameters();
+      ASSERT_EQ(tape_params.size(), fused_params.size());
+      for (std::size_t p = 0; p < tape_params.size(); ++p) {
+        EXPECT_TRUE(same_bits(tape_params[p].grad(), fused_params[p].grad()))
+            << "gradient " << p;
+        EXPECT_TRUE(
+            same_bits(tape_params[p].value(), fused_params[p].value()))
+            << "parameter " << p;
+      }
+    }
+  }
+}
+
 TEST(FusedForward, OtherConfigurationsStayOnTheTape) {
   Rng rng(44);
   MlpConfig cfg;
@@ -618,11 +696,15 @@ TEST(FusedForward, OtherConfigurationsStayOnTheTape) {
   EXPECT_THROW(fused_forward(mlp, x, 1.0, out.flat()), ContractError);
 }
 
-// The matrix product at each tier against a plain k-order loop. Widths
-// n reach every block and tail of both tiers (SSE2: 8, 4, 2, 1 lanes;
-// AVX-512F: 32 and 8 lanes, then the SSE2 4, 2 and 1). The A strides are
-// fused_mlp's two patterns (row-major A in the forward pass and the
-// hidden gradient, transposed A in the weight gradient) and a padded row.
+// The matrix product at each tier against a plain k-order loop, with
+// each epilogue. Widths n reach every column strip of both tiers (SSE2:
+// 8, 4, 2, 1 lanes; AVX-512F: 32 and 8 lanes, then the SSE2 4, 2 and 1),
+// and row counts m every block height (2 rows in the widest strips, 4 in
+// SSE2's narrow strips, 8 in AVX-512F's) with and without one-row tail
+// blocks (m = 9 is 8 + 1 rows, 17 is 8 + 8 + 1 or 4 x 4 + 1). The A
+// strides are fused_mlp's two patterns (row-major A in the forward pass
+// and the hidden gradient, transposed A in the weight gradient) and a
+// padded row.
 void naive_product(std::size_t m, std::size_t n, std::size_t depth,
                    const double* a, std::size_t a_row, std::size_t a_col,
                    const double* b, double* c) {
@@ -651,11 +733,26 @@ std::vector<double> tier_values(std::size_t size, Rng& rng) {
   return v;
 }
 
-// Runs `check(tier_out, naive_out, what)` for every shape and stride.
+// Every third value becomes one of ReLU's edges in turn: +0.0, -0.0 and
+// NaN, so the epilogues meet each in every strip and tail. On the all
+// -0.0 row of A the sum is +0.0, so z = sum + bias is exactly +0.0 there
+// for a bias of +0.0 or -0.0.
+void set_relu_edges(std::vector<double>& v) {
+  const double edges[] = {0.0, -0.0, std::numeric_limits<double>::quiet_NaN()};
+  for (std::size_t i = 0; i < v.size(); i += 3) {
+    v[i] = edges[(i / 3) % 3];
+  }
+}
+
+// Runs `check(tier_out, naive_out, what)` for every shape and stride:
+// the plain product, the bias + ReLU epilogue's pre and post, and the
+// ReLU mask epilogue. The references are the tape's expressions: the
+// k-order sum, then `+ bias` and std::max(0.0, z), or relu's backward
+// branch.
 template <class Check>
 void for_each_tier_case(ProductTier tier, Check check) {
   Rng rng(29);
-  for (const std::size_t m : {1u, 2u, 3u, 6u}) {
+  for (const std::size_t m : {1u, 2u, 3u, 6u, 8u, 9u, 17u}) {
     for (const std::size_t depth : {1u, 7u, 33u}) {
       for (const std::size_t n : kTierWidths) {
         const std::size_t strides[][2] = {
@@ -669,17 +766,44 @@ void for_each_tier_case(ProductTier tier, Check check) {
             a[(m - 1) * a_row + k * a_col] = -0.0;
           }
           const std::vector<double> b = tier_values(depth * n, rng);
-          std::vector<double> want(m * n, 1.0);
-          std::vector<double> got(m * n, 2.0);
+          std::vector<double> bias = tier_values(n, rng);
+          std::vector<double> mask = tier_values(m * n, rng);
+          set_relu_edges(bias);
+          set_relu_edges(mask);
+          const std::string what =
+              "m " + std::to_string(m) + " n " + std::to_string(n) +
+              " depth " + std::to_string(depth) + " a_row " +
+              std::to_string(a_row) + " a_col " + std::to_string(a_col);
+
+          std::vector<double> sum(m * n, 1.0);
           naive_product(m, n, depth, a.data(), a_row, a_col, b.data(),
-                        want.data());
+                        sum.data());
+          std::vector<double> got(m * n, 2.0);
           product(tier, m, n, depth, a.data(), a_row, a_col, b.data(),
                   got.data());
-          check(got, want,
-                "m " + std::to_string(m) + " n " + std::to_string(n) +
-                    " depth " + std::to_string(depth) + " a_row " +
-                    std::to_string(a_row) + " a_col " +
-                    std::to_string(a_col));
+          check(got, sum, what + " store");
+
+          std::vector<double> want_pre(m * n);
+          std::vector<double> want_post(m * n);
+          std::vector<double> want_mask(m * n);
+          for (std::size_t i = 0; i < m * n; ++i) {
+            want_pre[i] = sum[i] + bias[i % n];
+            want_post[i] = std::max(0.0, want_pre[i]);
+            want_mask[i] = sum[i];
+            if (mask[i] <= 0.0) {
+              want_mask[i] = 0.0;
+            }
+          }
+          std::vector<double> pre(m * n, 2.0);
+          std::vector<double> post(m * n, 2.0);
+          product_bias_relu(tier, m, n, depth, a.data(), a_row, a_col,
+                            b.data(), bias.data(), pre.data(), post.data());
+          check(pre, want_pre, what + " pre");
+          check(post, want_post, what + " post");
+          std::fill(got.begin(), got.end(), 2.0);
+          product_relu_mask(tier, m, n, depth, a.data(), a_row, a_col,
+                            b.data(), mask.data(), got.data());
+          check(got, want_mask, what + " mask");
         }
       }
     }
