@@ -16,6 +16,7 @@
 
 #include "diff/kkt.hpp"
 #include "diff/zeroth_order.hpp"
+#include "linalg/vector_ops.hpp"
 #include "matching/barrier.hpp"
 #include "matching/solver_mirror.hpp"
 #include "mfcp/predictor.hpp"
@@ -99,11 +100,12 @@ void BM_ZerothOrderRow(benchmark::State& state) {
   diff::ForwardGradientConfig fg;
   fg.samples = samples;
   fg.delta = 0.05;
+  const auto loss = diff::matching_surrogate(solver, inst.upstream);
+  const double base = dot(inst.upstream, inst.xstar);
   Rng rng(13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(diff::estimate_row_gradients(
-        solver, p.times, p.reliability, inst.xstar, 0, inst.upstream, fg,
-        rng));
+    benchmark::DoNotOptimize(diff::estimate_gradients(
+        loss, p.times, p.reliability, base, 0, 1, fg, rng));
   }
   state.SetLabel("S=" + std::to_string(samples));
 }
@@ -124,12 +126,13 @@ void BM_ZerothOrderRowPooled(benchmark::State& state) {
   diff::ForwardGradientConfig fg;
   fg.samples = samples;
   fg.delta = 0.05;
+  const auto loss = diff::matching_surrogate(solver, inst.upstream);
+  const double base = dot(inst.upstream, inst.xstar);
   Rng rng(13);
   ThreadPool pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(diff::estimate_row_gradients(
-        solver, p.times, p.reliability, inst.xstar, 0, inst.upstream, fg,
-        rng, &pool));
+    benchmark::DoNotOptimize(diff::estimate_gradients(
+        loss, p.times, p.reliability, base, 0, 1, fg, rng, &pool));
   }
 }
 BENCHMARK(BM_ZerothOrderRowPooled)->Arg(16)->Arg(64);

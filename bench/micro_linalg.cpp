@@ -3,7 +3,6 @@
 #include <benchmark/benchmark.h>
 
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "support/rng.hpp"
 
@@ -17,15 +16,6 @@ Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
     m[i] = rng.normal();
   }
   return m;
-}
-
-Matrix random_spd(std::size_t n, Rng& rng) {
-  const Matrix a = random_matrix(n, n, rng);
-  Matrix spd = matmul_nt(a, a);
-  for (std::size_t i = 0; i < n; ++i) {
-    spd(i, i) += static_cast<double>(n);
-  }
-  return spd;
 }
 
 void BM_Matmul(benchmark::State& state) {
@@ -84,18 +74,6 @@ void BM_LuMultiRhs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LuMultiRhs)->Arg(20)->Arg(60);
-
-void BM_Cholesky(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(5);
-  const Matrix spd = random_spd(n, rng);
-  const Matrix rhs = random_matrix(n, 1, rng);
-  for (auto _ : state) {
-    CholeskyFactorization chol(spd);
-    benchmark::DoNotOptimize(chol.solve(rhs));
-  }
-}
-BENCHMARK(BM_Cholesky)->Arg(20)->Arg(80);
 
 void BM_MatmulParallel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,6 +1,8 @@
 #include "diff/zeroth_order.hpp"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "linalg/vector_ops.hpp"
 #include "parallel/parallel_for.hpp"
@@ -18,7 +20,8 @@ double optimal_delta(double sigma_f, double beta, std::size_t samples) {
 
 namespace {
 
-/// One perturbation sample: the Gaussian directions for t̂_i and â_i.
+/// One perturbation sample: the Gaussian directions for the perturbed
+/// entries of T̂ and of Â.
 struct Sample {
   std::vector<double> vt;
   std::vector<double> va;
@@ -54,182 +57,56 @@ void for_samples(std::size_t count, ThreadPool* pool, Body&& body) {
 
 }  // namespace
 
-RowGradients estimate_row_gradients(const MatchingSolver& solver,
-                                    const Matrix& t_hat, const Matrix& a_hat,
-                                    const Matrix& x_base, std::size_t row,
-                                    const Matrix& upstream,
-                                    const ForwardGradientConfig& config,
-                                    Rng& rng, ThreadPool* pool) {
+ScalarLoss matching_surrogate(MatchingSolver solver, Matrix upstream) {
+  return [solver = std::move(solver), upstream = std::move(upstream)](
+             const Matrix& t, const Matrix& a) {
+    return dot(upstream, solver(t, a));
+  };
+}
+
+Gradients estimate_gradients(const ScalarLoss& loss, const Matrix& t_hat,
+                             const Matrix& a_hat, double base,
+                             std::size_t row_begin, std::size_t row_end,
+                             const ForwardGradientConfig& config, Rng& rng,
+                             ThreadPool* pool) {
   MFCP_CHECK(t_hat.same_shape(a_hat), "T and A must both be M x N");
-  MFCP_CHECK(x_base.same_shape(t_hat), "X base shape mismatch");
-  MFCP_CHECK(upstream.same_shape(t_hat), "upstream gradient shape mismatch");
-  MFCP_CHECK(row < t_hat.rows(), "row index out of range");
+  MFCP_CHECK(row_begin < row_end && row_end <= t_hat.rows(),
+             "perturbed row range out of bounds");
   MFCP_CHECK(config.samples > 0, "need at least one sample");
   MFCP_CHECK(config.delta > 0.0, "perturbation size must be positive");
 
-  const std::size_t n = t_hat.cols();
-  const auto samples = draw_samples(config.samples, n, rng);
+  // The perturbed rows are one contiguous run of the row-major matrices.
+  const std::size_t offset = row_begin * t_hat.cols();
+  const std::size_t dim = (row_end - row_begin) * t_hat.cols();
+  const double delta_a = config.reliability_delta();
+  const auto samples = draw_samples(config.samples, dim, rng);
 
-  // Directional coefficients <dL/dX, (X^s - X)/Δ>, one per perturbed solve.
+  // Directional coefficients (L(perturbed) - base) / Δ, one per solve.
   std::vector<double> coeff_t(config.samples, 0.0);
   std::vector<double> coeff_a(config.samples, 0.0);
 
   for_samples(config.samples, pool, [&](std::size_t s) {
     Matrix t_pert = t_hat;  // lines 6-7 of Algorithm 2
-    for (std::size_t j = 0; j < n; ++j) {
-      t_pert(row, j) += config.delta * samples[s].vt[j];
+    for (std::size_t k = 0; k < dim; ++k) {
+      t_pert[offset + k] += config.delta * samples[s].vt[k];
     }
-    const Matrix x_t = solver(t_pert, a_hat);  // line 8
-    coeff_t[s] = (dot(upstream, x_t) - dot(upstream, x_base)) / config.delta;
+    coeff_t[s] = (loss(t_pert, a_hat) - base) / config.delta;  // line 8
 
     Matrix a_pert = a_hat;
-    for (std::size_t j = 0; j < n; ++j) {
-      a_pert(row, j) += config.delta * samples[s].va[j];
-    }
-    const Matrix x_a = solver(t_hat, a_pert);
-    coeff_a[s] = (dot(upstream, x_a) - dot(upstream, x_base)) / config.delta;
-  });
-
-  // Lines 9-11: aggregate directional derivatives into the row gradient.
-  RowGradients out;
-  out.dt.assign(n, 0.0);
-  out.da.assign(n, 0.0);
-  const double inv_s = 1.0 / static_cast<double>(config.samples);
-  for (std::size_t s = 0; s < config.samples; ++s) {
-    for (std::size_t j = 0; j < n; ++j) {
-      out.dt[j] += inv_s * coeff_t[s] * samples[s].vt[j];
-      out.da[j] += inv_s * coeff_a[s] * samples[s].va[j];
-    }
-  }
-  return out;
-}
-
-FullGradients estimate_full_gradients(const MatchingSolver& solver,
-                                      const Matrix& t_hat,
-                                      const Matrix& a_hat,
-                                      const Matrix& x_base,
-                                      const Matrix& upstream,
-                                      const ForwardGradientConfig& config,
-                                      Rng& rng, ThreadPool* pool) {
-  MFCP_CHECK(t_hat.same_shape(a_hat), "T and A must both be M x N");
-  MFCP_CHECK(x_base.same_shape(t_hat), "X base shape mismatch");
-  MFCP_CHECK(upstream.same_shape(t_hat), "upstream gradient shape mismatch");
-  MFCP_CHECK(config.samples > 0, "need at least one sample");
-  MFCP_CHECK(config.delta > 0.0, "perturbation size must be positive");
-
-  const std::size_t mn = t_hat.size();
-  const auto samples = draw_samples(config.samples, mn, rng);
-
-  std::vector<double> coeff_t(config.samples, 0.0);
-  std::vector<double> coeff_a(config.samples, 0.0);
-
-  for_samples(config.samples, pool, [&](std::size_t s) {
-    Matrix t_pert = t_hat;
-    for (std::size_t k = 0; k < mn; ++k) {
-      t_pert[k] += config.delta * samples[s].vt[k];
-    }
-    const Matrix x_t = solver(t_pert, a_hat);
-    coeff_t[s] = (dot(upstream, x_t) - dot(upstream, x_base)) / config.delta;
-
-    Matrix a_pert = a_hat;
-    for (std::size_t k = 0; k < mn; ++k) {
-      a_pert[k] += config.delta * samples[s].va[k];
-    }
-    const Matrix x_a = solver(t_hat, a_pert);
-    coeff_a[s] = (dot(upstream, x_a) - dot(upstream, x_base)) / config.delta;
-  });
-
-  FullGradients out;
-  out.dt = Matrix::zeros(t_hat.rows(), t_hat.cols());
-  out.da = Matrix::zeros(t_hat.rows(), t_hat.cols());
-  const double inv_s = 1.0 / static_cast<double>(config.samples);
-  for (std::size_t s = 0; s < config.samples; ++s) {
-    for (std::size_t k = 0; k < mn; ++k) {
-      out.dt[k] += inv_s * coeff_t[s] * samples[s].vt[k];
-      out.da[k] += inv_s * coeff_a[s] * samples[s].va[k];
-    }
-  }
-  return out;
-}
-
-RowGradients estimate_scalar_row_gradients(
-    const ScalarLoss& loss, const Matrix& t_hat, const Matrix& a_hat,
-    double base, std::size_t row, const ForwardGradientConfig& config,
-    Rng& rng, ThreadPool* pool) {
-  MFCP_CHECK(t_hat.same_shape(a_hat), "T and A must both be M x N");
-  MFCP_CHECK(row < t_hat.rows(), "row index out of range");
-  MFCP_CHECK(config.samples > 0, "need at least one sample");
-  MFCP_CHECK(config.delta > 0.0, "perturbation size must be positive");
-
-  const std::size_t n = t_hat.cols();
-  const double delta_a = config.reliability_delta();
-  const auto samples = draw_samples(config.samples, n, rng);
-  std::vector<double> coeff_t(config.samples, 0.0);
-  std::vector<double> coeff_a(config.samples, 0.0);
-
-  for_samples(config.samples, pool, [&](std::size_t s) {
-    Matrix t_pert = t_hat;
-    for (std::size_t j = 0; j < n; ++j) {
-      t_pert(row, j) += config.delta * samples[s].vt[j];
-    }
-    coeff_t[s] = (loss(t_pert, a_hat) - base) / config.delta;
-
-    Matrix a_pert = a_hat;
-    for (std::size_t j = 0; j < n; ++j) {
-      a_pert(row, j) += delta_a * samples[s].va[j];
+    for (std::size_t k = 0; k < dim; ++k) {
+      a_pert[offset + k] += delta_a * samples[s].va[k];
     }
     coeff_a[s] = (loss(t_hat, a_pert) - base) / delta_a;
   });
 
-  RowGradients out;
-  out.dt.assign(n, 0.0);
-  out.da.assign(n, 0.0);
+  // Lines 9-11: aggregate directional derivatives into the gradient.
+  Gradients out{Matrix::zeros(t_hat.rows(), t_hat.cols()),
+                Matrix::zeros(t_hat.rows(), t_hat.cols())};
   const double inv_s = 1.0 / static_cast<double>(config.samples);
   for (std::size_t s = 0; s < config.samples; ++s) {
-    for (std::size_t j = 0; j < n; ++j) {
-      out.dt[j] += inv_s * coeff_t[s] * samples[s].vt[j];
-      out.da[j] += inv_s * coeff_a[s] * samples[s].va[j];
-    }
-  }
-  return out;
-}
-
-FullGradients estimate_scalar_full_gradients(
-    const ScalarLoss& loss, const Matrix& t_hat, const Matrix& a_hat,
-    double base, const ForwardGradientConfig& config, Rng& rng,
-    ThreadPool* pool) {
-  MFCP_CHECK(t_hat.same_shape(a_hat), "T and A must both be M x N");
-  MFCP_CHECK(config.samples > 0, "need at least one sample");
-  MFCP_CHECK(config.delta > 0.0, "perturbation size must be positive");
-
-  const std::size_t mn = t_hat.size();
-  const double delta_a = config.reliability_delta();
-  const auto samples = draw_samples(config.samples, mn, rng);
-  std::vector<double> coeff_t(config.samples, 0.0);
-  std::vector<double> coeff_a(config.samples, 0.0);
-
-  for_samples(config.samples, pool, [&](std::size_t s) {
-    Matrix t_pert = t_hat;
-    for (std::size_t k = 0; k < mn; ++k) {
-      t_pert[k] += config.delta * samples[s].vt[k];
-    }
-    coeff_t[s] = (loss(t_pert, a_hat) - base) / config.delta;
-
-    Matrix a_pert = a_hat;
-    for (std::size_t k = 0; k < mn; ++k) {
-      a_pert[k] += delta_a * samples[s].va[k];
-    }
-    coeff_a[s] = (loss(t_hat, a_pert) - base) / delta_a;
-  });
-
-  FullGradients out;
-  out.dt = Matrix::zeros(t_hat.rows(), t_hat.cols());
-  out.da = Matrix::zeros(t_hat.rows(), t_hat.cols());
-  const double inv_s = 1.0 / static_cast<double>(config.samples);
-  for (std::size_t s = 0; s < config.samples; ++s) {
-    for (std::size_t k = 0; k < mn; ++k) {
-      out.dt[k] += inv_s * coeff_t[s] * samples[s].vt[k];
-      out.da[k] += inv_s * coeff_a[s] * samples[s].va[k];
+    for (std::size_t k = 0; k < dim; ++k) {
+      out.dt[offset + k] += inv_s * coeff_t[s] * samples[s].vt[k];
+      out.da[offset + k] += inv_s * coeff_a[s] * samples[s].va[k];
     }
   }
   return out;

@@ -2,19 +2,20 @@
 // the engine of MFCP-FG (paper Algorithm 2, Theorem 3).
 //
 // For non-convex matching objectives (parallel execution, Eq. 16/17) the
-// KKT route is unavailable. Instead, the gradient of the optimal matching
-// with respect to the *row* of predictions belonging to cluster i is
-// estimated by Gaussian directional perturbations:
-//     t̂_i^s = t̂_i + Δ v^s,   v^s ~ N(0, I_N)
-//     d L/d t̂_i  ≈  (1/S) Σ_s  [ <dL/dX, X*(T̂^s, Â) - X*(T̂, Â)> / Δ ] v^s,
-// i.e. the chain rule is folded into the estimator so only S extra solves
-// are needed per step, not S·N. The S solves are embarrassingly parallel
-// and run on a thread pool with per-sample RNG streams (bit-reproducible
-// for any thread count).
+// KKT route is unavailable. Instead, the gradient of a scalar loss of the
+// predictions is estimated by Gaussian directional perturbations of a
+// range of prediction rows (one cluster's row, or all of them):
+//     T̂^s = T̂ + Δ V^s,   V^s ~ N(0, I) on the perturbed rows,
+//     d L/d T̂  ≈  (1/S) Σ_s [ (L(T̂^s, Â) - L(T̂, Â)) / Δ ] V^s,
+// and likewise for Â. With the matching surrogate L = <dL/dX, X*(T̂, Â)>
+// (matching_surrogate) the chain rule through X* is folded into the
+// estimator, so only S extra solves are needed per step, not S·N. The
+// S samples are embarrassingly parallel and run on a thread pool; the
+// directions are drawn up front, so the result is bit-reproducible for
+// any thread count.
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "diff/finite_diff.hpp"
 #include "parallel/thread_pool.hpp"
@@ -38,59 +39,34 @@ struct ForwardGradientConfig {
 /// Δ* = (2 σ_F² / (β² S))^{1/4}.
 double optimal_delta(double sigma_f, double beta, std::size_t samples);
 
-struct RowGradients {
-  std::vector<double> dt;  // dL/dt̂_i, length N
-  std::vector<double> da;  // dL/dâ_i, length N
-};
-
-/// Estimates dL/dt̂_i and dL/dâ_i (row `row` of the prediction matrices)
-/// given the upstream gradient dL/dX* (M x N). `solver` maps (T, A) to the
-/// relaxed optimal matching; `x_base` must equal solver(t_hat, a_hat)
-/// (passed in so the caller's solve is reused). If `pool` is non-null the
-/// 2·S perturbed solves run in parallel.
-RowGradients estimate_row_gradients(const MatchingSolver& solver,
-                                    const Matrix& t_hat, const Matrix& a_hat,
-                                    const Matrix& x_base, std::size_t row,
-                                    const Matrix& upstream,
-                                    const ForwardGradientConfig& config,
-                                    Rng& rng, ThreadPool* pool = nullptr);
-
-/// Full-matrix variant (perturbs every entry of T and A at once; used when
-/// all clusters' predictors train jointly): returns dL/dT and dL/dA.
-struct FullGradients {
-  Matrix dt;  // M x N
-  Matrix da;  // M x N
-};
-
-FullGradients estimate_full_gradients(const MatchingSolver& solver,
-                                      const Matrix& t_hat,
-                                      const Matrix& a_hat,
-                                      const Matrix& x_base,
-                                      const Matrix& upstream,
-                                      const ForwardGradientConfig& config,
-                                      Rng& rng, ThreadPool* pool = nullptr);
-
 /// A scalar pipeline loss L(T̂, Â) — e.g. the TRUE makespan of the rounded
 /// deployed assignment. May be piecewise constant: with a perturbation
 /// size comparable to the prediction error scale, the Gaussian smoothing
-/// of the estimator below turns its staircase structure into useful
+/// of the estimator turns its staircase structure into useful
 /// randomized-smoothing gradients (the DBB / perturbed-optimizer view of
 /// differentiating through discrete decisions).
 using ScalarLoss = std::function<double(const Matrix& t, const Matrix& a)>;
 
-/// Zeroth-order gradient of a scalar loss with respect to row `row` of the
-/// prediction matrices:
-///   dL/dt̂_i ≈ (1/S) Σ_s [ (L(T̂ + Δ v^s e_i) - base) / Δ ] v^s.
-/// `base` must equal loss(t_hat, a_hat).
-RowGradients estimate_scalar_row_gradients(
-    const ScalarLoss& loss, const Matrix& t_hat, const Matrix& a_hat,
-    double base, std::size_t row, const ForwardGradientConfig& config,
-    Rng& rng, ThreadPool* pool = nullptr);
+/// The matching surrogate <dL/dX, X*(T, A)>: `solver` maps (T, A) to the
+/// relaxed optimal matching and `upstream` is dL/dX* (M x N). Its base
+/// value at the predictions is dot(upstream, X*(T̂, Â)).
+ScalarLoss matching_surrogate(MatchingSolver solver, Matrix upstream);
 
-/// Full-matrix variant (perturbs all entries of T̂, then of Â).
-FullGradients estimate_scalar_full_gradients(
-    const ScalarLoss& loss, const Matrix& t_hat, const Matrix& a_hat,
-    double base, const ForwardGradientConfig& config, Rng& rng,
-    ThreadPool* pool = nullptr);
+struct Gradients {
+  Matrix dt;  // dL/dT̂, M x N
+  Matrix da;  // dL/dÂ, M x N
+};
+
+/// Estimates dL/dT̂ and dL/dÂ with respect to rows [row_begin, row_end) of
+/// the prediction matrices, perturbing T̂ by `config.delta` and Â by
+/// `config.reliability_delta()`. Entries outside those rows are zero.
+/// `base` must equal loss(t_hat, a_hat) (passed in so the caller's solve
+/// is reused). If `pool` is non-null the 2·S perturbed losses run in
+/// parallel.
+Gradients estimate_gradients(const ScalarLoss& loss, const Matrix& t_hat,
+                             const Matrix& a_hat, double base,
+                             std::size_t row_begin, std::size_t row_end,
+                             const ForwardGradientConfig& config, Rng& rng,
+                             ThreadPool* pool = nullptr);
 
 }  // namespace mfcp::diff

@@ -1,7 +1,6 @@
 #include "mfcp/experiment.hpp"
 
-#include "mfcp/trainer_mfcp_ad.hpp"
-#include "mfcp/trainer_mfcp_fg.hpp"
+#include "mfcp/trainer_mfcp.hpp"
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
 

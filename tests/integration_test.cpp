@@ -7,8 +7,7 @@
 #include <cmath>
 
 #include "mfcp/experiment.hpp"
-#include "mfcp/trainer_mfcp_ad.hpp"
-#include "mfcp/trainer_mfcp_fg.hpp"
+#include "mfcp/trainer_mfcp.hpp"
 #include "matching/objective.hpp"
 #include "sim/failure.hpp"
 #include "support/check.hpp"

@@ -4,10 +4,8 @@
 #include <cmath>
 
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/solve.hpp"
 #include "linalg/vector_ops.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -22,15 +20,6 @@ Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng,
     m[i] = rng.normal(0.0, scale);
   }
   return m;
-}
-
-Matrix random_spd(std::size_t n, Rng& rng) {
-  const Matrix a = random_matrix(n, n, rng);
-  Matrix spd = matmul_nt(a, a);
-  for (std::size_t i = 0; i < n; ++i) {
-    spd(i, i) += static_cast<double>(n);  // well conditioned
-  }
-  return spd;
 }
 
 // --------------------------------------------------------------- matrix --
@@ -355,81 +344,6 @@ TEST_P(LuPropertyTest, MultiRhsMatchesColumnwiseSolve) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSystems, LuPropertyTest,
                          ::testing::Range(0, 12));
-
-// ------------------------------------------------------------- cholesky --
-
-TEST(Cholesky, FactorReproducesMatrix) {
-  Rng rng(11);
-  const Matrix a = random_spd(6, rng);
-  CholeskyFactorization chol(a);
-  const Matrix l = chol.factor();
-  EXPECT_TRUE(approx_equal(matmul_nt(l, l), a, 1e-8));
-}
-
-TEST(Cholesky, SolvesSpdSystem) {
-  Rng rng(13);
-  const Matrix a = random_spd(8, rng);
-  const Matrix b = random_matrix(8, 1, rng);
-  const Matrix x = CholeskyFactorization(a).solve(b);
-  EXPECT_TRUE(approx_equal(matmul(a, x), b, 1e-8));
-}
-
-TEST(Cholesky, RejectsIndefiniteMatrix) {
-  Matrix a{{1, 0}, {0, -1}};
-  EXPECT_THROW(CholeskyFactorization{a}, NotPositiveDefiniteError);
-  EXPECT_FALSE(is_positive_definite(a));
-}
-
-TEST(Cholesky, AcceptsSpd) {
-  Rng rng(17);
-  EXPECT_TRUE(is_positive_definite(random_spd(5, rng)));
-}
-
-// ---------------------------------------------------------------- solve --
-
-TEST(Solve, LinearMatchesLu) {
-  Rng rng(19);
-  Matrix a = random_matrix(5, 5, rng);
-  for (std::size_t i = 0; i < 5; ++i) {
-    a(i, i) += 3.0;
-  }
-  const Matrix b = random_matrix(5, 2, rng);
-  const Matrix x = solve_linear(a, b);
-  EXPECT_TRUE(approx_equal(matmul(a, x), b, 1e-8));
-}
-
-TEST(Solve, SaddlePointSatisfiesBothBlocks) {
-  Rng rng(23);
-  const std::size_t nh = 6;
-  const std::size_t ne = 2;
-  const Matrix h = random_spd(nh, rng);
-  const Matrix d = random_matrix(ne, nh, rng);
-  const Matrix b1 = random_matrix(nh, 1, rng);
-  const Matrix b2 = random_matrix(ne, 1, rng);
-  const Matrix sol = solve_saddle_point(h, d, b1, b2);
-  ASSERT_EQ(sol.rows(), nh + ne);
-  Matrix x(nh, 1);
-  Matrix y(ne, 1);
-  for (std::size_t i = 0; i < nh; ++i) {
-    x[i] = sol[i];
-  }
-  for (std::size_t i = 0; i < ne; ++i) {
-    y[i] = sol[nh + i];
-  }
-  // H x + D^T y = b1 and D x = b2.
-  const Matrix r1 = matmul(h, x) + matmul_tn(d, y);
-  EXPECT_TRUE(approx_equal(r1, b1, 1e-8));
-  EXPECT_TRUE(approx_equal(matmul(d, x), b2, 1e-8));
-}
-
-TEST(Solve, ConditionNumberOfIdentityIsOne) {
-  EXPECT_NEAR(condition_number_1(Matrix::identity(5)), 1.0, 1e-12);
-}
-
-TEST(Solve, ConditionNumberGrowsForIllConditioned) {
-  Matrix a{{1.0, 0.0}, {0.0, 1e-6}};
-  EXPECT_GT(condition_number_1(a), 1e5);
-}
 
 }  // namespace
 }  // namespace mfcp

@@ -5,8 +5,8 @@
 #include <cmath>
 
 #include "linalg/blas.hpp"
+#include "linalg/lu.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/solve.hpp"
 #include "mfcp/linear_model.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -241,7 +241,7 @@ TEST_P(QrProperty, MatchesNormalEquations) {
   // Normal equations: (X^T X) w = X^T y.
   const Matrix xtx = matmul_tn(x, x);
   const Matrix xty = matmul_tn(x, y);
-  const Matrix w_ne = solve_linear(xtx, xty);
+  const Matrix w_ne = LuFactorization(xtx).solve(xty);
   EXPECT_TRUE(approx_equal(w_qr, w_ne, 1e-6));
 }
 
