@@ -263,6 +263,75 @@ TEST(Trainer, RecencyWeightedRetrainStillLearns) {
   EXPECT_EQ(trainer.retrain_count(), 1u);
 }
 
+// 64-bit FNV-1a over every head's weight bytes: cluster by cluster, the
+// time head before the reliability head, parameters in Mlp order.
+std::uint64_t weight_digest(core::PlatformPredictor& predictor) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < predictor.num_clusters(); ++i) {
+    for (auto* mlp : {&predictor.cluster(i).time_model(),
+                      &predictor.cluster(i).reliability_model()}) {
+      for (const auto& p : mlp->parameters()) {
+        const auto* bytes =
+            reinterpret_cast<const unsigned char*>(p.value().data());
+        for (std::size_t b = 0; b < p.value().size() * sizeof(double); ++b) {
+          h = (h ^ bytes[b]) * 0x100000001b3ULL;
+        }
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Trainer, RetrainBurstsMatchCommittedDigests) {
+  // Two fine-tune bursts over the production predictor shape, held to
+  // the bits of every head's weights, with uniform sampling (half-life
+  // 0, as exp_online_engine runs) and recency-weighted sampling
+  // (half-life 128, as online_platform and perfbench run). Cluster 3
+  // has too few samples for the first burst and joins the second. Like
+  // the TSM digests these depend on libm (softplus, sigmoid, exp, log).
+  // Never update a digest to make this pass on unchanged code.
+  struct Case {
+    double half_life;
+    std::size_t epochs;
+    double learning_rate;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {{0.0, 60, 8e-3, 0x890244dceb631188ULL},
+                        {128.0, 50, 5e-3, 0x61a3adefa7c8efc6ULL}};
+  for (const Case& c : cases) {
+    OnlineTrainerConfig cfg;
+    cfg.replay_recency_half_life = c.half_life;
+    cfg.retrain_epochs = c.epochs;
+    cfg.learning_rate = c.learning_rate;
+    OnlineTrainer trainer(cfg);
+    core::PredictorConfig pcfg;
+    Rng init(0x5eed);
+    core::PlatformPredictor predictor(4, pcfg, init);
+    Rng data(0xda7a);
+    const auto record = [&](std::size_t count, std::size_t clusters) {
+      for (std::size_t k = 0; k < count; ++k) {
+        Experience e;
+        for (std::size_t f = 0; f < pcfg.feature_dim; ++f) {
+          e.features.push_back(data.normal(0.0, 1.0));
+        }
+        e.cluster = k % clusters;
+        e.observed_time = 0.5 + 3.0 * data.uniform();
+        e.observed_success = data.uniform() < 0.8 ? 1.0 : 0.0;
+        trainer.record(std::move(e));
+      }
+    };
+    record(120, 3);
+    record(5, 4);  // cluster 3's first sample lands here
+    trainer.retrain(predictor);
+    record(160, 4);
+    trainer.retrain(predictor);
+    EXPECT_EQ(trainer.retrain_count(), 2u);
+    EXPECT_EQ(weight_digest(predictor), c.digest)
+        << "half-life " << c.half_life << ": 0x" << std::hex
+        << weight_digest(predictor);
+  }
+}
+
 TEST(Drift, LogRatioErrorIsSymmetricAndBounded) {
   // Perfect prediction: zero error.
   EXPECT_DOUBLE_EQ(drift_error(2.0, 2.0), 0.0);
