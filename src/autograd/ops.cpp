@@ -47,20 +47,6 @@ Variable add(const Variable& a, const Variable& b) {
   return Variable(node);
 }
 
-Variable sub(const Variable& a, const Variable& b) {
-  MFCP_CHECK(a.value().same_shape(b.value()), "sub: shape mismatch");
-  auto node = make_node(a.value() - b.value(), {a.node(), b.node()});
-  node->backward_fn = [](const Node& n) {
-    if (n.parents[0]->requires_grad) {
-      n.parents[0]->accumulate(n.grad);
-    }
-    if (n.parents[1]->requires_grad) {
-      n.parents[1]->accumulate(n.grad * -1.0);
-    }
-  };
-  return Variable(node);
-}
-
 Variable mul(const Variable& a, const Variable& b) {
   MFCP_CHECK(a.value().same_shape(b.value()), "mul: shape mismatch");
   auto node = make_node(hadamard(a.value(), b.value()), {a.node(), b.node()});
@@ -154,23 +140,6 @@ Variable relu(const Variable& a) {
   return Variable(node);
 }
 
-Variable tanh_op(const Variable& a) {
-  Matrix out = a.value();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = std::tanh(out[i]);
-  }
-  auto node = make_node(std::move(out), {a.node()});
-  node->backward_fn = [](const Node& n) {
-    Matrix g = n.grad;
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      const double y = n.value[i];
-      g[i] *= 1.0 - y * y;
-    }
-    n.parents[0]->accumulate(g);
-  };
-  return Variable(node);
-}
-
 Variable sigmoid(const Variable& a) {
   Matrix out = a.value();
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -205,32 +174,6 @@ Variable softplus(const Variable& a) {
   return Variable(node);
 }
 
-Variable logsumexp(const Variable& a, double beta) {
-  MFCP_CHECK(!a.value().empty(), "logsumexp of empty variable");
-  MFCP_CHECK(beta > 0.0, "logsumexp requires beta > 0");
-  const Matrix& x = a.value();
-  double mx = x[0];
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    mx = std::max(mx, x[i]);
-  }
-  double total = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    total += std::exp(beta * (x[i] - mx));
-  }
-  Matrix out(1, 1, mx + std::log(total) / beta);
-  auto node = make_node(std::move(out), {a.node()});
-  node->backward_fn = [beta, mx, total](const Node& n) {
-    // d/dx_i = softmax(beta x)_i.
-    const Matrix& x_val = n.parents[0]->value;
-    Matrix g(x_val.rows(), x_val.cols());
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      g[i] = n.grad[0] * std::exp(beta * (x_val[i] - mx)) / total;
-    }
-    n.parents[0]->accumulate(g);
-  };
-  return Variable(node);
-}
-
 Variable sum_all(const Variable& a) {
   Matrix out(1, 1, 0.0);
   for (std::size_t i = 0; i < a.value().size(); ++i) {
@@ -243,11 +186,6 @@ Variable sum_all(const Variable& a) {
         Matrix(p->value.rows(), p->value.cols(), n.grad[0]));
   };
   return Variable(node);
-}
-
-Variable mean_all(const Variable& a) {
-  MFCP_CHECK(!a.value().empty(), "mean of empty variable");
-  return scale(sum_all(a), 1.0 / static_cast<double>(a.value().size()));
 }
 
 Variable mse_loss(const Variable& pred, const Matrix& target) {

@@ -12,9 +12,6 @@ namespace mfcp::autograd {
 /// Element-wise sum; shapes must match.
 Variable add(const Variable& a, const Variable& b);
 
-/// Element-wise difference.
-Variable sub(const Variable& a, const Variable& b);
-
 /// Element-wise (Hadamard) product.
 Variable mul(const Variable& a, const Variable& b);
 
@@ -34,9 +31,6 @@ Variable add_row_broadcast(const Variable& a, const Variable& bias);
 /// Rectified linear unit, element-wise.
 Variable relu(const Variable& a);
 
-/// Hyperbolic tangent, element-wise.
-Variable tanh_op(const Variable& a);
-
 /// Logistic sigmoid, element-wise (used by the reliability head to keep
 /// â in (0, 1)).
 Variable sigmoid(const Variable& a);
@@ -45,16 +39,8 @@ Variable sigmoid(const Variable& a);
 /// head to keep t̂ positive).
 Variable softplus(const Variable& a);
 
-/// Numerically stable log(sum(exp(beta * a))) / beta over all elements
-/// -> 1x1. The differentiable smooth-max of Eq. 8 for callers that want
-/// the smoothed objective inside an autograd graph.
-Variable logsumexp(const Variable& a, double beta);
-
 /// Sum of all elements -> 1x1.
 Variable sum_all(const Variable& a);
-
-/// Mean of all elements -> 1x1.
-Variable mean_all(const Variable& a);
 
 /// Mean squared error against a constant target -> 1x1 (paper Eq. 1).
 Variable mse_loss(const Variable& pred, const Matrix& target);

@@ -48,10 +48,4 @@ void Variable::backward(const Matrix& seed) {
   run_backward(node_);
 }
 
-void zero_grad_graph(const Variable& root) {
-  for (const auto& node : topological_order(root.node())) {
-    node->grad = Matrix();
-  }
-}
-
 }  // namespace mfcp::autograd

@@ -82,7 +82,4 @@ class Variable {
   std::shared_ptr<Node> node_;
 };
 
-/// Zeroes gradients of every node reachable from `root` (leaves included).
-void zero_grad_graph(const Variable& root);
-
 }  // namespace mfcp::autograd

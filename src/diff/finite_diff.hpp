@@ -6,13 +6,9 @@
 
 #include <functional>
 
-#include "linalg/matrix.hpp"
+#include "diff/zeroth_order.hpp"
 
 namespace mfcp::diff {
-
-/// A matching solver viewed as a map (T, A) -> relaxed X* (all M x N).
-using MatchingSolver =
-    std::function<Matrix(const Matrix& times, const Matrix& reliability)>;
 
 /// d vec(X*) / d vec(T): (MN x MN), central differences with step h.
 /// Row r = flattened X entry, column s = flattened T entry.

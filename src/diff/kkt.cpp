@@ -74,16 +74,6 @@ Matrix assemble_reduced_kkt(const Matrix& hxx, const FreeSet& fs,
 
 }  // namespace
 
-Matrix equality_jacobian(std::size_t num_clusters, std::size_t num_tasks) {
-  Matrix d(num_tasks, num_clusters * num_tasks, 0.0);
-  for (std::size_t j = 0; j < num_tasks; ++j) {
-    for (std::size_t i = 0; i < num_clusters; ++i) {
-      d(j, i * num_tasks + j) = 1.0;
-    }
-  }
-  return d;
-}
-
 KktJacobians kkt_full_jacobians(
     const matching::KktDifferentiableObjective& objective,
     const Matrix& xstar) {

@@ -37,8 +37,4 @@ struct KktVjp {
 KktVjp kkt_vjp(const matching::KktDifferentiableObjective& objective,
                const Matrix& xstar, const Matrix& upstream);
 
-/// The equality-constraint Jacobian D (N x MN): D(j, i*N + j) = 1 — every
-/// task's assignment weights sum to one. Exposed for tests.
-Matrix equality_jacobian(std::size_t num_clusters, std::size_t num_tasks);
-
 }  // namespace mfcp::diff

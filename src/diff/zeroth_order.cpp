@@ -10,14 +10,6 @@
 
 namespace mfcp::diff {
 
-double optimal_delta(double sigma_f, double beta, std::size_t samples) {
-  MFCP_CHECK(sigma_f > 0.0 && beta > 0.0 && samples > 0,
-             "optimal_delta needs positive inputs");
-  return std::pow(2.0 * sigma_f * sigma_f /
-                      (beta * beta * static_cast<double>(samples)),
-                  0.25);
-}
-
 namespace {
 
 /// One perturbation sample: the Gaussian directions for the perturbed

@@ -17,11 +17,15 @@
 
 #include <functional>
 
-#include "diff/finite_diff.hpp"
+#include "linalg/matrix.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/rng.hpp"
 
 namespace mfcp::diff {
+
+/// A matching solver viewed as a map (T, A) -> relaxed X* (all M x N).
+using MatchingSolver =
+    std::function<Matrix(const Matrix& times, const Matrix& reliability)>;
 
 struct ForwardGradientConfig {
   std::size_t samples = 16;  // S in Algorithm 2
@@ -34,10 +38,6 @@ struct ForwardGradientConfig {
     return delta_reliability > 0.0 ? delta_reliability : delta;
   }
 };
-
-/// Theorem 3's bias/variance balancing perturbation size
-/// Δ* = (2 σ_F² / (β² S))^{1/4}.
-double optimal_delta(double sigma_f, double beta, std::size_t samples);
 
 /// A scalar pipeline loss L(T̂, Â) — e.g. the TRUE makespan of the rounded
 /// deployed assignment. May be piecewise constant: with a perturbation

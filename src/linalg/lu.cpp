@@ -38,7 +38,6 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
         std::swap(lu_(k, c), lu_(p, c));
       }
       std::swap(piv_[k], piv_[p]);
-      sign_ = -sign_;
     }
     const double pivot = lu_(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -84,14 +83,6 @@ Matrix LuFactorization::solve_multi(const Matrix& b) const {
     x.set_col(c, solve(b.col_vector(c)));
   }
   return x;
-}
-
-double LuFactorization::determinant() const noexcept {
-  double det = sign_;
-  for (std::size_t i = 0; i < dim(); ++i) {
-    det *= lu_(i, i);
-  }
-  return det;
 }
 
 }  // namespace mfcp

@@ -26,16 +26,9 @@ class LuFactorization {
   /// Solves A X = B column-by-column (B is n x k).
   [[nodiscard]] Matrix solve_multi(const Matrix& b) const;
 
-  /// det(A) from the product of pivots and the permutation sign.
-  [[nodiscard]] double determinant() const noexcept;
-
-  /// +1 or -1 depending on the permutation parity.
-  [[nodiscard]] int permutation_sign() const noexcept { return sign_; }
-
  private:
   Matrix lu_;                     // L (unit diagonal, below) and U (diag+above)
   std::vector<std::size_t> piv_;  // row permutation
-  int sign_ = 1;
 };
 
 /// Thrown when a factorization meets a numerically singular matrix.

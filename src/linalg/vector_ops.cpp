@@ -18,14 +18,6 @@ double dot(const Matrix& a, const Matrix& b) {
 
 double norm2(const Matrix& m) { return std::sqrt(dot(m, m)); }
 
-double norm_inf(const Matrix& m) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    acc = std::max(acc, std::abs(m[i]));
-  }
-  return acc;
-}
-
 double sum(const Matrix& m) {
   double acc = 0.0;
   for (std::size_t i = 0; i < m.size(); ++i) {

@@ -15,9 +15,6 @@ double dot(const Matrix& a, const Matrix& b);
 /// Euclidean norm of all elements.
 double norm2(const Matrix& m);
 
-/// Max-abs (infinity) norm of all elements.
-double norm_inf(const Matrix& m);
-
 /// Sum of all elements.
 double sum(const Matrix& m);
 

@@ -13,7 +13,6 @@ nn::MlpConfig time_config(const PredictorConfig& config) {
   c.input_dim = config.feature_dim;
   c.hidden = config.hidden;
   c.output_dim = 1;
-  c.hidden_activation = nn::Activation::kRelu;
   c.output_activation = nn::Activation::kSoftplus;
   return c;
 }
@@ -23,7 +22,6 @@ nn::MlpConfig rel_config(const PredictorConfig& config) {
   c.input_dim = config.feature_dim;
   c.hidden = config.hidden;
   c.output_dim = 1;
-  c.hidden_activation = nn::Activation::kRelu;
   c.output_activation = nn::Activation::kSigmoid;
   return c;
 }

@@ -265,7 +265,7 @@ void head_activation(Activation act, const double* z, double* out,
         out[i] = autograd::sigmoid_scalar(z[i]);
       }
       break;
-    default:
+    case Activation::kIdentity:
       std::copy(z, z + n, out);
       break;
   }
@@ -325,24 +325,21 @@ void product_with(ProductTier tier, std::size_t m, std::size_t n,
 /// Returns the head's outputs (x.rows() x output_dim), before any scale.
 const double* forward(Mlp& mlp, const Matrix& x, Scratch& s) {
   const MlpConfig& config = mlp.config();
-  MFCP_CHECK(fused_supported(config),
-             "fused MLP kernels need ReLU hidden layers and a softplus, "
-             "sigmoid or identity head");
   MFCP_CHECK(x.cols() == config.input_dim, "MLP input width mismatch");
   const auto& layers = mlp.linear_layers();
   const std::size_t rows = x.rows();
   std::size_t wt_size = 0;
   std::size_t act_size = 0;
-  for (const Linear* lin : layers) {
-    wt_size += lin->in_features() * lin->out_features();
-    act_size += rows * lin->out_features();
+  for (const Linear& lin : layers) {
+    wt_size += lin.in_features() * lin.out_features();
+    act_size += rows * lin.out_features();
   }
   double* wt = at_least(s.wt, wt_size);
   double* pre = at_least(s.pre, act_size);
   double* post = at_least(s.post, act_size);
   const double* in = x.data();
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    Linear& lin = *layers[l];
+    const Linear& lin = layers[l];
     const std::size_t n_in = lin.in_features();
     const std::size_t n_out = lin.out_features();
     // matmul(in, W^T), then add_row_broadcast's bias. A hidden layer
@@ -371,13 +368,6 @@ const double* forward(Mlp& mlp, const Matrix& x, Scratch& s) {
 }
 
 }  // namespace
-
-bool fused_supported(const MlpConfig& config) noexcept {
-  const Activation head = config.output_activation;
-  return config.hidden_activation == Activation::kRelu &&
-         (head == Activation::kSoftplus || head == Activation::kSigmoid ||
-          head == Activation::kIdentity);
-}
 
 bool product_tier_supported(ProductTier tier) noexcept {
   return tier == ProductTier::kSse2 || widest_tier() == tier;
@@ -414,7 +404,7 @@ void fused_forward(Mlp& mlp, const Matrix& x, double scale,
   }
 }
 
-double fused_mse_step(Mlp& mlp, Optimizer& opt, const Matrix& x,
+double fused_mse_step(Mlp& mlp, Adam& opt, const Matrix& x,
                       const Matrix& target, double scale) {
   Scratch& s = t_scratch;
   const std::size_t rows = x.rows();
@@ -423,12 +413,12 @@ double fused_mse_step(Mlp& mlp, Optimizer& opt, const Matrix& x,
              "mse: shape mismatch");
   const double* head_out = forward(mlp, x, s);
 
-  const auto& layers = mlp.linear_layers();
+  auto& layers = mlp.linear_layers();
   std::size_t widest = 0;
   std::size_t act_end = 0;
-  for (const Linear* lin : layers) {
-    widest = std::max(widest, lin->out_features());
-    act_end += rows * lin->out_features();
+  for (const Linear& lin : layers) {
+    widest = std::max(widest, lin.out_features());
+    act_end += rows * lin.out_features();
   }
   double* g = at_least(s.grad, 2 * rows * widest);
   double* g_prev = g + rows * widest;
@@ -463,7 +453,7 @@ double fused_mse_step(Mlp& mlp, Optimizer& opt, const Matrix& x,
   // Walk the layers back. g holds dL/d(pre-activation) of layer l.
   std::size_t act_begin = act_end - n;
   for (std::size_t l = layers.size(); l-- > 0;) {
-    Linear& lin = *layers[l];
+    Linear& lin = layers[l];
     const std::size_t n_in = lin.in_features();
     const std::size_t n_out = lin.out_features();
     const double* in =

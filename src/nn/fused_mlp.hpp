@@ -1,9 +1,8 @@
 // Tape-free forward pass and fused MSE step for the predictor MLPs.
 //
-// Covers an Mlp of Linear+ReLU hidden layers and a Linear head with a
+// Covers every Mlp: Linear+ReLU hidden layers and a Linear head with a
 // softplus, sigmoid or identity output, times an optional output scale
-// (the execution-time head's `time_scale`). That is every predictor the
-// platform builds; other configurations stay on the autograd tape.
+// (the execution-time head's `time_scale`).
 //
 // Bit-identity contract: for every output element the kernels perform the
 // tape's floating-point operations in the tape's order. Products
@@ -38,10 +37,6 @@
 #include "nn/optimizer.hpp"
 
 namespace mfcp::nn {
-
-/// True when the kernels below cover `config`: ReLU hidden layers and a
-/// softplus, sigmoid or identity head.
-[[nodiscard]] bool fused_supported(const MlpConfig& config) noexcept;
 
 /// The vector widths of the kernels' matrix product: two-lane SSE2
 /// blocks, or eight-lane AVX-512F blocks (32 and 8 lanes, then four- and
@@ -84,7 +79,7 @@ void fused_forward(Mlp& mlp, const Matrix& x, double scale,
 /// each parameter's grad slot (what zero_grad() and a tape backward
 /// would leave there), so `opt` must manage exactly mlp.parameters().
 /// Returns the loss before the step.
-double fused_mse_step(Mlp& mlp, Optimizer& opt, const Matrix& x,
+double fused_mse_step(Mlp& mlp, Adam& opt, const Matrix& x,
                       const Matrix& target, double scale);
 
 }  // namespace mfcp::nn

@@ -4,17 +4,6 @@
 
 namespace mfcp::nn {
 
-Matrix xavier_uniform(std::size_t rows, std::size_t cols, std::size_t fan_in,
-                      std::size_t fan_out, Rng& rng) {
-  const double a =
-      std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
-  Matrix m(rows, cols);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    m[i] = rng.uniform(-a, a);
-  }
-  return m;
-}
-
 Matrix he_normal(std::size_t rows, std::size_t cols, std::size_t fan_in,
                  Rng& rng) {
   const double s = std::sqrt(2.0 / static_cast<double>(fan_in));

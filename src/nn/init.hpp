@@ -6,11 +6,6 @@
 
 namespace mfcp::nn {
 
-/// Xavier/Glorot uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
-/// Suited to tanh/sigmoid nets.
-Matrix xavier_uniform(std::size_t rows, std::size_t cols, std::size_t fan_in,
-                      std::size_t fan_out, Rng& rng);
-
 /// He/Kaiming normal: N(0, sqrt(2 / fan_in)). Suited to ReLU nets.
 Matrix he_normal(std::size_t rows, std::size_t cols, std::size_t fan_in,
                  Rng& rng);

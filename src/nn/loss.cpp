@@ -1,7 +1,5 @@
 #include "nn/loss.hpp"
 
-#include <cmath>
-
 #include "support/check.hpp"
 
 namespace mfcp::nn {
@@ -10,49 +8,12 @@ Variable mse(const Variable& pred, const Matrix& target) {
   return autograd::mse_loss(pred, target);
 }
 
-Variable huber(const Variable& pred, const Matrix& target, double delta) {
-  MFCP_CHECK(pred.value().same_shape(target), "huber: shape mismatch");
-  MFCP_CHECK(delta > 0.0, "huber threshold must be positive");
-  const std::size_t n = target.size();
-
-  auto node = std::make_shared<autograd::Node>();
-  node->parents = {pred.node()};
-  node->requires_grad = pred.requires_grad();
-  Matrix out(1, 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = pred.value()[i] - target[i];
-    const double a = std::abs(d);
-    out[0] += a <= delta ? 0.5 * d * d : delta * (a - 0.5 * delta);
-  }
-  out[0] /= static_cast<double>(n);
-  node->value = std::move(out);
-  node->backward_fn = [target, delta, n](const autograd::Node& nd) {
-    Matrix g(target.rows(), target.cols());
-    const double c = nd.grad[0] / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = nd.parents[0]->value[i] - target[i];
-      g[i] = c * (std::abs(d) <= delta ? d : (d > 0 ? delta : -delta));
-    }
-    nd.parents[0]->accumulate(g);
-  };
-  return Variable(node);
-}
-
 double mse_value(const Matrix& pred, const Matrix& target) {
   MFCP_CHECK(pred.same_shape(target), "mse_value: shape mismatch");
   double acc = 0.0;
   for (std::size_t i = 0; i < pred.size(); ++i) {
     const double d = pred[i] - target[i];
     acc += d * d;
-  }
-  return acc / static_cast<double>(pred.size());
-}
-
-double mae_value(const Matrix& pred, const Matrix& target) {
-  MFCP_CHECK(pred.same_shape(target), "mae_value: shape mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    acc += std::abs(pred[i] - target[i]);
   }
   return acc / static_cast<double>(pred.size());
 }

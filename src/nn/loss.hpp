@@ -11,11 +11,7 @@ using autograd::Variable;
 /// Mean squared error (paper Eq. 1). Returns a 1x1 Variable.
 Variable mse(const Variable& pred, const Matrix& target);
 
-/// Huber (smooth-L1) loss with threshold `delta` — robustness diagnostic.
-Variable huber(const Variable& pred, const Matrix& target, double delta);
-
-/// Non-differentiable metrics for evaluation.
+/// Non-differentiable MSE for evaluation.
 double mse_value(const Matrix& pred, const Matrix& target);
-double mae_value(const Matrix& pred, const Matrix& target);
 
 }  // namespace mfcp::nn

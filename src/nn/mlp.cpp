@@ -1,6 +1,6 @@
 #include "nn/mlp.hpp"
 
-#include "nn/fused_mlp.hpp"
+#include "autograd/ops.hpp"
 #include "support/check.hpp"
 
 namespace mfcp::nn {
@@ -11,53 +11,37 @@ Mlp::Mlp(MlpConfig config, Rng& rng) : config_(std::move(config)) {
   std::size_t prev = config_.input_dim;
   for (std::size_t width : config_.hidden) {
     MFCP_CHECK(width > 0, "hidden width must be positive");
-    layers_.push_back(std::make_unique<Linear>(prev, width, rng));
-    linears_.push_back(static_cast<Linear*>(layers_.back().get()));
-    layers_.push_back(
-        std::make_unique<ActivationLayer>(config_.hidden_activation));
+    linears_.emplace_back(prev, width, rng);
     prev = width;
   }
-  layers_.push_back(std::make_unique<Linear>(prev, config_.output_dim, rng));
-  linears_.push_back(static_cast<Linear*>(layers_.back().get()));
-  if (config_.output_activation != Activation::kIdentity) {
-    layers_.push_back(
-        std::make_unique<ActivationLayer>(config_.output_activation));
-  }
+  linears_.emplace_back(prev, config_.output_dim, rng);
 }
 
 Variable Mlp::forward(const Variable& x) {
   Variable h = x;
-  for (auto& layer : layers_) {
-    h = layer->forward(h);
+  for (std::size_t l = 0; l + 1 < linears_.size(); ++l) {
+    h = autograd::relu(linears_[l].forward(h));
+  }
+  h = linears_.back().forward(h);
+  switch (config_.output_activation) {
+    case Activation::kSoftplus:
+      return autograd::softplus(h);
+    case Activation::kSigmoid:
+      return autograd::sigmoid(h);
+    case Activation::kIdentity:
+      break;
   }
   return h;
 }
 
-Matrix Mlp::predict(const Matrix& x) {
-  if (!fused_supported(config_)) {
-    return forward(Variable(x, /*requires_grad=*/false)).value();
-  }
-  Matrix out(x.rows(), config_.output_dim);
-  fused_forward(*this, x, 1.0, out.flat());
-  return out;
-}
-
 std::vector<Variable> Mlp::parameters() {
   std::vector<Variable> params;
-  for (auto& layer : layers_) {
-    for (auto& p : layer->parameters()) {
-      params.push_back(p);
+  for (Linear& lin : linears_) {
+    for (Variable& p : lin.parameters()) {
+      params.push_back(std::move(p));
     }
   }
   return params;
-}
-
-std::size_t Mlp::parameter_count() {
-  std::size_t n = 0;
-  for (auto& p : parameters()) {
-    n += p.value().size();
-  }
-  return n;
 }
 
 }  // namespace mfcp::nn

@@ -1,10 +1,10 @@
-// First-order parameter optimizers.
+// Adam (Kingma & Ba) with bias correction.
 //
-// Optimizers hold shared handles to the model's parameter Variables; step()
-// consumes whatever gradients backward passes accumulated since the last
-// zero_grad(). This supports MFCP's alternating schedule (fix φ while
-// stepping ω and vice versa) by simply building two optimizers over the two
-// parameter sets.
+// The optimizer holds shared handles to the model's parameter Variables;
+// step() consumes whatever gradients backward passes accumulated since
+// the last zero_grad(). This supports MFCP's alternating schedule (fix φ
+// while stepping ω and vice versa) by simply building two optimizers over
+// the two parameter sets.
 #pragma once
 
 #include <vector>
@@ -15,56 +15,20 @@ namespace mfcp::nn {
 
 using autograd::Variable;
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Variable> params);
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the accumulated gradients. Parameters whose
-  /// gradient is empty (untouched by backward) are skipped.
-  virtual void step() = 0;
-
-  /// Clears gradients of all managed parameters.
-  void zero_grad();
-
-  [[nodiscard]] const std::vector<Variable>& parameters() const noexcept {
-    return params_;
-  }
-
- protected:
-  std::vector<Variable> params_;
-};
-
-/// SGD with optional momentum and decoupled weight decay.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Variable> params, double lr, double momentum = 0.0,
-      double weight_decay = 0.0);
-
-  void step() override;
-
-  [[nodiscard]] double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr) noexcept { lr_ = lr; }
-
- private:
-  double lr_;
-  double momentum_;
-  double weight_decay_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
+class Adam {
  public:
   Adam(std::vector<Variable> params, double lr, double beta1 = 0.9,
        double beta2 = 0.999, double eps = 1e-8);
 
-  void step() override;
+  /// Applies one update using the accumulated gradients. Parameters whose
+  /// gradient is empty (untouched by backward) are skipped.
+  void step();
 
-  [[nodiscard]] double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr) noexcept { lr_ = lr; }
+  /// Clears gradients of all managed parameters.
+  void zero_grad();
 
  private:
+  std::vector<Variable> params_;
   double lr_;
   double beta1_;
   double beta2_;

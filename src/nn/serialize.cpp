@@ -82,9 +82,9 @@ void save_mlp(const std::string& path, Mlp& model) {
 void save_mlp(std::ostream& os, Mlp& model) {
   const auto& layers = model.linear_layers();
   os << "mfcp-mlp 1\n" << layers.size() << '\n';
-  for (Linear* lin : layers) {
-    write_matrix(os, lin->weight().value());
-    write_matrix(os, lin->bias().value());
+  for (const Linear& lin : layers) {
+    write_matrix(os, lin.weight().value());
+    write_matrix(os, lin.bias().value());
   }
 }
 
@@ -112,25 +112,25 @@ std::vector<Matrix> read_mlp(std::istream& is, const Mlp& model) {
   std::vector<Matrix> weights;
   weights.reserve(2 * count);
   std::string line;
-  for (Linear* lin : layers) {
-    weights.push_back(read_matrix(is, lin->weight().value(), line));
-    weights.push_back(read_matrix(is, lin->bias().value(), line));
+  for (const Linear& lin : layers) {
+    weights.push_back(read_matrix(is, lin.weight().value(), line));
+    weights.push_back(read_matrix(is, lin.bias().value(), line));
   }
   return weights;
 }
 
 void assign_mlp(Mlp& model, std::vector<Matrix>&& weights) {
-  const auto& layers = model.linear_layers();
+  auto& layers = model.linear_layers();
   MFCP_CHECK(weights.size() == 2 * layers.size(),
              "assign_mlp: one weight and one bias per layer");
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    MFCP_CHECK(weights[2 * l].same_shape(layers[l]->weight().value()) &&
-                   weights[2 * l + 1].same_shape(layers[l]->bias().value()),
+    MFCP_CHECK(weights[2 * l].same_shape(layers[l].weight().value()) &&
+                   weights[2 * l + 1].same_shape(layers[l].bias().value()),
                "assign_mlp: parameter shape does not match the model");
   }
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    layers[l]->weight().mutable_value() = std::move(weights[2 * l]);
-    layers[l]->bias().mutable_value() = std::move(weights[2 * l + 1]);
+    layers[l].weight().mutable_value() = std::move(weights[2 * l]);
+    layers[l].bias().mutable_value() = std::move(weights[2 * l + 1]);
   }
 }
 

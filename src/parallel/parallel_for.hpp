@@ -1,4 +1,4 @@
-// Block-partitioned parallel loops and deterministic parallel reductions.
+// Block-partitioned parallel loops.
 #pragma once
 
 #include <exception>
@@ -56,25 +56,6 @@ void parallel_for(ThreadPool& pool, std::size_t n, Body&& body) {
   if (first) {
     std::rethrow_exception(first);
   }
-}
-
-/// Deterministic map-reduce: computes map(i) for i in [0, n) and combines
-/// results in index order with reduce(acc, value). The reduction order is
-/// identical regardless of thread count, so floating-point results are
-/// thread-count invariant (a property our tests assert).
-template <typename T, typename Map, typename Reduce>
-T parallel_map_reduce(ThreadPool& pool, std::size_t n, T init, Map&& map,
-                      Reduce&& reduce) {
-  if (n == 0) {
-    return init;
-  }
-  std::vector<T> values(n, init);
-  parallel_for(pool, n, [&](std::size_t i) { values[i] = map(i); });
-  T acc = std::move(init);
-  for (std::size_t i = 0; i < n; ++i) {
-    acc = reduce(std::move(acc), std::move(values[i]));
-  }
-  return acc;
 }
 
 }  // namespace mfcp

@@ -97,15 +97,6 @@ Rng Rng::split() noexcept {
   return child;
 }
 
-std::vector<Rng> Rng::split_n(std::size_t n) {
-  std::vector<Rng> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(split());
-  }
-  return out;
-}
-
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);
   permutation(std::span<std::size_t>(idx));

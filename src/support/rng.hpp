@@ -72,9 +72,6 @@ class Rng {
   /// calls (and the parent after the call) do not share state.
   Rng split() noexcept;
 
-  /// Returns `n` independent child generators (for per-thread streams).
-  std::vector<Rng> split_n(std::size_t n);
-
   /// Fisher–Yates shuffle of indices [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
 

@@ -123,21 +123,6 @@ TEST(FiniteDiff, JacobianOfLinearSolverIsExact) {
 
 // ------------------------------------------------------------------ kkt --
 
-TEST(Kkt, EqualityJacobianStructure) {
-  const Matrix d = equality_jacobian(3, 4);
-  ASSERT_EQ(d.rows(), 4u);
-  ASSERT_EQ(d.cols(), 12u);
-  for (std::size_t j = 0; j < 4; ++j) {
-    double row_sum = 0.0;
-    for (std::size_t c = 0; c < 12; ++c) {
-      row_sum += d(j, c);
-      EXPECT_TRUE(d(j, c) == 0.0 || d(j, c) == 1.0);
-    }
-    EXPECT_DOUBLE_EQ(row_sum, 3.0);
-    EXPECT_DOUBLE_EQ(d(j, 0 * 4 + j), 1.0);
-  }
-}
-
 TEST(Kkt, JacobianColumnsSumToZeroPerTask) {
   // Differentiating the simplex constraint: d(sum_i x_ij)/d theta = 0, so
   // every column of dX/dT must sum to zero within each task block.
@@ -232,15 +217,6 @@ TEST(Kkt, GradientsPointInDescentDirection) {
 }
 
 // ----------------------------------------------------------- zeroth order --
-
-TEST(ZerothOrder, OptimalDeltaFormula) {
-  // Theorem 3: Delta* = (2 sigma^2 / (beta^2 S))^{1/4}.
-  EXPECT_NEAR(optimal_delta(1.0, 1.0, 2), 1.0, 1e-12);
-  EXPECT_NEAR(optimal_delta(0.5, 2.0, 16),
-              std::pow(2.0 * 0.25 / (4.0 * 16.0), 0.25), 1e-12);
-  // More samples -> smaller optimal perturbation.
-  EXPECT_LT(optimal_delta(1.0, 1.0, 64), optimal_delta(1.0, 1.0, 4));
-}
 
 TEST(ZerothOrder, RowGradientApproachesKktGradient) {
   // On the convex instance the forward-gradient estimate must agree with

@@ -185,40 +185,5 @@ TEST(ParallelFor, NestedCallOnTheSamePoolRunsInline) {
   EXPECT_NE(outer[0], std::this_thread::get_id());
 }
 
-TEST(ParallelMapReduce, SumsInIndexOrder) {
-  ThreadPool pool(4);
-  const auto sum = parallel_map_reduce<long>(
-      pool, 1000, 0L, [](std::size_t i) { return static_cast<long>(i); },
-      [](long acc, long v) { return acc + v; });
-  EXPECT_EQ(sum, 999L * 1000L / 2);
-}
-
-TEST(ParallelMapReduce, FloatingPointResultIsThreadCountInvariant) {
-  // The reduction order is fixed by index, so results are bitwise equal
-  // for any pool size — the hallmark of a deterministic parallel design.
-  auto run = [](std::size_t threads) {
-    ThreadPool pool(threads);
-    return parallel_map_reduce<double>(
-        pool, 2000, 0.0,
-        [](std::size_t i) {
-          return 1.0 / (1.0 + static_cast<double>(i) * 0.7);
-        },
-        [](double acc, double v) { return acc + v; });
-  };
-  const double r1 = run(1);
-  const double r2 = run(2);
-  const double r7 = run(7);
-  EXPECT_EQ(r1, r2);
-  EXPECT_EQ(r1, r7);
-}
-
-TEST(ParallelMapReduce, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const double r = parallel_map_reduce<double>(
-      pool, 0, 3.5, [](std::size_t) { return 1.0; },
-      [](double a, double b) { return a + b; });
-  EXPECT_DOUBLE_EQ(r, 3.5);
-}
-
 }  // namespace
 }  // namespace mfcp

@@ -147,17 +147,6 @@ TEST(Rng, SplitIsDeterministic) {
   }
 }
 
-TEST(Rng, SplitNProducesDistinctStreams) {
-  Rng rng(5);
-  auto streams = rng.split_n(4);
-  ASSERT_EQ(streams.size(), 4u);
-  std::set<std::uint64_t> firsts;
-  for (auto& s : streams) {
-    firsts.insert(s.next_u64());
-  }
-  EXPECT_EQ(firsts.size(), 4u);
-}
-
 TEST(Rng, PermutationIsAPermutation) {
   Rng rng(31);
   const auto p = rng.permutation(50);
