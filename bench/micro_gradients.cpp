@@ -2,18 +2,20 @@
 // analytic KKT (vector-Jacobian product vs full Jacobian) and zeroth-order
 // forward gradients (serial vs thread pool, varying sample count S) —
 // the O(S * K2 * MN) term of the complexity analysis (Eq. 21) — and for
-// the predictor MLP on the autograd tape against the tape-free kernels
-// (nn/fused_mlp): one MSE + Adam step, the kernels' matrix product at
-// each vector tier, the Adam step alone, the engine's 4-cluster predict
-// at 2 and 10 rows, a predictor copied through text checkpoints, and a
-// whole TSM pretraining run, its (cluster, head) fits spread over the
-// global pool.
+// the predictor MLP: one MSE + Adam step on the autograd tape
+// (autograd::tape_mse_step, the engine's retrain burst) against the
+// fused kernels (nn/fused_mlp), the kernels' matrix product at each
+// vector tier, the Adam step alone, the engine's 4-cluster predict at 2
+// and 10 rows, a predictor copied through text checkpoints, and a whole
+// TSM pretraining run, its (cluster, head) fits spread over the global
+// pool.
 #include <benchmark/benchmark.h>
 
 #include <optional>
 #include <sstream>
 #include <vector>
 
+#include "autograd/mlp_tape.hpp"
 #include "diff/kkt.hpp"
 #include "diff/zeroth_order.hpp"
 #include "linalg/vector_ops.hpp"
@@ -22,7 +24,6 @@
 #include "mfcp/predictor.hpp"
 #include "mfcp/trainer_tsm.hpp"
 #include "nn/fused_mlp.hpp"
-#include "nn/loss.hpp"
 #include "nn/serialize.hpp"
 #include "sim/dataset.hpp"
 #include "support/rng.hpp"
@@ -203,13 +204,8 @@ void BM_MlpStepTape(benchmark::State& state) {
   int steps = kStepsPerInstance - 1;
   for (auto _ : state) {
     renew_every_fit(state, steps, inst);
-    inst->opt.zero_grad();
-    auto loss = nn::mse(
-        inst->cluster.forward_time(nn::Variable(inst->x, false)),
-        inst->target);
-    loss.backward();
-    inst->opt.step();
-    benchmark::DoNotOptimize(loss.value()[0]);
+    benchmark::DoNotOptimize(autograd::tape_mse_step(
+        inst->model(), inst->opt, inst->x, inst->target, inst->scale()));
   }
 }
 BENCHMARK(BM_MlpStepTape)->Arg(32)->Arg(64);
@@ -319,8 +315,7 @@ void BM_AdamStep(benchmark::State& state) {
   auto inst = make_step_instance(32);
   nn::fused_mse_step(inst.model(), inst.opt, inst.x, inst.target,
                      inst.scale());
-  double* weights =
-      inst.cluster.time_model().parameters().front().mutable_value().data();
+  double* weights = inst.cluster.time_model().linear_layers()[0].weight.data();
   for (auto _ : state) {
     inst.opt.step();
     benchmark::DoNotOptimize(weights);
@@ -329,8 +324,7 @@ void BM_AdamStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamStep);
 
-// T-hat and A-hat for one engine round: 4 clusters x a batch of tasks,
-// 10 for the tape (replay's batch).
+// T-hat and A-hat for one engine round: 4 clusters x a batch of tasks.
 struct PredictInstance {
   core::PlatformPredictor predictor;
   Matrix features;
@@ -345,19 +339,6 @@ PredictInstance make_predict_instance(std::size_t rows) {
   }
   return PredictInstance{std::move(predictor), std::move(features)};
 }
-
-void BM_PredictTape(benchmark::State& state) {
-  auto inst = make_predict_instance(10);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < inst.predictor.num_clusters(); ++i) {
-      auto& cluster = inst.predictor.cluster(i);
-      const nn::Variable in(inst.features, false);
-      benchmark::DoNotOptimize(cluster.forward_time(in).value().data());
-      benchmark::DoNotOptimize(cluster.forward_reliability(in).value().data());
-    }
-  }
-}
-BENCHMARK(BM_PredictTape);
 
 // Arg: the batch's rows, 2 (the gateway's batches on steady) or 10
 // (replay's).

@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "mfcp/experiment.hpp"
-#include "nn/loss.hpp"
 
 using namespace mfcp;
 

@@ -1,8 +1,9 @@
 #include "autograd/ops.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "linalg/blas.hpp"
+#include "nn/mlp.hpp"
 #include "support/check.hpp"
 
 namespace mfcp::autograd {
@@ -22,44 +23,6 @@ std::shared_ptr<Node> make_node(Matrix value,
 }
 
 }  // namespace
-
-double sigmoid_scalar(double x) noexcept {
-  return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
-                  : std::exp(x) / (1.0 + std::exp(x));
-}
-
-double softplus_scalar(double x) noexcept {
-  // Stable: softplus(x) = max(x, 0) + log1p(exp(-|x|)).
-  return std::max(x, 0.0) + std::log1p(std::exp(-std::abs(x)));
-}
-
-Variable add(const Variable& a, const Variable& b) {
-  MFCP_CHECK(a.value().same_shape(b.value()), "add: shape mismatch");
-  auto node = make_node(a.value() + b.value(), {a.node(), b.node()});
-  node->backward_fn = [](const Node& n) {
-    if (n.parents[0]->requires_grad) {
-      n.parents[0]->accumulate(n.grad);
-    }
-    if (n.parents[1]->requires_grad) {
-      n.parents[1]->accumulate(n.grad);
-    }
-  };
-  return Variable(node);
-}
-
-Variable mul(const Variable& a, const Variable& b) {
-  MFCP_CHECK(a.value().same_shape(b.value()), "mul: shape mismatch");
-  auto node = make_node(hadamard(a.value(), b.value()), {a.node(), b.node()});
-  node->backward_fn = [](const Node& n) {
-    if (n.parents[0]->requires_grad) {
-      n.parents[0]->accumulate(hadamard(n.grad, n.parents[1]->value));
-    }
-    if (n.parents[1]->requires_grad) {
-      n.parents[1]->accumulate(hadamard(n.grad, n.parents[0]->value));
-    }
-  };
-  return Variable(node);
-}
 
 Variable scale(const Variable& a, double s) {
   auto node = make_node(a.value() * s, {a.node()});
@@ -143,7 +106,7 @@ Variable relu(const Variable& a) {
 Variable sigmoid(const Variable& a) {
   Matrix out = a.value();
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = sigmoid_scalar(out[i]);
+    out[i] = nn::sigmoid_scalar(out[i]);
   }
   auto node = make_node(std::move(out), {a.node()});
   node->backward_fn = [](const Node& n) {
@@ -160,30 +123,16 @@ Variable sigmoid(const Variable& a) {
 Variable softplus(const Variable& a) {
   Matrix out = a.value();
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = softplus_scalar(out[i]);
+    out[i] = nn::softplus_scalar(out[i]);
   }
   auto node = make_node(std::move(out), {a.node()});
   node->backward_fn = [](const Node& n) {
     Matrix g = n.grad;
     const Matrix& x = n.parents[0]->value;
     for (std::size_t i = 0; i < g.size(); ++i) {
-      g[i] *= sigmoid_scalar(x[i]);
+      g[i] *= nn::sigmoid_scalar(x[i]);
     }
     n.parents[0]->accumulate(g);
-  };
-  return Variable(node);
-}
-
-Variable sum_all(const Variable& a) {
-  Matrix out(1, 1, 0.0);
-  for (std::size_t i = 0; i < a.value().size(); ++i) {
-    out[0] += a.value()[i];
-  }
-  auto node = make_node(std::move(out), {a.node()});
-  node->backward_fn = [](const Node& n) {
-    const auto& p = n.parents[0];
-    n.parents[0]->accumulate(
-        Matrix(p->value.rows(), p->value.cols(), n.grad[0]));
   };
   return Variable(node);
 }

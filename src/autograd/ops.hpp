@@ -9,12 +9,6 @@
 
 namespace mfcp::autograd {
 
-/// Element-wise sum; shapes must match.
-Variable add(const Variable& a, const Variable& b);
-
-/// Element-wise (Hadamard) product.
-Variable mul(const Variable& a, const Variable& b);
-
 /// Scalar multiple.
 Variable scale(const Variable& a, double s);
 
@@ -32,23 +26,14 @@ Variable add_row_broadcast(const Variable& a, const Variable& bias);
 Variable relu(const Variable& a);
 
 /// Logistic sigmoid, element-wise (used by the reliability head to keep
-/// â in (0, 1)).
+/// â in (0, 1)), with nn::sigmoid_scalar.
 Variable sigmoid(const Variable& a);
 
 /// softplus(x) = log(1 + e^x), element-wise (used by the execution-time
-/// head to keep t̂ positive).
+/// head to keep t̂ positive), with nn::softplus_scalar.
 Variable softplus(const Variable& a);
-
-/// Sum of all elements -> 1x1.
-Variable sum_all(const Variable& a);
 
 /// Mean squared error against a constant target -> 1x1 (paper Eq. 1).
 Variable mse_loss(const Variable& pred, const Matrix& target);
-
-/// The scalar logistic and softplus the ops above apply per element (and
-/// softplus's derivative is the logistic). The tape-free MLP kernels
-/// (nn/fused_mlp) call the same definitions.
-double sigmoid_scalar(double x) noexcept;
-double softplus_scalar(double x) noexcept;
 
 }  // namespace mfcp::autograd

@@ -19,22 +19,6 @@ Variable::Variable(Matrix value, bool requires_grad)
   node_->requires_grad = requires_grad;
 }
 
-Matrix& Variable::mutable_value() {
-  MFCP_CHECK(node_->parents.empty(),
-             "only leaf values may be mutated (optimizer updates)");
-  return node_->value;
-}
-
-Matrix& Variable::grad_slot() {
-  MFCP_CHECK(node_->parents.empty(), "only leaves have a gradient slot");
-  if (!node_->grad.same_shape(node_->value)) {
-    node_->grad = Matrix(node_->value.rows(), node_->value.cols());
-  }
-  return node_->grad;
-}
-
-void Variable::zero_grad() { node_->grad = Matrix(); }
-
 void Variable::backward() {
   MFCP_CHECK(node_->value.size() == 1,
              "seedless backward requires a scalar output");

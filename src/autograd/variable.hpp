@@ -5,12 +5,10 @@
 // graph as they compute; Variable::backward(seed) runs reverse accumulation
 // in topological order.
 //
-// Two features matter for MFCP specifically:
-//  - backward() accepts an arbitrary seed gradient, because the upstream
-//    gradient dL/dt̂ arrives from *outside* the tape (the matching layer:
-//    KKT implicit differentiation or zeroth-order estimation, paper Eq. 7);
-//  - gradients accumulate across multiple backward passes until zero_grad(),
-//    so the alternating ω / φ updates can reuse one forward graph.
+// backward() accepts an arbitrary seed gradient, and a leaf's gradient
+// accumulates across backward passes over graphs that share it: the
+// semantics nn::fused_backward reproduces for the matching layer's
+// dL/dt̂ (paper Eq. 7), which arrives from outside the network.
 #pragma once
 
 #include <functional>
@@ -43,15 +41,8 @@ class Variable {
 
   [[nodiscard]] const Matrix& value() const noexcept { return node_->value; }
 
-  /// Mutable access to the value of a *leaf* (for optimizer updates).
-  [[nodiscard]] Matrix& mutable_value();
-
   /// Accumulated gradient. Zero-shaped until backward reaches this node.
   [[nodiscard]] const Matrix& grad() const noexcept { return node_->grad; }
-
-  /// A *leaf*'s gradient storage, shaped like its value, for kernels that
-  /// compute the gradient outside the tape and overwrite it in place.
-  [[nodiscard]] Matrix& grad_slot();
 
   [[nodiscard]] bool requires_grad() const noexcept {
     return node_->requires_grad;
@@ -63,9 +54,6 @@ class Variable {
   [[nodiscard]] std::size_t cols() const noexcept {
     return node_->value.cols();
   }
-
-  /// Clears the gradient of this node only.
-  void zero_grad();
 
   /// Reverse pass from this node seeded with dOut = ones (requires a 1x1
   /// scalar output; use the seeded overload otherwise).

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "nn/loss.hpp"
+#include "autograd/mlp_tape.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/span.hpp"
 #include "support/check.hpp"
@@ -288,20 +288,12 @@ void OnlineTrainer::retrain(core::PlatformPredictor& predictor) {
         t_target(k, 0) = e.observed_time;
         a_target(k, 0) = e.observed_success;
       }
-      {
-        nn::Variable in(features, /*requires_grad=*/false);
-        auto loss = nn::mse(cluster.forward_time(in), t_target);
-        time_opt.zero_grad();
-        loss.backward();
-        time_opt.step();
-      }
-      {
-        nn::Variable in(features, /*requires_grad=*/false);
-        auto loss = nn::mse(cluster.forward_reliability(in), a_target);
-        rel_opt.zero_grad();
-        loss.backward();
-        rel_opt.step();
-      }
+      // The library's one tape caller. nn::fused_mse_step gives the same
+      // bits faster; see autograd/mlp_tape.hpp for why the burst waits.
+      autograd::tape_mse_step(cluster.time_model(), time_opt, features,
+                              t_target, cluster.time_scale());
+      autograd::tape_mse_step(cluster.reliability_model(), rel_opt, features,
+                              a_target, 1.0);
     }
   }
 }

@@ -48,10 +48,6 @@ Matrix Matrix::row(std::span<const double> values) {
   return m;
 }
 
-bool Matrix::is_vector() const noexcept {
-  return rows_ <= 1 || cols_ <= 1;
-}
-
 double& Matrix::operator()(std::size_t r, std::size_t c) {
   MFCP_DCHECK(r < rows_ && c < cols_, "matrix index out of range");
   return data_[r * cols_ + c];

@@ -40,9 +40,6 @@ class Matrix {
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
-  /// True when this is an n x 1 or 1 x n matrix (or empty).
-  [[nodiscard]] bool is_vector() const noexcept;
-
   double& operator()(std::size_t r, std::size_t c);
   double operator()(std::size_t r, std::size_t c) const;
 

@@ -1,6 +1,5 @@
 #include "mfcp/predictor.hpp"
 
-#include "autograd/ops.hpp"
 #include "nn/fused_mlp.hpp"
 #include "support/check.hpp"
 
@@ -33,15 +32,6 @@ ClusterPredictor::ClusterPredictor(const PredictorConfig& config, Rng& rng)
       rel_model_(rel_config(config), rng),
       time_scale_(config.time_scale) {
   MFCP_CHECK(time_scale_ > 0.0, "time scale must be positive");
-}
-
-nn::Variable ClusterPredictor::forward_time(const nn::Variable& features) {
-  return autograd::scale(time_model_.forward(features), time_scale_);
-}
-
-nn::Variable ClusterPredictor::forward_reliability(
-    const nn::Variable& features) {
-  return rel_model_.forward(features);
 }
 
 void ClusterPredictor::predict_time_row(const Matrix& features,

@@ -26,13 +26,9 @@ class ClusterPredictor {
  public:
   ClusterPredictor(const PredictorConfig& config, Rng& rng);
 
-  /// Differentiable forward passes; input (n x d) features, output (n x 1).
-  nn::Variable forward_time(const nn::Variable& features);
-  nn::Variable forward_reliability(const nn::Variable& features);
-
-  /// Value-only prediction for a feature batch, off the tape
-  /// (nn/fused_mlp, bit-identical to the forward passes above): writes
-  /// one value per feature row into `row`, e.g. a row of T̂ / Â.
+  /// Prediction for a feature batch (n x d) through nn/fused_mlp: writes
+  /// one value per feature row into `row`, e.g. a row of T̂ / Â. The time
+  /// head's output is scaled by time_scale().
   void predict_time_row(const Matrix& features, std::span<double> row);
   void predict_reliability_row(const Matrix& features,
                                std::span<double> row);

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
-#include "autograd/ops.hpp"
 #include "diff/kkt.hpp"
 #include "linalg/vector_ops.hpp"
 #include "matching/entropy.hpp"
@@ -14,8 +15,7 @@
 #include "matching/rounding.hpp"
 #include "mfcp/regret.hpp"
 #include "mfcp/trainer_tsm.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
+#include "nn/fused_mlp.hpp"
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
 
@@ -116,52 +116,55 @@ void clip_norm(Matrix& g, double max_norm) {
   }
 }
 
-/// A scalar whose gradient with respect to `y` is exactly `seed`:
-/// sum(y ⊙ seed). Lets the externally-computed matching-layer gradient
-/// (Eq. 7's middle term) enter a normal autograd backward pass, so it can
-/// be combined with the MSE anchor in a single traversal (two backward
-/// calls on one graph would double-count).
-nn::Variable inject_gradient(const nn::Variable& y, const Matrix& seed) {
-  return autograd::sum_all(
-      autograd::mul(y, autograd::Variable(seed, /*requires_grad=*/false)));
+/// dL/dy for one head's predictions y: the seed plus, with an anchor, the
+/// gradient of anchor_weight · MSE(y, target), both scaled by
+/// batch_scale (the 1/rounds_per_step factor). The two terms are summed
+/// in the order a tape backward adds them into y's gradient, the MSE
+/// term first, so the network's gradients keep the tape's bits.
+std::vector<double> output_gradient(const MfcpConfig& config,
+                                    double batch_scale, const Matrix& seed,
+                                    std::span<const double> y,
+                                    std::span<const double> target) {
+  const std::size_t n = y.size();
+  const double c = 2.0 / static_cast<double>(n) *
+                   (batch_scale * config.anchor_weight);
+  std::vector<double> dy(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    dy[j] = batch_scale * seed[j];
+    if (config.anchor_weight > 0.0) {
+      dy[j] = (0.0 + c * (y[j] - target[j])) + dy[j];
+    }
+  }
+  return dy;
 }
 
 /// Applies row `cluster_index` of the seed gradients (plus the MSE anchor)
-/// through that cluster's predictor tapes; `scale` carries the
-/// 1/rounds_per_step factor.
+/// through that cluster's two networks, whose predictions over the
+/// round's tasks were `t_hat` and `a_hat`.
 void backward_cluster(const MfcpConfig& config, const Round& round,
-                      std::size_t cluster_index, nn::Variable& t_hat,
-                      nn::Variable& a_hat, const diff::Gradients& seeds,
-                      const Matrix& scale) {
+                      std::size_t cluster_index, ClusterPredictor& cluster,
+                      std::span<const double> t_hat,
+                      std::span<const double> a_hat,
+                      const diff::Gradients& seeds, double batch_scale) {
   const std::size_t n = round.features.rows();
   Matrix seed_t(n, 1);
   Matrix seed_a(n, 1);
-  Matrix t_target(n, 1);
-  Matrix a_target(n, 1);
   for (std::size_t j = 0; j < n; ++j) {
     seed_t(j, 0) = seeds.dt(cluster_index, j);
     seed_a(j, 0) = seeds.da(cluster_index, j);
-    t_target(j, 0) = round.times(cluster_index, j);
-    a_target(j, 0) = round.reliability(cluster_index, j);
   }
   clip_norm(seed_t, config.seed_clip_norm);
   clip_norm(seed_a, config.seed_clip_norm);
 
-  auto loss_t = inject_gradient(t_hat, seed_t);
-  if (config.anchor_weight > 0.0) {
-    loss_t = autograd::add(loss_t,
-                           autograd::scale(nn::mse(t_hat, t_target),
-                                           config.anchor_weight));
-  }
-  loss_t.backward(scale);
-
-  auto loss_a = inject_gradient(a_hat, seed_a);
-  if (config.anchor_weight > 0.0) {
-    loss_a = autograd::add(loss_a,
-                           autograd::scale(nn::mse(a_hat, a_target),
-                                           config.anchor_weight));
-  }
-  loss_a.backward(scale);
+  nn::fused_backward(cluster.time_model(), round.features,
+                     output_gradient(config, batch_scale, seed_t, t_hat,
+                                     round.times.row_span(cluster_index)),
+                     cluster.time_scale());
+  nn::fused_backward(
+      cluster.reliability_model(), round.features,
+      output_gradient(config, batch_scale, seed_a, a_hat,
+                      round.reliability.row_span(cluster_index)),
+      1.0);
 }
 
 /// One inner problem of a round: rows [row_begin, row_end) of (T̂, Â) hold
@@ -206,20 +209,18 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
   }
 
   const std::size_t m = predictor.num_clusters();
-  std::vector<std::unique_ptr<nn::Adam>> time_opts;
-  std::vector<std::unique_ptr<nn::Adam>> rel_opts;
+  std::vector<nn::Adam> time_opts;
+  std::vector<nn::Adam> rel_opts;
   for (std::size_t i = 0; i < m; ++i) {
-    time_opts.push_back(std::make_unique<nn::Adam>(
-        predictor.cluster(i).time_model().parameters(),
-        config.learning_rate));
-    rel_opts.push_back(std::make_unique<nn::Adam>(
+    time_opts.emplace_back(predictor.cluster(i).time_model().parameters(),
+                           config.learning_rate);
+    rel_opts.emplace_back(
         predictor.cluster(i).reliability_model().parameters(),
-        config.learning_rate));
+        config.learning_rate);
   }
 
   const std::size_t n = config.round_tasks;
-  const Matrix batch_scale(
-      1, 1, 1.0 / static_cast<double>(config.rounds_per_step));
+  const double batch_scale = 1.0 / static_cast<double>(config.rounds_per_step);
   // Joint mode (Eq. 5/12) is one inner problem with every row predicted;
   // per-cluster mode (Algorithm 2 line 3) is M problems, problem i
   // predicting row i only.
@@ -227,8 +228,8 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
 
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     for (std::size_t i = 0; i < m; ++i) {
-      time_opts[i]->zero_grad();
-      rel_opts[i]->zero_grad();
+      predictor.cluster(i).time_model().zero_grad();
+      predictor.cluster(i).reliability_model().zero_grad();
     }
 
     double epoch_loss = 0.0;
@@ -243,25 +244,21 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
       for (std::size_t first = 0; first < m; first += rows_per_problem) {
         InnerProblem problem{round, *truth, round.times, round.reliability,
                              first, first + rows_per_problem};
-        std::vector<nn::Variable> t_hats;
-        std::vector<nn::Variable> a_hats;
         for (std::size_t i = first; i < problem.row_end; ++i) {
-          nn::Variable z_time(round.features, /*requires_grad=*/false);
-          t_hats.push_back(predictor.cluster(i).forward_time(z_time));
-          nn::Variable z_rel(round.features, /*requires_grad=*/false);
-          a_hats.push_back(predictor.cluster(i).forward_reliability(z_rel));
-          for (std::size_t j = 0; j < n; ++j) {
-            problem.t_pred(i, j) = t_hats.back().value()[j];
-            problem.a_pred(i, j) = a_hats.back().value()[j];
-          }
+          predictor.cluster(i).predict_time_row(round.features,
+                                                problem.t_pred.row_span(i));
+          predictor.cluster(i).predict_reliability_row(
+              round.features, problem.a_pred.row_span(i));
         }
         const InnerSolution inner = solve_inner(problem, rng);
         epoch_loss += surrogate_regret(*truth, inner.x_star, x_true);
         ++loss_terms;
 
         for (std::size_t i = first; i < problem.row_end; ++i) {
-          backward_cluster(config, round, i, t_hats[i - first],
-                           a_hats[i - first], inner.seeds, batch_scale);
+          backward_cluster(config, round, i, predictor.cluster(i),
+                           problem.t_pred.row_span(i),
+                           problem.a_pred.row_span(i), inner.seeds,
+                           batch_scale);
         }
       }
     }
@@ -269,8 +266,8 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
     // Alternating flavour of §3.3: ω and φ steps consume partial
     // derivatives computed with the other head's predictions held fixed.
     for (std::size_t i = 0; i < m; ++i) {
-      time_opts[i]->step();
-      rel_opts[i]->step();
+      time_opts[i].step();
+      rel_opts[i].step();
     }
     result.loss_history.push_back(epoch_loss /
                                   static_cast<double>(loss_terms));

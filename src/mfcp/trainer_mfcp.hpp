@@ -17,9 +17,10 @@
 //        vector-Jacobian product (diff/kkt.hpp);
 //      - FG: the zeroth-order estimator (diff/zeroth_order.hpp) applied
 //        to the deployed pipeline loss, or to the relaxed surrogate;
-//   5. backprop the seeds (plus an MSE anchor) through the predictor tapes
-//      and take optimizer steps — ω and φ alternately, holding the other's
-//      predictions fixed within the step (paper §3.3, last paragraph).
+//   5. backprop the seeds (plus an MSE anchor) through the predictor
+//      networks (nn::fused_backward) and take optimizer steps — ω and φ
+//      alternately, holding the other's predictions fixed within the step
+//      (paper §3.3, last paragraph).
 #pragma once
 
 #include "mfcp/mfcp_config.hpp"

@@ -63,7 +63,7 @@ TsmTrainResult train_tsm(PlatformPredictor& predictor,
         target.data()[k] = label_row[order[k]];
       }
       // Off the tape (nn/fused_mlp): the same losses and weights, bit for
-      // bit, as zero_grad + mse(forward) + backward + step.
+      // bit, as autograd::tape_mse_step.
       job_losses[epoch] = nn::fused_mse_step(mlp, opt, features, target, scale);
     }
   });

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "autograd/ops.hpp"
 #include "support/check.hpp"
 
 namespace mfcp::nn {
@@ -17,6 +16,7 @@ struct Scratch {
   std::vector<double> pre;   // every layer's pre-activations (rows x width)
   std::vector<double> post;  // hidden ReLU outputs, then the head's output
   std::vector<double> grad;  // two (rows x widest layer) gradient buffers
+  std::vector<double> dy;    // fused_mse_step's dL/dy
 };
 
 thread_local Scratch t_scratch;
@@ -55,6 +55,20 @@ struct StoreSum {
   [[gnu::always_inline]] void operator()(std::size_t e, std::size_t,
                                          const V& sum) const {
     std::memcpy(c + e, &sum, sizeof(V));
+  }
+};
+
+/// c = c + sum: a gradient added into its slot, as the tape's
+/// accumulate adds it.
+struct AddSum {
+  double* c;
+  template <class V>
+  [[gnu::always_inline]] void operator()(std::size_t e, std::size_t,
+                                         const V& sum) const {
+    V old;
+    std::memcpy(&old, c + e, sizeof(V));
+    const V r = old + sum;
+    std::memcpy(c + e, &r, sizeof(V));
   }
 };
 
@@ -257,12 +271,12 @@ void head_activation(Activation act, const double* z, double* out,
   switch (act) {
     case Activation::kSoftplus:
       for (std::size_t i = 0; i < n; ++i) {
-        out[i] = autograd::softplus_scalar(z[i]);
+        out[i] = softplus_scalar(z[i]);
       }
       break;
     case Activation::kSigmoid:
       for (std::size_t i = 0; i < n; ++i) {
-        out[i] = autograd::sigmoid_scalar(z[i]);
+        out[i] = sigmoid_scalar(z[i]);
       }
       break;
     case Activation::kIdentity:
@@ -323,7 +337,7 @@ void product_with(ProductTier tier, std::size_t m, std::size_t n,
 
 /// Runs the forward pass, keeping every layer's activations in `s`.
 /// Returns the head's outputs (x.rows() x output_dim), before any scale.
-const double* forward(Mlp& mlp, const Matrix& x, Scratch& s) {
+const double* forward(const Mlp& mlp, const Matrix& x, Scratch& s) {
   const MlpConfig& config = mlp.config();
   MFCP_CHECK(x.cols() == config.input_dim, "MLP input width mismatch");
   const auto& layers = mlp.linear_layers();
@@ -344,8 +358,8 @@ const double* forward(Mlp& mlp, const Matrix& x, Scratch& s) {
     const std::size_t n_out = lin.out_features();
     // matmul(in, W^T), then add_row_broadcast's bias. A hidden layer
     // adds it and applies ReLU in the product's epilogue.
-    transpose(lin.weight().value().data(), n_out, n_in, wt);
-    const double* bias = lin.bias().value().data();
+    transpose(lin.weight.data(), n_out, n_in, wt);
+    const double* bias = lin.bias.data();
     const std::size_t n = rows * n_out;
     if (l + 1 < layers.size()) {
       product_with(widest_tier(), rows, n_out, n_in, in, n_in, 1, wt,
@@ -367,6 +381,83 @@ const double* forward(Mlp& mlp, const Matrix& x, Scratch& s) {
   return post - rows * config.output_dim;
 }
 
+/// The backward pass of y = scale * mlp(x) for dL/dy = dy, over the
+/// activations `s` holds from forward(mlp, x). Every parameter's gradient
+/// is added into its slot.
+void backward(Mlp& mlp, const Matrix& x, const double* dy, double scale,
+              Scratch& s) {
+  auto& layers = mlp.linear_layers();
+  const std::size_t rows = x.rows();
+  const std::size_t n = rows * mlp.config().output_dim;
+  std::size_t widest = 0;
+  std::size_t act_end = 0;
+  for (const Linear& lin : layers) {
+    widest = std::max(widest, lin.out_features());
+    act_end += rows * lin.out_features();
+  }
+  double* g = at_least(s.grad, 2 * rows * widest);
+  double* g_prev = g + rows * widest;
+
+  // The head's element-wise chain, as the tape runs it: dy lands in y's
+  // cleared grad slot, then the scale node and the head activation each
+  // pass it on. Each `0.0 +` is the tape's accumulate into a cleared
+  // slot, which maps -0.0 to +0.0. Multiplying by a scale of 1.0 is
+  // exact, so a head without a scale node gives the same bits. Every
+  // later gradient is a sum that starts from +0.0, which can never be
+  // -0.0, so the tape's accumulate is the identity there and is left out.
+  const Activation head = mlp.config().output_activation;
+  const double* head_pre = s.pre.data() + act_end - n;
+  const double* head_out = s.post.data() + act_end - n;
+  for (std::size_t i = 0; i < n; ++i) {
+    double gi = 0.0 + dy[i];
+    gi = 0.0 + gi * scale;
+    if (head == Activation::kSoftplus) {
+      gi = 0.0 + gi * sigmoid_scalar(head_pre[i]);
+    } else if (head == Activation::kSigmoid) {
+      gi = 0.0 + gi * (head_out[i] * (1.0 - head_out[i]));
+    }
+    g[i] = gi;
+  }
+
+  // Walk the layers back. g holds dL/d(pre-activation) of layer l.
+  std::size_t act_begin = act_end - n;
+  for (std::size_t l = layers.size(); l-- > 0;) {
+    Linear& lin = layers[l];
+    const std::size_t n_in = lin.in_features();
+    const std::size_t n_out = lin.out_features();
+    const double* in =
+        l == 0 ? x.data() : s.post.data() + act_begin - rows * n_in;
+
+    // Bias: add_row_broadcast sums the rows of g in order from +0.0.
+    // That is the product of a row of ones (strides 0) and g: 1.0 * g is
+    // exact, so every entry takes the same adds in the same order.
+    static constexpr double kOne = 1.0;
+    product_add(widest_tier(), 1, n_out, rows, &kOne, 0, 0, g,
+                lin.bias_grad.data());
+
+    // Weight: matmul_tn(in, g) transposed, each entry summed over the
+    // batch in row order from +0.0.
+    product_add(widest_tier(), n_out, n_in, rows, g, 1, n_out, in,
+                lin.weight_grad.data());
+
+    // The input needs no gradient (the tape skips it as well).
+    if (l == 0) {
+      break;
+    }
+
+    // Hidden input: matmul_nt(g, W^T), each entry summed over this
+    // layer's outputs from +0.0, then, in the product's epilogue, ReLU's
+    // mask where the previous pre-activation is <= 0. The mask is a
+    // select, not a branch: the signs depend on the data, and a branch
+    // mispredicted on about half of them.
+    const double* prev_pre = s.pre.data() + act_begin - rows * n_in;
+    product_with(widest_tier(), rows, n_in, n_out, g, n_out, 1,
+                 lin.weight.data(), ReluMask{prev_pre, g_prev});
+    std::swap(g, g_prev);
+    act_begin -= rows * n_in;
+  }
+}
+
 }  // namespace
 
 bool product_tier_supported(ProductTier tier) noexcept {
@@ -377,6 +468,12 @@ void product(ProductTier tier, std::size_t m, std::size_t n,
              std::size_t depth, const double* a, std::size_t a_row,
              std::size_t a_col, const double* b, double* c) {
   product_with(tier, m, n, depth, a, a_row, a_col, b, StoreSum{c});
+}
+
+void product_add(ProductTier tier, std::size_t m, std::size_t n,
+                 std::size_t depth, const double* a, std::size_t a_row,
+                 std::size_t a_col, const double* b, double* c) {
+  product_with(tier, m, n, depth, a, a_row, a_col, b, AddSum{c});
 }
 
 void product_bias_relu(ProductTier tier, std::size_t m, std::size_t n,
@@ -394,7 +491,7 @@ void product_relu_mask(ProductTier tier, std::size_t m, std::size_t n,
   product_with(tier, m, n, depth, a, a_row, a_col, b, ReluMask{mask, c});
 }
 
-void fused_forward(Mlp& mlp, const Matrix& x, double scale,
+void fused_forward(const Mlp& mlp, const Matrix& x, double scale,
                    std::span<double> out) {
   MFCP_CHECK(out.size() == x.rows() * mlp.config().output_dim,
              "fused_forward: output size mismatch");
@@ -404,90 +501,38 @@ void fused_forward(Mlp& mlp, const Matrix& x, double scale,
   }
 }
 
+void fused_backward(Mlp& mlp, const Matrix& x, std::span<const double> dy,
+                    double scale) {
+  MFCP_CHECK(dy.size() == x.rows() * mlp.config().output_dim,
+             "fused_backward: output gradient size mismatch");
+  forward(mlp, x, t_scratch);
+  backward(mlp, x, dy.data(), scale, t_scratch);
+}
+
 double fused_mse_step(Mlp& mlp, Adam& opt, const Matrix& x,
                       const Matrix& target, double scale) {
   Scratch& s = t_scratch;
-  const std::size_t rows = x.rows();
   const std::size_t n = target.size();
-  MFCP_CHECK(target.rows() == rows && target.cols() == mlp.config().output_dim,
+  MFCP_CHECK(target.rows() == x.rows() &&
+                 target.cols() == mlp.config().output_dim,
              "mse: shape mismatch");
-  const double* head_out = forward(mlp, x, s);
+  const double* y = forward(mlp, x, s);
 
-  auto& layers = mlp.linear_layers();
-  std::size_t widest = 0;
-  std::size_t act_end = 0;
-  for (const Linear& lin : layers) {
-    widest = std::max(widest, lin.out_features());
-    act_end += rows * lin.out_features();
-  }
-  double* g = at_least(s.grad, 2 * rows * widest);
-  double* g_prev = g + rows * widest;
-
-  // The prediction is head_out * scale, as the scale node computes it,
-  // and d its error. mse_loss sums the squares in element order, then
-  // divides once. The same pass runs the head's element-wise gradient
-  // chain: MSE, scale, head activation. Each `0.0 +` is the tape's
-  // accumulate into a cleared grad slot, which maps -0.0 to +0.0.
-  // Multiplying by a scale of 1.0 is exact, so a head without a scale
-  // node gives the same bits. Every later gradient is a sum that starts
-  // from +0.0, which can never be -0.0, so the tape's accumulate is the
-  // identity there and is left out.
-  const Activation head = mlp.config().output_activation;
+  // The prediction is y * scale, as the scale node computes it, and d
+  // its error. mse_loss sums the squares in element order, then divides
+  // once; its gradient is 2/n * d.
   const double c = 2.0 / static_cast<double>(n);
-  const double* head_pre = s.pre.data() + act_end - n;
+  double* dy = at_least(s.dy, n);
   double loss = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double d = head_out[i] * scale - target[i];
+    const double d = y[i] * scale - target[i];
     loss += d * d;
-    double gi = 0.0 + c * d;
-    gi = 0.0 + gi * scale;
-    if (head == Activation::kSoftplus) {
-      gi = 0.0 + gi * autograd::sigmoid_scalar(head_pre[i]);
-    } else if (head == Activation::kSigmoid) {
-      gi = 0.0 + gi * (head_out[i] * (1.0 - head_out[i]));
-    }
-    g[i] = gi;
+    dy[i] = c * d;
   }
   loss /= static_cast<double>(n);
 
-  // Walk the layers back. g holds dL/d(pre-activation) of layer l.
-  std::size_t act_begin = act_end - n;
-  for (std::size_t l = layers.size(); l-- > 0;) {
-    Linear& lin = layers[l];
-    const std::size_t n_in = lin.in_features();
-    const std::size_t n_out = lin.out_features();
-    const double* in =
-        l == 0 ? x.data() : s.post.data() + act_begin - rows * n_in;
-
-    // Bias: add_row_broadcast sums the rows of g in order from +0.0.
-    // That is the product of a row of ones (strides 0) and g: 1.0 * g is
-    // exact, so every entry takes the same adds in the same order.
-    static constexpr double kOne = 1.0;
-    product(widest_tier(), 1, n_out, rows, &kOne, 0, 0, g,
-            lin.bias().grad_slot().data());
-
-    // Weight: matmul_tn(in, g) transposed, each entry summed over the
-    // batch in row order from +0.0.
-    product(widest_tier(), n_out, n_in, rows, g, 1, n_out, in,
-            lin.weight().grad_slot().data());
-
-    // The input needs no gradient (the tape skips it as well).
-    if (l == 0) {
-      break;
-    }
-
-    // Hidden input: matmul_nt(g, W^T), each entry summed over this
-    // layer's outputs from +0.0, then, in the product's epilogue, ReLU's
-    // mask where the previous pre-activation is <= 0. The mask is a
-    // select, not a branch: the signs depend on the data, and a branch
-    // mispredicted on about half of them.
-    const double* prev_pre = s.pre.data() + act_begin - rows * n_in;
-    product_with(widest_tier(), rows, n_in, n_out, g, n_out, 1,
-                 lin.weight().value().data(), ReluMask{prev_pre, g_prev});
-    std::swap(g, g_prev);
-    act_begin -= rows * n_in;
-  }
-
+  mlp.zero_grad();
+  backward(mlp, x, dy, scale, s);
   opt.step();
   return loss;
 }

@@ -1,19 +1,25 @@
-// Tape-free forward pass and fused MSE step for the predictor MLPs.
+// The predictor MLPs' forward pass, seeded backward and MSE step.
 //
 // Covers every Mlp: Linear+ReLU hidden layers and a Linear head with a
 // softplus, sigmoid or identity output, times an optional output scale
-// (the execution-time head's `time_scale`).
+// (the execution-time head's `time_scale`). These kernels are the
+// network's only code path: fused_forward predicts, fused_backward runs
+// the decision-focused trainers' Eq. 7 (the caller's dL/dt̂ or dL/dâ
+// through the network), and fused_mse_step trains on MSE through that
+// same backward. The autograd tape (autograd/mlp_tape.hpp) is the oracle
+// they are tested against.
 //
 // Bit-identity contract: for every output element the kernels perform the
 // tape's floating-point operations in the tape's order. Products
 // accumulate in k order from +0.0 and the bias is added after the sum
 // (as `matmul` + `add_row_broadcast`); the backward pass sums like
 // `matmul_tn` (weight gradients, over the batch) and `matmul_nt` (hidden
-// gradients, over the layer's outputs). Vectorization runs only across
-// independent output lanes, never across a sum. A hidden layer's bias
-// and ReLU, and the ReLU mask on a hidden gradient, run in the product's
-// epilogue, on each finished sum while it is still in a register. They
-// do not branch on data:
+// gradients, over the layer's outputs), and adds each parameter's
+// gradient into its slot as the tape's `accumulate` does. Vectorization
+// runs only across independent output lanes, never across a sum. A
+// hidden layer's bias and ReLU, and the ReLU mask on a hidden gradient,
+// run in the product's epilogue, on each finished sum while it is still
+// in a register. They do not branch on data:
 //   - forward, z = sum + bias, then pre = z and post = (0.0 < z) ? z : 0.0,
 //     which is relu's std::max(0.0, z): +0.0 for z = +0.0, -0.0 or NaN;
 //   - backward, g = pre <= 0.0 ? 0.0 : sum, which stores +0.0 exactly
@@ -28,7 +34,8 @@
 // All calls on one thread share one scratch (activations, their
 // gradients and the transposed weights). It grows to the largest batch
 // and width seen and is then reused, so steady-state calls allocate
-// nothing.
+// nothing. Because it is shared, fused_backward recomputes the forward
+// pass it differentiates.
 #pragma once
 
 #include <span>
@@ -56,6 +63,12 @@ void product(ProductTier tier, std::size_t m, std::size_t n,
              std::size_t depth, const double* a, std::size_t a_row,
              std::size_t a_col, const double* b, double* c);
 
+/// `product`, added into c: c(i, j) = c(i, j) + the sum (the backward
+/// pass's weight and bias gradients, accumulated into their slots).
+void product_add(ProductTier tier, std::size_t m, std::size_t n,
+                 std::size_t depth, const double* a, std::size_t a_row,
+                 std::size_t a_col, const double* b, double* c);
+
 /// `product`, then for each entry z = c(i, j) + bias[j]: pre(i, j) = z and
 /// post(i, j) = (0.0 < z) ? z : 0.0 (a hidden layer's forward pass).
 void product_bias_relu(ProductTier tier, std::size_t m, std::size_t n,
@@ -71,14 +84,21 @@ void product_relu_mask(ProductTier tier, std::size_t m, std::size_t n,
                        double* c);
 
 /// Writes scale * mlp(x) to `out`, row-major (x.rows() x output_dim).
-void fused_forward(Mlp& mlp, const Matrix& x, double scale,
+void fused_forward(const Mlp& mlp, const Matrix& x, double scale,
                    std::span<double> out);
 
-/// One MSE step without the tape: forward, loss, backward, then
-/// `opt.step()`. The gradient of MSE(scale * mlp(x), target) overwrites
-/// each parameter's grad slot (what zero_grad() and a tape backward
-/// would leave there), so `opt` must manage exactly mlp.parameters().
-/// Returns the loss before the step.
+/// The backward pass of y = scale * mlp(x) for the caller's dL/dy `dy`
+/// (x.rows() x output_dim, row-major): adds every parameter's gradient
+/// into its slot, as a seeded tape backward (y.backward(dy)) does, so
+/// calls accumulate until mlp.zero_grad(). It recomputes the forward
+/// pass first.
+void fused_backward(Mlp& mlp, const Matrix& x, std::span<const double> dy,
+                    double scale);
+
+/// One MSE step: forward, the loss and its dL/dy, mlp.zero_grad(), the
+/// backward pass above, then `opt.step()`. The gradients left in the
+/// slots are those of MSE(scale * mlp(x), target) alone, so `opt` must
+/// manage exactly mlp.parameters(). Returns the loss before the step.
 double fused_mse_step(Mlp& mlp, Adam& opt, const Matrix& x,
                       const Matrix& target, double scale);
 

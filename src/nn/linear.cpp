@@ -1,34 +1,16 @@
 #include "nn/linear.hpp"
 
-#include "autograd/ops.hpp"
 #include "nn/init.hpp"
 #include "support/check.hpp"
 
 namespace mfcp::nn {
 
 Linear::Linear(std::size_t in, std::size_t out, Rng& rng)
-    : in_(in),
-      out_(out),
-      weight_(he_normal(out, in, in, rng), /*requires_grad=*/true),
-      bias_(zeros_init(1, out), /*requires_grad=*/true) {
+    : weight(he_normal(out, in, in, rng)),
+      bias(zeros_init(1, out)),
+      weight_grad(out, in),
+      bias_grad(1, out) {
   MFCP_CHECK(in > 0 && out > 0, "Linear needs positive dimensions");
 }
-
-Linear::Linear(Matrix weight, Matrix bias)
-    : in_(weight.cols()),
-      out_(weight.rows()),
-      weight_(std::move(weight), /*requires_grad=*/true),
-      bias_(std::move(bias), /*requires_grad=*/true) {
-  MFCP_CHECK(bias_.rows() == 1 && bias_.cols() == out_,
-             "bias must be 1 x out");
-}
-
-Variable Linear::forward(const Variable& x) {
-  MFCP_CHECK(x.cols() == in_, "Linear input width mismatch");
-  using namespace autograd;
-  return add_row_broadcast(matmul(x, transpose(weight_)), bias_);
-}
-
-std::vector<Variable> Linear::parameters() { return {weight_, bias_}; }
 
 }  // namespace mfcp::nn

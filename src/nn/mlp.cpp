@@ -1,9 +1,21 @@
 #include "nn/mlp.hpp"
 
-#include "autograd/ops.hpp"
+#include <algorithm>
+#include <cmath>
+
 #include "support/check.hpp"
 
 namespace mfcp::nn {
+
+double sigmoid_scalar(double x) noexcept {
+  return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
+                  : std::exp(x) / (1.0 + std::exp(x));
+}
+
+double softplus_scalar(double x) noexcept {
+  // Stable: softplus(x) = max(x, 0) + log1p(exp(-|x|)).
+  return std::max(x, 0.0) + std::log1p(std::exp(-std::abs(x)));
+}
 
 Mlp::Mlp(MlpConfig config, Rng& rng) : config_(std::move(config)) {
   MFCP_CHECK(config_.input_dim > 0, "input dim must be positive");
@@ -17,31 +29,20 @@ Mlp::Mlp(MlpConfig config, Rng& rng) : config_(std::move(config)) {
   linears_.emplace_back(prev, config_.output_dim, rng);
 }
 
-Variable Mlp::forward(const Variable& x) {
-  Variable h = x;
-  for (std::size_t l = 0; l + 1 < linears_.size(); ++l) {
-    h = autograd::relu(linears_[l].forward(h));
-  }
-  h = linears_.back().forward(h);
-  switch (config_.output_activation) {
-    case Activation::kSoftplus:
-      return autograd::softplus(h);
-    case Activation::kSigmoid:
-      return autograd::sigmoid(h);
-    case Activation::kIdentity:
-      break;
-  }
-  return h;
-}
-
-std::vector<Variable> Mlp::parameters() {
-  std::vector<Variable> params;
+std::vector<Parameter> Mlp::parameters() {
+  std::vector<Parameter> params;
   for (Linear& lin : linears_) {
-    for (Variable& p : lin.parameters()) {
-      params.push_back(std::move(p));
-    }
+    params.push_back({&lin.weight, &lin.weight_grad});
+    params.push_back({&lin.bias, &lin.bias_grad});
   }
   return params;
+}
+
+void Mlp::zero_grad() noexcept {
+  for (Linear& lin : linears_) {
+    lin.weight_grad.fill(0.0);
+    lin.bias_grad.fill(0.0);
+  }
 }
 
 }  // namespace mfcp::nn

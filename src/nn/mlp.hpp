@@ -3,7 +3,7 @@
 // z (batch x d) through Linear + ReLU hidden layers and a Linear head
 // with an output nonlinearity; the execution-time predictor m_ω uses a
 // softplus head (t̂ > 0), the reliability predictor m_φ a sigmoid head
-// (â in (0,1)).
+// (â in (0,1)). It only holds the matrices: nn/fused_mlp runs it.
 #pragma once
 
 #include <vector>
@@ -14,6 +14,12 @@ namespace mfcp::nn {
 
 /// The head's output nonlinearity.
 enum class Activation { kIdentity, kSigmoid, kSoftplus };
+
+/// The logistic and softplus the heads apply per element (softplus's
+/// derivative is the logistic). The fused kernels and the autograd
+/// tape's ops call these same definitions.
+double sigmoid_scalar(double x) noexcept;
+double softplus_scalar(double x) noexcept;
 
 struct MlpConfig {
   std::size_t input_dim = 8;
@@ -26,22 +32,15 @@ class Mlp {
  public:
   Mlp(MlpConfig config, Rng& rng);
 
-  // A copy would share the parameter handles, so there is none.
-  Mlp(const Mlp&) = delete;
-  Mlp& operator=(const Mlp&) = delete;
-  Mlp(Mlp&&) = default;
-  Mlp& operator=(Mlp&&) = default;
+  /// Every parameter with its gradient: weight, then bias, per layer.
+  std::vector<Parameter> parameters();
 
-  /// Forward pass building a fresh autograd graph.
-  Variable forward(const Variable& x);
-
-  /// All trainable parameter handles, layer order.
-  std::vector<Variable> parameters();
+  /// Sets every gradient to zero.
+  void zero_grad() noexcept;
 
   [[nodiscard]] const MlpConfig& config() const noexcept { return config_; }
 
-  /// The linear layers in order, the head last (serialization and the
-  /// fused kernels).
+  /// The linear layers in order, the head last.
   [[nodiscard]] std::vector<Linear>& linear_layers() noexcept {
     return linears_;
   }

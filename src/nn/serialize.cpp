@@ -83,8 +83,8 @@ void save_mlp(std::ostream& os, Mlp& model) {
   const auto& layers = model.linear_layers();
   os << "mfcp-mlp 1\n" << layers.size() << '\n';
   for (const Linear& lin : layers) {
-    write_matrix(os, lin.weight().value());
-    write_matrix(os, lin.bias().value());
+    write_matrix(os, lin.weight);
+    write_matrix(os, lin.bias);
   }
 }
 
@@ -113,8 +113,8 @@ std::vector<Matrix> read_mlp(std::istream& is, const Mlp& model) {
   weights.reserve(2 * count);
   std::string line;
   for (const Linear& lin : layers) {
-    weights.push_back(read_matrix(is, lin.weight().value(), line));
-    weights.push_back(read_matrix(is, lin.bias().value(), line));
+    weights.push_back(read_matrix(is, lin.weight, line));
+    weights.push_back(read_matrix(is, lin.bias, line));
   }
   return weights;
 }
@@ -124,13 +124,13 @@ void assign_mlp(Mlp& model, std::vector<Matrix>&& weights) {
   MFCP_CHECK(weights.size() == 2 * layers.size(),
              "assign_mlp: one weight and one bias per layer");
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    MFCP_CHECK(weights[2 * l].same_shape(layers[l].weight().value()) &&
-                   weights[2 * l + 1].same_shape(layers[l].bias().value()),
+    MFCP_CHECK(weights[2 * l].same_shape(layers[l].weight) &&
+                   weights[2 * l + 1].same_shape(layers[l].bias),
                "assign_mlp: parameter shape does not match the model");
   }
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    layers[l].weight().mutable_value() = std::move(weights[2 * l]);
-    layers[l].bias().mutable_value() = std::move(weights[2 * l + 1]);
+    layers[l].weight = std::move(weights[2 * l]);
+    layers[l].bias = std::move(weights[2 * l + 1]);
   }
 }
 

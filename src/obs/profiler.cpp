@@ -268,7 +268,6 @@ bool SamplingProfiler::register_current_thread(std::string_view name) {
   t_binding.entry = nullptr;
   const std::size_t ordinal = entries_.size();
   if (ordinal >= kMaxProfiledThreads) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   auto entry = std::make_unique<ProfilerThreadEntry>();
@@ -454,10 +453,6 @@ std::uint64_t SamplingProfiler::truncated_total() const noexcept {
 
 std::uint64_t SamplingProfiler::sessions_total() const noexcept {
   return sessions_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SamplingProfiler::dropped_registrations() const noexcept {
-  return dropped_.load(std::memory_order_relaxed);
 }
 
 std::size_t SamplingProfiler::threads_registered() const noexcept {

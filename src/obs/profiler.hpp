@@ -111,8 +111,8 @@ using SampleRing = SeqlockRing<2 + kMaxSampleFrames>;
 /// before the ring wraps.
 inline constexpr std::size_t kSampleRingCapacity = 4096;
 
-/// Threads that can register as sampling targets; later threads are
-/// counted into dropped_registrations() instead of getting a ring.
+/// Threads that can register as sampling targets; later threads get no
+/// ring (register_current_thread returns false).
 inline constexpr std::size_t kMaxProfiledThreads = 64;
 
 /// Parsed ?seconds=&hz= query of the GET /debug/profile route.
@@ -185,7 +185,6 @@ class SamplingProfiler {
   [[nodiscard]] std::uint64_t samples_total() const noexcept;
   [[nodiscard]] std::uint64_t truncated_total() const noexcept;
   [[nodiscard]] std::uint64_t sessions_total() const noexcept;
-  [[nodiscard]] std::uint64_t dropped_registrations() const noexcept;
   [[nodiscard]] std::size_t threads_registered() const noexcept;
 
  private:
@@ -199,7 +198,6 @@ class SamplingProfiler {
   std::atomic<bool> session_active_{false};
   double session_hz_ = 0.0;   // last session's frequency (for folded())
   std::atomic<std::uint64_t> sessions_{0};
-  std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> samples_{0};    // handler-incremented
   std::atomic<std::uint64_t> truncated_{0};  // stacks deeper than the slot
   /// Exact per-stage CPU ns accumulated by StageScope transitions

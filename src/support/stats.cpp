@@ -4,8 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "support/check.hpp"
-
 namespace mfcp {
 
 void RunningStats::add(double x) noexcept {
@@ -48,15 +46,6 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double mean_of(std::span<const double> xs) {
-  MFCP_CHECK(!xs.empty(), "mean of empty sample");
-  RunningStats rs;
-  for (double x : xs) {
-    rs.add(x);
-  }
-  return rs.mean();
-}
 
 double stddev_of(std::span<const double> xs) {
   RunningStats rs;

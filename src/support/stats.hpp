@@ -35,9 +35,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Mean of a sample span. Requires non-empty input.
-double mean_of(std::span<const double> xs);
-
 /// Sample standard deviation (n-1). Zero for fewer than two samples.
 double stddev_of(std::span<const double> xs);
 

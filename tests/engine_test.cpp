@@ -272,8 +272,8 @@ std::uint64_t weight_digest(core::PlatformPredictor& predictor) {
                       &predictor.cluster(i).reliability_model()}) {
       for (const auto& p : mlp->parameters()) {
         const auto* bytes =
-            reinterpret_cast<const unsigned char*>(p.value().data());
-        for (std::size_t b = 0; b < p.value().size() * sizeof(double); ++b) {
+            reinterpret_cast<const unsigned char*>(p.value->data());
+        for (std::size_t b = 0; b < p.value->size() * sizeof(double); ++b) {
           h = (h ^ bytes[b]) * 0x100000001b3ULL;
         }
       }
@@ -1144,8 +1144,8 @@ TEST(Engine, CheckpointRestoreRoundTripsWeightsBitExactly) {
     auto pb = fb.predictor.cluster(i).time_model().parameters();
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t p = 0; p < pa.size(); ++p) {
-      const auto& va = pa[p].value();
-      const auto& vb = pb[p].value();
+      const auto& va = *pa[p].value;
+      const auto& vb = *pb[p].value;
       ASSERT_EQ(va.size(), vb.size());
       for (std::size_t x = 0; x < va.size(); ++x) {
         EXPECT_EQ(va[x], vb[x]);  // bit-identical
@@ -1154,8 +1154,8 @@ TEST(Engine, CheckpointRestoreRoundTripsWeightsBitExactly) {
     auto ra = fa.predictor.cluster(i).reliability_model().parameters();
     auto rb = fb.predictor.cluster(i).reliability_model().parameters();
     for (std::size_t p = 0; p < ra.size(); ++p) {
-      for (std::size_t x = 0; x < ra[p].value().size(); ++x) {
-        EXPECT_EQ(ra[p].value()[x], rb[p].value()[x]);
+      for (std::size_t x = 0; x < ra[p].value->size(); ++x) {
+        EXPECT_EQ((*ra[p].value)[x], (*rb[p].value)[x]);
       }
     }
   }
@@ -1205,8 +1205,8 @@ TEST(Engine, RejectedSnapshotLeavesTheColdStartPredictorUntouched) {
                           .parameters();
       ASSERT_EQ(pg.size(), pw.size());
       for (std::size_t p = 0; p < pg.size(); ++p) {
-        const Matrix& vg = pg[p].value();
-        const Matrix& vw = pw[p].value();
+        const Matrix& vg = *pg[p].value;
+        const Matrix& vw = *pw[p].value;
         ASSERT_TRUE(vg.same_shape(vw));
         EXPECT_EQ(std::memcmp(vg.data(), vw.data(),
                               vg.size() * sizeof(double)),

@@ -127,9 +127,6 @@ TEST(Matrix, RowAndColumnFactories) {
   const Matrix row = Matrix::row(v);
   EXPECT_EQ(row.rows(), 1u);
   EXPECT_EQ(row.cols(), 3u);
-  EXPECT_TRUE(col.is_vector());
-  EXPECT_TRUE(row.is_vector());
-  EXPECT_FALSE(Matrix(2, 2).is_vector());
 }
 
 // ----------------------------------------------------------- vector ops --

@@ -19,7 +19,7 @@
 #include "mfcp/predictor.hpp"
 #include "mfcp/regret.hpp"
 #include "mfcp/trainer_tsm.hpp"
-#include "nn/loss.hpp"
+#include "autograd/mlp_tape.hpp"
 #include "nn/optimizer.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -292,6 +292,17 @@ TEST(Tsm, ReducesTrainingLoss) {
             result.rel_loss_history.front());
 }
 
+// Mean squared error of a prediction matrix.
+double mse_value(const Matrix& pred, const Matrix& target) {
+  MFCP_CHECK(pred.same_shape(target), "mse_value: shape mismatch");
+  double acc = 0.0;
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    const double d = pred[i] - target[i];
+    acc += d * d;
+  }
+  return acc / static_cast<double>(pred.size());
+}
+
 TEST(Tsm, LearnsBetterThanUntrainedBaseline) {
   const auto data = tiny_dataset(80);
   Rng rng(7);
@@ -304,8 +315,7 @@ TEST(Tsm, LearnsBetterThanUntrainedBaseline) {
   train_tsm(trained, data, cfg);
   const Matrix t_trained = trained.predict_time_matrix(data.features);
   const Matrix t_raw = untrained.predict_time_matrix(data.features);
-  EXPECT_LT(nn::mse_value(t_trained, data.times),
-            nn::mse_value(t_raw, data.times));
+  EXPECT_LT(mse_value(t_trained, data.times), mse_value(t_raw, data.times));
 }
 
 // The TSM loop as it ran on the autograd tape: the oracle the tape-free
@@ -317,15 +327,14 @@ TsmTrainResult train_tsm_on_tape(PlatformPredictor& predictor,
   Rng rng(config.seed);
   const std::size_t n = train.num_tasks();
   const std::size_t m = predictor.num_clusters();
-  std::vector<std::unique_ptr<nn::Adam>> time_opts;
-  std::vector<std::unique_ptr<nn::Adam>> rel_opts;
+  std::vector<nn::Adam> time_opts;
+  std::vector<nn::Adam> rel_opts;
   for (std::size_t i = 0; i < m; ++i) {
-    time_opts.push_back(std::make_unique<nn::Adam>(
-        predictor.cluster(i).time_model().parameters(),
-        config.learning_rate));
-    rel_opts.push_back(std::make_unique<nn::Adam>(
+    time_opts.emplace_back(predictor.cluster(i).time_model().parameters(),
+                           config.learning_rate);
+    rel_opts.emplace_back(
         predictor.cluster(i).reliability_model().parameters(),
-        config.learning_rate));
+        config.learning_rate);
   }
   const bool full_batch = n <= config.batch_size;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -356,22 +365,11 @@ TsmTrainResult train_tsm_on_tape(PlatformPredictor& predictor,
         a_target(k, 0) = train.reliability(i, batch_idx[k]);
       }
       auto& cluster = predictor.cluster(i);
-      {
-        nn::Variable in(features, /*requires_grad=*/false);
-        auto loss = nn::mse(cluster.forward_time(in), t_target);
-        epoch_time_loss += loss.value()[0];
-        time_opts[i]->zero_grad();
-        loss.backward();
-        time_opts[i]->step();
-      }
-      {
-        nn::Variable in(features, /*requires_grad=*/false);
-        auto loss = nn::mse(cluster.forward_reliability(in), a_target);
-        epoch_rel_loss += loss.value()[0];
-        rel_opts[i]->zero_grad();
-        loss.backward();
-        rel_opts[i]->step();
-      }
+      epoch_time_loss +=
+          autograd::tape_mse_step(cluster.time_model(), time_opts[i],
+                                  features, t_target, cluster.time_scale());
+      epoch_rel_loss += autograd::tape_mse_step(
+          cluster.reliability_model(), rel_opts[i], features, a_target, 1.0);
     }
     result.time_loss_history.push_back(epoch_time_loss /
                                        static_cast<double>(m));
@@ -404,7 +402,7 @@ bool same_weights(PlatformPredictor& a, PlatformPredictor& b) {
     }
     same = a_params.size() == b_params.size();
     for (std::size_t p = 0; same && p < a_params.size(); ++p) {
-      same = same_bits(a_params[p].value(), b_params[p].value());
+      same = same_bits(*a_params[p].value, *b_params[p].value);
     }
   }
   return same;
@@ -474,8 +472,8 @@ std::uint64_t weight_digest(PlatformPredictor& predictor) {
   const auto absorb = [&h](nn::Mlp& mlp) {
     for (const auto& p : mlp.parameters()) {
       const auto* bytes =
-          reinterpret_cast<const unsigned char*>(p.value().data());
-      for (std::size_t i = 0; i < p.value().size() * sizeof(double); ++i) {
+          reinterpret_cast<const unsigned char*>(p.value->data());
+      for (std::size_t i = 0; i < p.value->size() * sizeof(double); ++i) {
         h = (h ^ bytes[i]) * 0x100000001b3ULL;
       }
     }

@@ -1,5 +1,6 @@
-// Tests for the neural-network module: layers, MLPs, losses, the
-// optimizer, initialization, the fused kernels and checkpoint round-trips.
+// Tests for the neural-network module: layers, MLPs, the optimizer,
+// initialization, the fused kernels against the autograd tape, and
+// checkpoint round-trips.
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -11,11 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "autograd/mlp_tape.hpp"
 #include "autograd/ops.hpp"
+#include "nn/fused_mlp.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
-#include "nn/loss.hpp"
-#include "nn/fused_mlp.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
@@ -23,6 +24,8 @@
 
 namespace mfcp::nn {
 namespace {
+
+using autograd::Variable;
 
 Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng,
                      double scale = 1.0) {
@@ -71,35 +74,15 @@ TEST(Init, ZerosInitIsZero) {
 
 // --------------------------------------------------------------- linear --
 
-TEST(Linear, ForwardComputesAffineMap) {
-  Matrix w{{1.0, 2.0}, {3.0, 4.0}};  // out=2, in=2
-  Matrix b{{10.0, 20.0}};
-  Linear lin(w, b);
-  Matrix x{{1.0, 1.0}};
-  Variable out = lin.forward(Variable(x, false));
-  EXPECT_DOUBLE_EQ(out.value()(0, 0), 13.0);  // 1+2+10
-  EXPECT_DOUBLE_EQ(out.value()(0, 1), 27.0);  // 3+4+20
-}
-
-TEST(Linear, RejectsWrongInputWidth) {
-  Rng rng(3);
-  Linear lin(4, 2, rng);
-  EXPECT_THROW(lin.forward(Variable(Matrix(1, 3), false)), ContractError);
-}
-
-TEST(Linear, ExposesTwoParameters) {
+TEST(Linear, ShapesItsParametersAndZeroGradients) {
   Rng rng(4);
-  Linear lin(3, 5, rng);
-  const auto params = lin.parameters();
-  ASSERT_EQ(params.size(), 2u);
-  EXPECT_EQ(params[0].rows(), 5u);
-  EXPECT_EQ(params[0].cols(), 3u);
-  EXPECT_EQ(params[1].rows(), 1u);
-  EXPECT_EQ(params[1].cols(), 5u);
-}
-
-TEST(Linear, BiasShapeValidated) {
-  EXPECT_THROW(Linear(Matrix(2, 3), Matrix(1, 3)), ContractError);
+  const Linear lin(3, 5, rng);
+  EXPECT_EQ(lin.in_features(), 3u);
+  EXPECT_EQ(lin.out_features(), 5u);
+  EXPECT_TRUE(lin.weight.same_shape(Matrix(5, 3)));
+  EXPECT_TRUE(same_bits(lin.bias, Matrix(1, 5)));
+  EXPECT_TRUE(same_bits(lin.weight_grad, Matrix(5, 3)));
+  EXPECT_TRUE(same_bits(lin.bias_grad, Matrix(1, 5)));
 }
 
 // ------------------------------------------------------------------ mlp --
@@ -114,6 +97,14 @@ TEST(Mlp, OutputShapeMatchesConfig) {
   const Matrix out = predict(mlp, Matrix(4, 7, 0.5));
   EXPECT_EQ(out.rows(), 4u);
   EXPECT_EQ(out.cols(), 1u);
+}
+
+TEST(Mlp, RejectsWrongInputWidth) {
+  Rng rng(3);
+  MlpConfig cfg;
+  cfg.input_dim = 4;
+  Mlp mlp(cfg, rng);
+  EXPECT_THROW(predict(mlp, Matrix(1, 3)), ContractError);
 }
 
 TEST(Mlp, SoftplusHeadIsPositive) {
@@ -149,6 +140,7 @@ TEST(Mlp, LinearLayersEnumerated) {
   cfg.hidden = {8, 8};
   Mlp mlp(cfg, rng);
   EXPECT_EQ(mlp.linear_layers().size(), 3u);
+  EXPECT_EQ(mlp.parameters().size(), 6u);
 }
 
 TEST(Mlp, InvalidConfigThrows) {
@@ -158,42 +150,53 @@ TEST(Mlp, InvalidConfigThrows) {
   EXPECT_THROW(Mlp(cfg, rng), ContractError);
 }
 
-// ----------------------------------------------------------------- loss --
-
-TEST(Loss, MseValueKnown) {
-  Matrix a{{1.0, 2.0}};
-  Matrix b{{3.0, 2.0}};
-  EXPECT_DOUBLE_EQ(mse_value(a, b), 2.0);
+TEST(Mlp, ZeroGradClearsAll) {
+  Rng rng(11);
+  MlpConfig cfg;
+  cfg.input_dim = 3;
+  cfg.hidden = {4};
+  Mlp mlp(cfg, rng);
+  const Matrix x = random_matrix(5, 3, rng);
+  const Matrix dy = random_matrix(5, 1, rng);
+  fused_backward(mlp, x, dy.flat(), 1.0);
+  EXPECT_FALSE(same_bits(mlp.linear_layers()[0].weight_grad, Matrix(4, 3)));
+  mlp.zero_grad();
+  for (const Parameter& p : mlp.parameters()) {
+    EXPECT_TRUE(same_bits(*p.grad, Matrix(p.value->rows(), p.value->cols())));
+  }
 }
 
 // ------------------------------------------------------------ optimizer --
 
-TEST(Adam, RejectsNonTrainableParameter) {
-  Variable frozen(Matrix{{1.0}}, false);
-  EXPECT_THROW(Adam({frozen}, 0.1), ContractError);
+TEST(Adam, RejectsAGradientOfAnotherShape) {
+  Matrix w(2, 1);
+  Matrix g(1, 2);
+  EXPECT_THROW(Adam({{&w, &g}}, 0.1), ContractError);
 }
 
 TEST(Adam, ConvergesOnQuadratic) {
-  Variable w(Matrix{{5.0}, {-3.0}}, true);
-  Adam opt({w}, 0.1);
+  // sum(w * w), whose gradient is 2w.
+  Matrix w{{5.0}, {-3.0}};
+  Matrix g(2, 1);
+  Adam opt({{&w, &g}}, 0.1);
   for (int i = 0; i < 300; ++i) {
-    opt.zero_grad();
-    autograd::sum_all(autograd::mul(w, w)).backward();
+    for (std::size_t k = 0; k < w.size(); ++k) {
+      g[k] = 2.0 * w[k];
+    }
     opt.step();
   }
-  EXPECT_NEAR(w.value()[0], 0.0, 1e-3);
-  EXPECT_NEAR(w.value()[1], 0.0, 1e-3);
+  EXPECT_NEAR(w[0], 0.0, 1e-3);
+  EXPECT_NEAR(w[1], 0.0, 1e-3);
 }
 
 TEST(Adam, FirstStepSizeIsLearningRate) {
   // With bias correction the first Adam step is ±lr regardless of gradient
   // magnitude.
-  Variable w(Matrix{{1.0}}, true);
-  Adam opt({w}, 0.01);
-  opt.zero_grad();
-  autograd::sum_all(autograd::scale(w, 100.0)).backward();
+  Matrix w{{1.0}};
+  Matrix g{{100.0}};
+  Adam opt({{&w, &g}}, 0.01);
   opt.step();
-  EXPECT_NEAR(w.value()[0], 1.0 - 0.01, 1e-6);
+  EXPECT_NEAR(w[0], 1.0 - 0.01, 1e-6);
 }
 
 // The element loop Adam::step ran before it worked on raw spans: one
@@ -267,26 +270,32 @@ TEST(Adam, StepMatchesElementwiseReferenceBitForBit) {
   for (const Hyper h : {Hyper{1e-2, 0.9, 0.999, 1e-8},
                         Hyper{3e-3, 0.8, 0.95, 1e-6}}) {
     // Sizes 1, 2, 3, 33 and the time head's 1,505 parameters, as a
-    // column, a row and a matrix; the last parameter never gets a
-    // gradient, so both optimizers must skip it.
+    // column, a row and a matrix; the last parameter's gradient stays
+    // zero, which must leave its value as the reference leaves a
+    // parameter it skips.
     const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
         {1, 1}, {1, 2}, {3, 1}, {3, 11}, {35, 43}, {2, 2}};
     Rng rng(53);
-    std::vector<Variable> params;
+    std::vector<Matrix> values;
+    std::vector<Matrix> slots;
     std::vector<Matrix> expected;
     for (const auto& [r, c] : shapes) {
       const Matrix w = random_matrix(r, c, rng);
-      params.emplace_back(w, true);
+      values.push_back(w);
+      slots.emplace_back(r, c);
       expected.push_back(w);
+    }
+    std::vector<Parameter> params;
+    for (std::size_t p = 0; p < shapes.size(); ++p) {
+      params.push_back({&values[p], &slots[p]});
     }
     const std::size_t skipped = shapes.size() - 1;
     Adam adam(params, h.lr, h.beta1, h.beta2, h.eps);
     ElementwiseAdam reference(h.lr, h.beta1, h.beta2, h.eps);
     std::vector<Matrix> grads(shapes.size());
     for (int step = 0; step < 200; ++step) {
-      adam.zero_grad();
       for (std::size_t p = 0; p < skipped; ++p) {
-        Matrix& slot = params[p].grad_slot();
+        Matrix& slot = slots[p];
         for (std::size_t k = 0; k < slot.size(); ++k) {
           slot[k] = adam_test_gradient(k + static_cast<std::size_t>(step), rng);
         }
@@ -295,21 +304,12 @@ TEST(Adam, StepMatchesElementwiseReferenceBitForBit) {
       adam.step();
       reference.step(expected, grads);
     }
-    ASSERT_TRUE(params[skipped].grad().empty());
-    for (std::size_t p = 0; p < params.size(); ++p) {
-      EXPECT_TRUE(same_bits(params[p].value(), expected[p]))
+    ASSERT_TRUE(same_bits(slots[skipped], Matrix(2, 2)));
+    for (std::size_t p = 0; p < values.size(); ++p) {
+      EXPECT_TRUE(same_bits(values[p], expected[p]))
           << "parameter " << p << " (lr " << h.lr << ")";
     }
   }
-}
-
-TEST(Adam, ZeroGradClearsAll) {
-  Variable w(Matrix{{1.0}}, true);
-  Adam opt({w}, 0.1);
-  autograd::sum_all(autograd::mul(w, w)).backward();
-  EXPECT_FALSE(w.grad().empty());
-  opt.zero_grad();
-  EXPECT_TRUE(w.grad().empty());
 }
 
 TEST(Training, MlpFitsSimpleFunction) {
@@ -328,12 +328,7 @@ TEST(Training, MlpFitsSimpleFunction) {
   }
   double last = 0.0;
   for (int epoch = 0; epoch < 400; ++epoch) {
-    opt.zero_grad();
-    auto out = mlp.forward(Variable(x, false));
-    auto loss = mse(out, y);
-    last = loss.value()[0];
-    loss.backward();
-    opt.step();
+    last = fused_mse_step(mlp, opt, x, y, 1.0);
   }
   EXPECT_LT(last, 0.01);
 }
@@ -394,11 +389,11 @@ Mlp make_edge_mlp(Activation head, std::uint64_t seed,
   Mlp mlp(cfg, rng);
   auto& layers = mlp.linear_layers();
   for (std::size_t l = 0; l + 1 < layers.size(); ++l) {
-    Matrix& w = layers[l].weight().mutable_value();
+    Matrix& w = layers[l].weight;
     for (std::size_t k = 0; k < w.cols(); ++k) {
       w(0, k) = 0.0;
     }
-    layers[l].bias().mutable_value()(0, 0) = 0.0;
+    layers[l].bias(0, 0) = 0.0;
   }
   return mlp;
 }
@@ -431,11 +426,30 @@ Matrix head_targets(Activation head, std::size_t rows, Rng& rng) {
   return t;
 }
 
-// The tape's forward: mlp(x), times the scale through a scale node when
-// there is one.
-Variable tape_forward(Mlp& mlp, const Matrix& x, double scale) {
-  Variable out = mlp.forward(Variable(x, /*requires_grad=*/false));
-  return scale == 1.0 ? out : autograd::scale(out, scale);
+// Copies of the network's matrices as tape leaves, in parameters() order.
+std::vector<Variable> tape_leaves(Mlp& mlp) {
+  std::vector<Variable> leaves;
+  for (const Parameter& p : mlp.parameters()) {
+    leaves.emplace_back(*p.value, /*requires_grad=*/true);
+  }
+  return leaves;
+}
+
+// The tape's forward: scale * mlp(x).
+Matrix tape_forward(Mlp& mlp, const Matrix& x, double scale) {
+  return autograd::mlp_graph(mlp.config(), tape_leaves(mlp), x, scale)
+      .value();
+}
+
+// Every parameter and gradient of `got` has the bits of `want`'s.
+void expect_same_parameters(Mlp& want, Mlp& got) {
+  const auto w = want.parameters();
+  const auto g = got.parameters();
+  ASSERT_EQ(w.size(), g.size());
+  for (std::size_t p = 0; p < w.size(); ++p) {
+    EXPECT_TRUE(same_bits(*w[p].value, *g[p].value)) << "parameter " << p;
+    EXPECT_TRUE(same_bits(*w[p].grad, *g[p].grad)) << "gradient " << p;
+  }
 }
 
 TEST(FusedStep, MatchesTapeBitForBit) {
@@ -453,31 +467,66 @@ TEST(FusedStep, MatchesTapeBitForBit) {
         for (int step = 0; step < 60; ++step) {
           const Matrix x = edge_inputs(batch, shape.input_dim, data);
           const Matrix target = head_targets(head.act, batch, data);
-
-          tape_opt.zero_grad();
-          auto loss = mse(tape_forward(tape, x, head.scale), target);
-          loss.backward();
-          tape_opt.step();
-
+          const double tape_loss =
+              autograd::tape_mse_step(tape, tape_opt, x, target, head.scale);
           const double fused_loss =
               fused_mse_step(fused, fused_opt, x, target, head.scale);
-          ASSERT_TRUE(same_bits(loss.value()[0], fused_loss))
-              << "step " << step << ": " << loss.value()[0] << " vs "
+          ASSERT_TRUE(same_bits(tape_loss, fused_loss))
+              << "step " << step << ": " << tape_loss << " vs "
               << fused_loss;
         }
-        const auto tape_params = tape.parameters();
-        const auto fused_params = fused.parameters();
-        ASSERT_EQ(tape_params.size(), fused_params.size());
-        for (std::size_t p = 0; p < tape_params.size(); ++p) {
-          EXPECT_TRUE(
-              same_bits(tape_params[p].value(), fused_params[p].value()))
-              << "parameter " << p;
-          EXPECT_TRUE(same_bits(tape_params[p].grad(), fused_params[p].grad()))
-              << "gradient " << p;
-        }
+        expect_same_parameters(tape, fused);
         // The dead units stayed dead: their pre-activations were exact
         // zeros on every step.
-        EXPECT_EQ(fused.linear_layers()[0].bias().value()(0, 0), 0.0);
+        EXPECT_EQ(fused.linear_layers()[0].bias(0, 0), 0.0);
+      }
+    }
+  }
+}
+
+// The seeded backward against y.backward(dy) on the tape, for both heads
+// the trainers run. Two calls on different batches, with different
+// dL/dy (the first holds +0.0 and -0.0 entries), accumulate into the
+// same gradients; then one Adam step. Every gradient after each call,
+// and every weight after the step, has the tape's bits.
+TEST(FusedStep, SeededBackwardAccumulatesLikeTheTape) {
+  for (const FusedShape& shape : fused_shapes()) {
+    for (const FusedHead head : {kFusedHeads[0], kFusedHeads[1]}) {
+      SCOPED_TRACE(describe(shape) + " head " +
+                   std::to_string(static_cast<int>(head.act)));
+      Mlp fused = make_edge_mlp(head.act, 51, shape);
+      std::vector<Variable> leaves = tape_leaves(fused);
+      Rng data(52);
+      for (const std::size_t batch : {7u, 32u}) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        const Matrix x = edge_inputs(batch, shape.input_dim, data);
+        Matrix dy = random_matrix(batch, 1, data, 3.0);
+        if (batch == 7) {
+          dy[0] = 0.0;
+          dy[1] = -0.0;
+          dy[4] = 0.0;
+        }
+        autograd::mlp_graph(fused.config(), leaves, x, head.scale)
+            .backward(dy);
+        fused_backward(fused, x, dy.flat(), head.scale);
+        const auto params = fused.parameters();
+        for (std::size_t p = 0; p < params.size(); ++p) {
+          EXPECT_TRUE(same_bits(leaves[p].grad(), *params[p].grad))
+              << "gradient " << p;
+        }
+      }
+      std::vector<Parameter> tape_params;
+      for (const Variable& leaf : leaves) {
+        tape_params.push_back({&leaf.node()->value, &leaf.node()->grad});
+      }
+      Adam tape_opt(tape_params, 1e-2);
+      Adam fused_opt(fused.parameters(), 1e-2);
+      tape_opt.step();
+      fused_opt.step();
+      const auto params = fused.parameters();
+      for (std::size_t p = 0; p < params.size(); ++p) {
+        EXPECT_TRUE(same_bits(leaves[p].value(), *params[p].value))
+            << "parameter " << p;
       }
     }
   }
@@ -491,13 +540,12 @@ TEST(FusedForward, MatchesTape) {
         Mlp mlp = make_edge_mlp(head.act, 43, shape);
         Rng rng(batch + 100);
         for (Linear& lin : mlp.linear_layers()) {
-          Matrix& b = lin.bias().mutable_value();
-          for (std::size_t j = 1; j < b.size(); ++j) {
-            b[j] = rng.normal(0.0, 0.5);
+          for (std::size_t j = 1; j < lin.bias.size(); ++j) {
+            lin.bias[j] = rng.normal(0.0, 0.5);
           }
         }
         const Matrix x = edge_inputs(batch, shape.input_dim, rng);
-        const Matrix tape = tape_forward(mlp, x, head.scale).value();
+        const Matrix tape = tape_forward(mlp, x, head.scale);
         Matrix fused(batch, 1);
         fused_forward(mlp, x, head.scale, fused.flat());
         EXPECT_TRUE(same_bits(tape, fused))
@@ -527,12 +575,12 @@ TEST(FusedStep, ReluEdgeValuesMatchTheTape) {
       cfg.output_activation = head.act;
       Mlp mlp(cfg, rng);
       for (std::size_t l = 0; l < 2; ++l) {
-        Matrix& b = mlp.linear_layers()[l].bias().mutable_value();
+        Matrix& b = mlp.linear_layers()[l].bias;
         b[0] = 0.0;
         b[1] = -0.0;
         b[2] = nan;
       }
-      Matrix& w = mlp.linear_layers()[1].weight().mutable_value();
+      Matrix& w = mlp.linear_layers()[1].weight;
       for (std::size_t k = 0; k < w.cols(); ++k) {
         w(0, k) = 0.0;
       }
@@ -550,38 +598,32 @@ TEST(FusedStep, ReluEdgeValuesMatchTheTape) {
 
     // The edges are there: the first layer's pre-activations on a zero
     // row are +0.0, +0.0 and NaN.
+    const Linear& first = tape.linear_layers()[0];
     const Matrix pre =
-        tape.linear_layers()[0].forward(Variable(x, false)).value();
+        autograd::add_row_broadcast(
+            autograd::matmul(Variable(x, false),
+                             autograd::transpose(Variable(first.weight))),
+            Variable(first.bias))
+            .value();
     EXPECT_TRUE(same_bits(pre(0, 0), 0.0));
     EXPECT_TRUE(same_bits(pre(0, 1), 0.0));
     EXPECT_TRUE(std::isnan(pre(0, 2)));
 
     Matrix out(6, 1);
     fused_forward(fused, x, head.scale, out.flat());
-    EXPECT_TRUE(same_bits(tape_forward(tape, x, head.scale).value(), out));
+    EXPECT_TRUE(same_bits(tape_forward(tape, x, head.scale), out));
 
     Adam tape_opt(tape.parameters(), 1e-2);
     Adam fused_opt(fused.parameters(), 1e-2);
     for (int step = 0; step < 3; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
-      tape_opt.zero_grad();
-      auto loss = mse(tape_forward(tape, x, head.scale), target);
-      loss.backward();
-      tape_opt.step();
+      const double tape_loss =
+          autograd::tape_mse_step(tape, tape_opt, x, target, head.scale);
       const double fused_loss =
           fused_mse_step(fused, fused_opt, x, target, head.scale);
       EXPECT_TRUE(std::isfinite(fused_loss));
-      EXPECT_TRUE(same_bits(loss.value()[0], fused_loss));
-      const auto tape_params = tape.parameters();
-      const auto fused_params = fused.parameters();
-      ASSERT_EQ(tape_params.size(), fused_params.size());
-      for (std::size_t p = 0; p < tape_params.size(); ++p) {
-        EXPECT_TRUE(same_bits(tape_params[p].grad(), fused_params[p].grad()))
-            << "gradient " << p;
-        EXPECT_TRUE(
-            same_bits(tape_params[p].value(), fused_params[p].value()))
-            << "parameter " << p;
-      }
+      EXPECT_TRUE(same_bits(tape_loss, fused_loss));
+      expect_same_parameters(tape, fused);
     }
   }
 }
@@ -635,10 +677,10 @@ void set_relu_edges(std::vector<double>& v) {
 }
 
 // Runs `check(tier_out, naive_out, what)` for every shape and stride:
-// the plain product, the bias + ReLU epilogue's pre and post, and the
-// ReLU mask epilogue. The references are the tape's expressions: the
-// k-order sum, then `+ bias` and std::max(0.0, z), or relu's backward
-// branch.
+// the plain product, the product added into c, the bias + ReLU
+// epilogue's pre and post, and the ReLU mask epilogue. The references
+// are the tape's expressions: the k-order sum, then `grad += g`, `+ bias`
+// and std::max(0.0, z), or relu's backward branch.
 template <class Check>
 void for_each_tier_case(ProductTier tier, Check check) {
   Rng rng(29);
@@ -672,6 +714,14 @@ void for_each_tier_case(ProductTier tier, Check check) {
           product(tier, m, n, depth, a.data(), a_row, a_col, b.data(),
                   got.data());
           check(got, sum, what + " store");
+          std::vector<double> acc = tier_values(m * n, rng);
+          std::vector<double> want_acc = acc;
+          for (std::size_t i = 0; i < m * n; ++i) {
+            want_acc[i] += sum[i];
+          }
+          product_add(tier, m, n, depth, a.data(), a_row, a_col, b.data(),
+                      acc.data());
+          check(acc, want_acc, what + " add");
 
           std::vector<double> want_pre(m * n);
           std::vector<double> want_post(m * n);
@@ -785,7 +835,7 @@ std::string iostream_rendering(Mlp& model) {
   const auto& layers = model.linear_layers();
   os << "mfcp-mlp 1\n" << layers.size() << '\n';
   for (const Linear& lin : layers) {
-    for (const Matrix* m : {&lin.weight().value(), &lin.bias().value()}) {
+    for (const Matrix* m : {&lin.weight, &lin.bias}) {
       os << m->rows() << ' ' << m->cols() << '\n';
       os << std::setprecision(17);
       for (std::size_t i = 0; i < m->size(); ++i) {
@@ -803,7 +853,7 @@ bool same_parameters(Mlp& a, Mlp& b) {
     return false;
   }
   for (std::size_t p = 0; p < pa.size(); ++p) {
-    if (!same_bits(pa[p].value(), pb[p].value())) {
+    if (!same_bits(*pa[p].value, *pb[p].value)) {
       return false;
     }
   }
@@ -835,7 +885,7 @@ TEST(Serialize, BytesMatchTheIostreamWriterAndLoadBitForBit) {
                              1e22,
                              1.0 / 3.0,
                              -123456789.0};
-  Matrix& w = edge.linear_layers()[0].weight().mutable_value();
+  Matrix& w = edge.linear_layers()[0].weight;
   for (std::size_t i = 0; i < std::size(specials); ++i) {
     w[i] = specials[i];
   }

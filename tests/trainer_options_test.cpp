@@ -156,7 +156,7 @@ std::uint64_t training_digest(PlatformPredictor& predictor,
     for (auto* mlp : {&predictor.cluster(i).time_model(),
                       &predictor.cluster(i).reliability_model()}) {
       for (const auto& p : mlp->parameters()) {
-        absorb(p.value().data(), p.value().size());
+        absorb(p.value->data(), p.value->size());
       }
     }
   }
