@@ -637,6 +637,37 @@ TEST(GatewayRoute, EvictedTaskStatusAnswers410) {
             404);
 }
 
+TEST(GatewayRoute, RecoveredTableAnswers410ForSkippedIdsAnd404AboveThem) {
+  // A recovered link holds only the replayed tasks. The ids recovery
+  // skipped were issued by the previous incarnation and finished there,
+  // so they answer 410 like evicted ones; ids above every issued one
+  // answer 404.
+  engine::GatewayLink link;
+  const std::uint64_t base = engine::kExternalIdBase;
+  link.table().restore_entry(base + 4, 0.0);
+  link.table().restore_entry(base + 2, 0.0);
+  const auto status_of = [&link](std::uint64_t id) {
+    return route_gateway_request(
+               make_request("GET", "/task/" + std::to_string(id)), link,
+               nullptr)
+        .status;
+  };
+  EXPECT_EQ(status_of(base + 2), 200);
+  EXPECT_EQ(status_of(base + 4), 200);
+  for (const std::uint64_t id : {base, base + 1, base + 3}) {
+    EXPECT_EQ(status_of(id), 410) << id - base;
+  }
+  EXPECT_EQ(status_of(base + 5), 404);
+  EXPECT_EQ(status_of(base - 1), 404);
+  const HttpResponse fresh = route_gateway_request(
+      make_request("POST", "/submit", "{\"family\":\"cnn\"}"), link,
+      nullptr);
+  ASSERT_EQ(fresh.status, 200);
+  EXPECT_EQ(body_u64(fresh.body, "id"), base + 5);
+  EXPECT_EQ(status_of(base + 5), 200);
+  EXPECT_EQ(status_of(base + 6), 404);
+}
+
 // ------------------------------------------------------- live sockets --
 
 TEST(HttpServerLive, ServesConcurrentClients) {
