@@ -36,12 +36,29 @@ std::string to_string(TaskState state) {
 
 // -------------------------------------------------------- status table --
 
+namespace {
+/// Marks a slot with no resident task: evicted, or skipped by recovery.
+constexpr TaskState kAbsent = static_cast<TaskState>(0xff);
+}  // namespace
+
+TaskStatus* TaskStatusTable::find_locked(std::uint64_t id) {
+  if (id < first_id_ || id - first_id_ >= slots_.size()) {
+    return nullptr;
+  }
+  TaskStatus& slot = slots_[id - first_id_];
+  return slot.state == kAbsent ? nullptr : &slot;
+}
+
+const TaskStatus* TaskStatusTable::find_locked(std::uint64_t id) const {
+  return const_cast<TaskStatusTable*>(this)->find_locked(id);
+}
+
 std::uint64_t TaskStatusTable::insert(double submit_hours) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t id = next_id_++;
-  TaskStatus s;
+  const std::uint64_t id = end_id_locked();
+  TaskStatus& s = slots_.emplace_back();
   s.submit_hours = submit_hours;
-  tasks_.emplace(id, s);
+  ++resident_;
   ++counts_.submitted;
   ++counts_.queued;
   return id;
@@ -50,12 +67,26 @@ std::uint64_t TaskStatusTable::insert(double submit_hours) {
 void TaskStatusTable::restore_entry(std::uint64_t id, double submit_hours) {
   std::lock_guard<std::mutex> lock(mutex_);
   MFCP_CHECK(id >= kExternalIdBase, "restored ids are external ids");
-  TaskStatus s;
-  s.submit_hours = submit_hours;
-  if (!tasks_.emplace(id, s).second) {
+  TaskStatus absent;
+  absent.state = kAbsent;
+  if (slots_.empty()) {
+    // Ids below a fresh span count as issued (see was_evicted) without
+    // holding a slot, so a restart far into the id space costs nothing.
+    first_id_ = std::max(first_id_, id);
+  }
+  if (id < first_id_) {
+    slots_.insert(slots_.begin(), first_id_ - id, absent);
+    first_id_ = id;
+  } else if (id >= end_id_locked()) {
+    slots_.resize(id - first_id_ + 1, absent);
+  }
+  TaskStatus& slot = slots_[id - first_id_];
+  if (slot.state != kAbsent) {
     return;  // duplicate replay; the resident entry wins
   }
-  next_id_ = std::max(next_id_, id + 1);
+  slot = TaskStatus{};
+  slot.submit_hours = submit_hours;
+  ++resident_;
   ++counts_.submitted;
   ++counts_.queued;
 }
@@ -66,14 +97,14 @@ void TaskStatusTable::mark_matched(std::uint64_t id, std::size_t cluster,
   MFCP_CHECK(cluster <= std::numeric_limits<std::uint16_t>::max(),
              "cluster index exceeds the status table's 16 bits");
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = tasks_.find(id);
-  if (it == tasks_.end() || it->second.state != TaskState::kQueued) {
+  TaskStatus* const s = find_locked(id);
+  if (s == nullptr || s->state != TaskState::kQueued) {
     return;  // unknown or already advanced; transitions are forward-only
   }
-  it->second.state = TaskState::kMatched;
-  it->second.cluster = static_cast<std::uint16_t>(cluster);
-  it->second.predicted_hours = predicted_hours;
-  it->second.round = round;
+  s->state = TaskState::kMatched;
+  s->cluster = static_cast<std::uint16_t>(cluster);
+  s->predicted_hours = predicted_hours;
+  s->round = round;
   --counts_.queued;
   ++counts_.matched;
 }
@@ -83,10 +114,15 @@ void TaskStatusTable::note_terminal_locked(std::uint64_t id) {
     return;  // unbounded: no eviction bookkeeping at all
   }
   terminal_fifo_.push_back(id);
-  while (tasks_.size() > capacity_ && !terminal_fifo_.empty()) {
-    tasks_.erase(terminal_fifo_.front());
+  while (resident_ > capacity_ && !terminal_fifo_.empty()) {
+    slots_[terminal_fifo_.front() - first_id_].state = kAbsent;
     terminal_fifo_.pop_front();
+    --resident_;
     ++evicted_;
+  }
+  while (!slots_.empty() && slots_.front().state == kAbsent) {
+    slots_.pop_front();
+    ++first_id_;
   }
 }
 
@@ -94,13 +130,13 @@ void TaskStatusTable::mark_dispatched(std::uint64_t id,
                                       double realized_hours,
                                       bool succeeded) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = tasks_.find(id);
-  if (it == tasks_.end() || it->second.state != TaskState::kMatched) {
+  TaskStatus* const s = find_locked(id);
+  if (s == nullptr || s->state != TaskState::kMatched) {
     return;
   }
-  it->second.state = TaskState::kDispatched;
-  it->second.realized_hours = realized_hours;
-  it->second.succeeded = succeeded;
+  s->state = TaskState::kDispatched;
+  s->realized_hours = realized_hours;
+  s->succeeded = succeeded;
   --counts_.matched;
   ++counts_.dispatched;
   note_terminal_locked(id);
@@ -110,11 +146,11 @@ void TaskStatusTable::mark_lost(std::uint64_t id, TaskState state) {
   MFCP_CHECK(state == TaskState::kExpired || state == TaskState::kRejected,
              "mark_lost takes a terminal loss state");
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = tasks_.find(id);
-  if (it == tasks_.end() || it->second.state != TaskState::kQueued) {
+  TaskStatus* const s = find_locked(id);
+  if (s == nullptr || s->state != TaskState::kQueued) {
     return;  // only waiting tasks can be lost
   }
-  it->second.state = state;
+  s->state = state;
   --counts_.queued;
   if (state == TaskState::kExpired) {
     ++counts_.expired;
@@ -126,23 +162,25 @@ void TaskStatusTable::mark_lost(std::uint64_t id, TaskState state) {
 
 std::optional<TaskStatus> TaskStatusTable::get(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = tasks_.find(id);
-  if (it == tasks_.end()) {
+  const TaskStatus* const s = find_locked(id);
+  if (s == nullptr) {
     return std::nullopt;
   }
-  return it->second;
+  return *s;
 }
 
 bool TaskStatusTable::was_evicted(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   // Every issued id stays resident until evicted, so "issued but absent"
-  // identifies eviction exactly — no tombstone set needed.
-  return id >= kExternalIdBase && id < next_id_ && tasks_.count(id) == 0;
+  // identifies eviction exactly; ids recovery skipped were issued by the
+  // previous incarnation and read the same way.
+  return id >= kExternalIdBase && id < end_id_locked() &&
+         find_locked(id) == nullptr;
 }
 
 std::size_t TaskStatusTable::resident() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_.size();
+  return resident_;
 }
 
 std::uint64_t TaskStatusTable::evicted_total() const {
