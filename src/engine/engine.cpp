@@ -414,7 +414,6 @@ bool OnlineEngine::finish_round(RoundTrigger trigger, RunLog& log) {
   outcome.feasible = rec.reliability >= config_.gamma;
   log.window.add(outcome);
   if (log.window.rounds() >= config_.metrics_window) {
-    log.result.windows.push_back(WindowSummary{rec.round, log.window});
     log.result.total.merge(log.window);
     log.window.reset();
   }
@@ -443,8 +442,6 @@ bool OnlineEngine::finish_round(RoundTrigger trigger, RunLog& log) {
 void OnlineEngine::finalize(RunLog& log, double wall_seconds) {
   // Carry the partial final window into the totals.
   if (log.window.rounds() > 0) {
-    log.result.windows.push_back(
-        WindowSummary{log.result.rounds.back().round, log.window});
     log.result.total.merge(log.window);
   }
   refresh_counters();

@@ -77,7 +77,8 @@ struct EngineConfig {
   double profile_probability = 0.1;
 
   /// Rolling metrics window, in rounds, for the per-round CSV and the
-  /// windowed summaries (uses MetricsAccumulator reset()/merge()).
+  /// tumbling windows folded into EngineResult::total (uses
+  /// MetricsAccumulator reset()/merge()).
   std::size_t metrics_window = 16;
 
   /// Per-round regret attribution: decompose each round's realized regret
@@ -202,12 +203,6 @@ struct RoundRecord {
 void append_round_journal(obs::JsonlWriter& journal, const RoundRecord& rec,
                           std::string_view label = {});
 
-/// Summary of one completed metrics window (every metrics_window rounds).
-struct WindowSummary {
-  std::size_t last_round = 0;
-  core::MetricsAccumulator metrics;
-};
-
 /// What OnlineEngine::recover() found and did (see its contract).
 struct RecoveryReport {
   bool checkpoint_loaded = false;        // a snapshot generation restored
@@ -224,7 +219,6 @@ struct EngineResult {
   /// rounds live in its journal, and holding each in memory would grow
   /// without bound with uptime.
   std::vector<RoundRecord> rounds;
-  std::vector<WindowSummary> windows;
   core::MetricsAccumulator total;
   EngineCounters counters;
   QueueStats queue;
@@ -299,7 +293,7 @@ class OnlineEngine {
 
  private:
   /// Per-round bookkeeping of the event loop: the rolling regret window,
-  /// tumbling metric windows, and the JSONL journal.
+  /// tumbling metric window, and the JSONL journal.
   struct RunLog {
     EngineResult result;
     core::MetricsAccumulator window;
