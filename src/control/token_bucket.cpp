@@ -8,8 +8,6 @@
 namespace mfcp::control {
 
 namespace {
-/// Weight applied to clients without an explicit set_weight entry.
-constexpr double kDefaultWeight = 1.0;
 /// A client counts as active (and earns a rate share) while it was seen
 /// within this window.
 constexpr double kActivityWindowHours = 0.25;
@@ -49,30 +47,12 @@ double TokenBucketTable::global_rate_per_hour() const {
   return global_rate_per_hour_;
 }
 
-void TokenBucketTable::set_weight(std::string_view client, double weight) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::string key(client.empty() ? kAnonymousClient : client);
-  if (weight <= 0.0) {
-    weights_.erase(key);
-  } else {
-    weights_[key] = weight;
-  }
-}
-
-double TokenBucketTable::weight_locked(const std::string& client) const {
-  const auto it = weights_.find(client);
-  return it == weights_.end() ? kDefaultWeight : it->second;
-}
-
-double TokenBucketTable::active_weight_locked(double now_hours) const {
+std::size_t TokenBucketTable::active_clients_locked(double now_hours) const {
   const double cutoff = now_hours - kActivityWindowHours;
-  double total = 0.0;
-  for (const auto& [name, bucket] : buckets_) {
-    if (bucket.last_seen_hours >= cutoff) {
-      total += weight_locked(name);
-    }
-  }
-  return total;
+  return static_cast<std::size_t>(std::count_if(
+      buckets_.begin(), buckets_.end(), [cutoff](const auto& entry) {
+        return entry.second.last_seen_hours >= cutoff;
+      }));
 }
 
 AdmitDecision TokenBucketTable::try_admit(std::string_view client,
@@ -101,9 +81,10 @@ AdmitDecision TokenBucketTable::try_admit(std::string_view client,
   Bucket& bucket = it->second;
   bucket.last_seen_hours = now_hours;
 
-  const double weight = weight_locked(key);
-  const double active = std::max(active_weight_locked(now_hours), weight);
-  const double share = global_rate_per_hour_ * weight / active;
+  const double share =
+      global_rate_per_hour_ /
+      static_cast<double>(std::max<std::size_t>(
+          active_clients_locked(now_hours), 1));
   const double burst =
       std::max(config_.min_burst_tokens, share * config_.burst_hours);
   if (bucket.tokens < 0.0) {
@@ -167,7 +148,6 @@ std::vector<BucketView> TokenBucketTable::snapshot() const {
   for (const auto& [name, bucket] : buckets_) {
     BucketView view;
     view.client = name;
-    view.weight = weight_locked(name);
     view.tokens = std::max(0.0, bucket.tokens);
     view.rate_per_hour = global_rate_per_hour_;  // refined below
     view.admitted = bucket.admitted;
@@ -186,12 +166,12 @@ std::vector<BucketView> TokenBucketTable::snapshot() const {
   const double cutoff = latest - kActivityWindowHours;
   for (const BucketView& v : out) {
     if (v.last_seen_hours >= cutoff) {
-      active += v.weight;
+      active += 1.0;
     }
   }
   for (BucketView& v : out) {
     v.rate_per_hour = active > 0.0
-                          ? global_rate_per_hour_ * v.weight / active
+                          ? global_rate_per_hour_ / active
                           : global_rate_per_hour_;
   }
   std::sort(out.begin(), out.end(),

@@ -2,7 +2,7 @@
 //
 // The Ratekeeper emits one scalar — tasks per simulated hour the platform
 // can absorb — and this table enforces it per client: each active client
-// gets a weighted share of the global rate, replenishing a bounded bucket
+// gets an equal share of the global rate, replenishing a bounded bucket
 // of admission tokens on the simulated clock. A submit spends one token;
 // an empty bucket throttles, and the deficit divided by the client's
 // replenish rate is the *honest* Retry-After (the same formula the
@@ -66,7 +66,6 @@ struct AdmitDecision {
 /// Point-in-time view of one bucket (GET /ratekeeper).
 struct BucketView {
   std::string client;
-  double weight = 1.0;
   double tokens = 0.0;
   double rate_per_hour = 0.0;
   std::uint64_t admitted = 0;
@@ -81,10 +80,6 @@ class TokenBucketTable {
   /// Publishes the Ratekeeper's global rate (tasks per simulated hour).
   void set_global_rate(double rate_per_hour, double now_hours);
   [[nodiscard]] double global_rate_per_hour() const;
-
-  /// Pins a client's weight; shares divide proportionally among active
-  /// clients. Weight <= 0 resets the client to the default.
-  void set_weight(std::string_view client, double weight);
 
   /// Spends one token from `client`'s bucket (empty id maps to the
   /// anonymous bucket). Touches the LRU and may evict another client.
@@ -115,17 +110,14 @@ class TokenBucketTable {
     std::list<std::string>::iterator lru;  // position in lru_ (front = hot)
   };
 
-  [[nodiscard]] double weight_locked(const std::string& client) const;
-  /// Sum of active-client weights at `now`, including `self` even if its
-  /// bucket just appeared.
-  [[nodiscard]] double active_weight_locked(double now_hours) const;
+  /// Number of clients seen within the activity window of `now`.
+  [[nodiscard]] std::size_t active_clients_locked(double now_hours) const;
 
   TokenBucketConfig config_;
   mutable std::mutex mutex_;
   double global_rate_per_hour_;
   std::unordered_map<std::string, Bucket> buckets_;
   std::list<std::string> lru_;  // most recently seen at the front
-  std::unordered_map<std::string, double> weights_;
   std::uint64_t admitted_ = 0;
   std::uint64_t throttled_ = 0;
   std::uint64_t evicted_ = 0;

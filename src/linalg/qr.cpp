@@ -63,42 +63,6 @@ void QrFactorization::apply_qt(Matrix& v) const {
   }
 }
 
-Matrix QrFactorization::q() const {
-  // Apply the reflectors (in reverse) to the first n columns of I.
-  Matrix q(m_, n_, 0.0);
-  for (std::size_t j = 0; j < n_; ++j) {
-    Matrix e(m_, 1, 0.0);
-    e[j] = 1.0;
-    // Q e_j = H_0 H_1 ... H_{n-1} e_j: apply reflectors in reverse order.
-    for (std::size_t kk = n_; kk-- > 0;) {
-      if (tau_[kk] == 0.0) {
-        continue;
-      }
-      double dot = e[kk];
-      for (std::size_t i = kk + 1; i < m_; ++i) {
-        dot += qr_(i, kk) * e[i];
-      }
-      dot *= tau_[kk];
-      e[kk] -= dot;
-      for (std::size_t i = kk + 1; i < m_; ++i) {
-        e[i] -= dot * qr_(i, kk);
-      }
-    }
-    q.set_col(j, e);
-  }
-  return q;
-}
-
-Matrix QrFactorization::r() const {
-  Matrix r(n_, n_, 0.0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = i; j < n_; ++j) {
-      r(i, j) = qr_(i, j);
-    }
-  }
-  return r;
-}
-
 bool QrFactorization::rank_deficient(double tol) const {
   for (std::size_t i = 0; i < n_; ++i) {
     if (std::abs(qr_(i, i)) < tol) {

@@ -18,12 +18,6 @@ class QrFactorization {
   [[nodiscard]] std::size_t rows() const noexcept { return m_; }
   [[nodiscard]] std::size_t cols() const noexcept { return n_; }
 
-  /// Thin Q (m x n), materialized on demand.
-  [[nodiscard]] Matrix q() const;
-
-  /// R (n x n upper triangular).
-  [[nodiscard]] Matrix r() const;
-
   /// Least-squares solution argmin_x ||A x - b||_2 for b of length m.
   [[nodiscard]] Matrix solve_least_squares(const Matrix& b) const;
 

@@ -480,7 +480,6 @@ std::string ratekeeper_status_json(const control::RatekeeperStatus& status,
     const control::BucketView& v = views[i];
     const std::string p = ",\"b" + std::to_string(i) + "_";
     out += p + "client\":" + json_quote(v.client);
-    out += p + "weight\":" + fmt_double(v.weight);
     out += p + "tokens\":" + fmt_double(v.tokens);
     out += p + "rate_per_hour\":" + fmt_double(v.rate_per_hour);
     out += p + "admitted\":" + fmt_u64(v.admitted);

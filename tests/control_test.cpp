@@ -134,17 +134,18 @@ TEST(TokenBucketTable, EmptyClientMapsToTheAnonymousBucket) {
   EXPECT_EQ(snap[0].client, std::string(kAnonymousClient));
 }
 
-TEST(TokenBucketTable, WeightsDivideTheGlobalRate) {
+TEST(TokenBucketTable, ActiveClientsShareTheGlobalRateEqually) {
   TokenBucketTable table;
   table.set_global_rate(100.0, 0.0);
-  table.set_weight("heavy", 3.0);
   // Touch both so both are active, then read the share on a second touch.
   table.try_admit("light", 0.0);
   table.try_admit("heavy", 0.0);
   const AdmitDecision light = table.try_admit("light", 0.001);
   const AdmitDecision heavy = table.try_admit("heavy", 0.001);
-  EXPECT_DOUBLE_EQ(light.rate_per_hour, 25.0);
-  EXPECT_DOUBLE_EQ(heavy.rate_per_hour, 75.0);
+  EXPECT_DOUBLE_EQ(light.rate_per_hour, 50.0);
+  EXPECT_DOUBLE_EQ(heavy.rate_per_hour, 50.0);
+  // A client idle past the activity window stops taking a share.
+  EXPECT_DOUBLE_EQ(table.try_admit("light", 1.0).rate_per_hour, 100.0);
 }
 
 TEST(TokenBucketTable, ThrottlesOnceTheBurstIsSpentAndRefillsOverTime) {

@@ -24,32 +24,6 @@ Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
 
 // ------------------------------------------------------------------- QR --
 
-TEST(Qr, ReconstructsMatrix) {
-  Rng rng(1);
-  const Matrix a = random_matrix(7, 4, rng);
-  QrFactorization qr(a);
-  EXPECT_TRUE(approx_equal(matmul(qr.q(), qr.r()), a, 1e-9));
-}
-
-TEST(Qr, QHasOrthonormalColumns) {
-  Rng rng(2);
-  const Matrix a = random_matrix(9, 5, rng);
-  QrFactorization qr(a);
-  const Matrix q = qr.q();
-  EXPECT_TRUE(approx_equal(matmul_tn(q, q), Matrix::identity(5), 1e-9));
-}
-
-TEST(Qr, RIsUpperTriangular) {
-  Rng rng(3);
-  QrFactorization qr(random_matrix(6, 4, rng));
-  const Matrix r = qr.r();
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      EXPECT_EQ(r(i, j), 0.0);
-    }
-  }
-}
-
 TEST(Qr, LeastSquaresSolvesSquareSystemExactly) {
   Rng rng(4);
   Matrix a = random_matrix(5, 5, rng);
