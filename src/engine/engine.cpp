@@ -395,7 +395,7 @@ bool OnlineEngine::finish_round(RoundTrigger trigger, RunLog& log) {
   note_slo(&rec);
   tick_ratekeeper(rec);
 
-  // Trailing rolling window for the CSV...
+  // Trailing rolling window for the CSV.
   log.recent_regret.push_back(rec.regret);
   if (log.recent_regret.size() > config_.metrics_window) {
     log.recent_regret.pop_front();
@@ -404,19 +404,13 @@ bool OnlineEngine::finish_round(RoundTrigger trigger, RunLog& log) {
                                        log.recent_regret.end(), 0.0) /
                        static_cast<double>(log.recent_regret.size());
 
-  // ...and tumbling windows folded into the running total via the
-  // streaming reset()/merge() pair.
   core::MatchOutcome outcome;
   outcome.regret = rec.regret;
   outcome.reliability = rec.reliability;
   outcome.utilization = rec.utilization;
   outcome.makespan = rec.makespan;
   outcome.feasible = rec.reliability >= config_.gamma;
-  log.window.add(outcome);
-  if (log.window.rounds() >= config_.metrics_window) {
-    log.result.total.merge(log.window);
-    log.window.reset();
-  }
+  log.result.total.add(outcome);
   if (config_.journal != nullptr) {
     append_round_journal(*config_.journal, rec);
   }
@@ -440,10 +434,6 @@ bool OnlineEngine::finish_round(RoundTrigger trigger, RunLog& log) {
 }
 
 void OnlineEngine::finalize(RunLog& log, double wall_seconds) {
-  // Carry the partial final window into the totals.
-  if (log.window.rounds() > 0) {
-    log.result.total.merge(log.window);
-  }
   refresh_counters();
   log.result.counters = counters_;
   log.result.queue = queue_.stats();

@@ -76,9 +76,8 @@ struct EngineConfig {
   /// rediscovered without this exploration budget.
   double profile_probability = 0.1;
 
-  /// Rolling metrics window, in rounds, for the per-round CSV and the
-  /// tumbling windows folded into EngineResult::total (uses
-  /// MetricsAccumulator reset()/merge()).
+  /// Rolling metrics window, in rounds, of RoundRecord::rolling_regret
+  /// (the per-round CSV's trailing mean).
   std::size_t metrics_window = 16;
 
   /// Per-round regret attribution: decompose each round's realized regret
@@ -292,11 +291,10 @@ class OnlineEngine {
   }
 
  private:
-  /// Per-round bookkeeping of the event loop: the rolling regret window,
-  /// tumbling metric window, and the JSONL journal.
+  /// Per-round bookkeeping of the event loop: the result it fills and the
+  /// rolling regret window.
   struct RunLog {
     EngineResult result;
-    core::MetricsAccumulator window;
     std::deque<double> recent_regret;
     bool last_round_only = false;  // serve(): see EngineResult::rounds
   };

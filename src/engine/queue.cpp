@@ -6,16 +6,6 @@
 
 namespace mfcp::engine {
 
-std::string to_string(DropPolicy policy) {
-  switch (policy) {
-    case DropPolicy::kRejectNewest:
-      return "reject-newest";
-    case DropPolicy::kDropOldest:
-      return "drop-oldest";
-  }
-  return "?";
-}
-
 AdmissionQueue::AdmissionQueue(const QueueConfig& config) : config_(config) {
   MFCP_CHECK(config_.capacity > 0, "queue capacity must be positive");
 }
@@ -46,30 +36,17 @@ bool AdmissionQueue::push(Arrival arrival) {
     telemetry_.offered->add(1);
   }
   if (queue_.size() >= config_.capacity) {
-    if (config_.policy == DropPolicy::kRejectNewest) {
-      ++stats_.dropped_capacity;
-      if (telemetry_.dropped_capacity != nullptr) {
-        telemetry_.dropped_capacity->add(1);
-      }
-      if (on_loss_) {
-        on_loss_(arrival, Loss::kCapacity);
-      }
-      if (track_losses_) {
-        recent_losses_.push_back(std::move(arrival));
-      }
-      return false;
-    }
-    if (on_loss_) {
-      on_loss_(queue_.front(), Loss::kCapacity);
-    }
-    if (track_losses_) {
-      recent_losses_.push_back(std::move(queue_.front()));
-    }
-    queue_.pop_front();
     ++stats_.dropped_capacity;
     if (telemetry_.dropped_capacity != nullptr) {
       telemetry_.dropped_capacity->add(1);
     }
+    if (on_loss_) {
+      on_loss_(arrival, Loss::kCapacity);
+    }
+    if (track_losses_) {
+      recent_losses_.push_back(std::move(arrival));
+    }
+    return false;
   }
   queue_.push_back(std::move(arrival));
   ++stats_.admitted;

@@ -1,10 +1,9 @@
 // Bounded admission queue between the arrival stream and the micro-batcher.
 //
-// A live platform cannot buffer unboundedly: beyond some depth, either the
-// newest submission is rejected at the door (backpressure to the client) or
-// the oldest waiting job is evicted to make room (freshness wins). Both
-// policies are explicit, and every drop is accounted — the engine exports
-// drop rate as a first-class metric alongside regret.
+// A live platform cannot buffer unboundedly: beyond its capacity, the
+// newest submission is rejected at the door (backpressure to the client).
+// Every drop is accounted — the engine exports drop rate as a first-class
+// metric alongside regret.
 //
 // Jobs also expire: an arrival whose deadline passes while it waits is
 // removed at round-formation time and counted separately from capacity
@@ -14,7 +13,6 @@
 
 #include <deque>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "engine/arrivals.hpp"
@@ -22,16 +20,8 @@
 
 namespace mfcp::engine {
 
-enum class DropPolicy : int {
-  kRejectNewest = 0,  // full queue bounces the incoming job
-  kDropOldest = 1,    // full queue evicts the head to admit the newcomer
-};
-
-std::string to_string(DropPolicy policy);
-
 struct QueueConfig {
   std::size_t capacity = 64;
-  DropPolicy policy = DropPolicy::kRejectNewest;
 };
 
 /// Monotonic counters over the queue's lifetime.
@@ -55,7 +45,8 @@ class AdmissionQueue {
   /// depth into `registry` (`mfcp_queue_*`). Null disables (default).
   void bind_metrics(obs::MetricsRegistry* registry);
 
-  /// Admits (or drops, per policy) one arrival. Returns true if admitted.
+  /// Admits one arrival, or bounces it when the queue is full. Returns
+  /// true if admitted.
   bool push(Arrival arrival);
 
   /// Removes and counts every waiting job whose deadline is before `now`.
@@ -76,7 +67,7 @@ class AdmissionQueue {
 
   /// Why an arrival was lost (see LossCallback).
   enum class Loss : int {
-    kCapacity = 0,  // bounced or evicted by the bounded buffer
+    kCapacity = 0,  // bounced by the full buffer
     kExpired = 1,   // deadline passed while waiting
   };
 

@@ -23,6 +23,12 @@
 
 namespace mfcp::matching {
 
+/// The entropy weight τ of the matching the platform trains through (the
+/// decision-focused trainers' inner problem) and the one it deploys (the
+/// deploy solve and its attribution polish). One constant, so the deployed
+/// operator is exactly the one the predictors were trained through.
+inline constexpr double kEntropyTau = 0.1;
+
 /// Decorator adding τ Σ x log x to any continuous objective.
 class EntropicObjective final : public ContinuousObjective {
  public:

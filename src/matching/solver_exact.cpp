@@ -344,14 +344,6 @@ ExactSolution solve_greedy(const MatchingProblem& problem) {
 ExactSolution solve_exact(const MatchingProblem& problem,
                           const ExactSolverConfig& config) {
   problem.validate();
-  if (config.prefer_enumeration) {
-    const double combos =
-        std::pow(static_cast<double>(problem.num_clusters()),
-                 static_cast<double>(problem.num_tasks()));
-    if (combos <= static_cast<double>(1u << 20)) {
-      return solve_enumeration(problem);
-    }
-  }
   const ExactSolution incumbent = solve_greedy(problem);
   BranchAndBound search(problem, config);
   return search.run(incumbent);

@@ -18,8 +18,6 @@ namespace mfcp::matching {
 struct ExactSolverConfig {
   /// Abort the search after this many explored nodes (0 = unlimited).
   std::size_t node_budget = 50'000'000;
-  /// Also try pure enumeration when M^N is below this (cross-check path).
-  bool prefer_enumeration = false;
 };
 
 struct ExactSolution {

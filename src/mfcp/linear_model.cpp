@@ -10,22 +10,21 @@ namespace mfcp::core {
 
 namespace {
 
-/// Design matrix with optional intercept column, rows scaled by
-/// sqrt(sample weight) (weighted least squares via row scaling).
-Matrix design(const Matrix& features, bool intercept,
-              const std::vector<double>& weights) {
+constexpr double kRidgeLambda = 1e-3;
+
+/// Design matrix with an intercept column, rows scaled by sqrt(sample
+/// weight) (weighted least squares via row scaling).
+Matrix design(const Matrix& features, const std::vector<double>& weights) {
   const std::size_t s = features.rows();
   const std::size_t d = features.cols();
-  Matrix x(s, d + (intercept ? 1 : 0));
+  Matrix x(s, d + 1);
   for (std::size_t i = 0; i < s; ++i) {
     const double w =
         weights.empty() ? 1.0 : std::sqrt(std::max(weights[i], 0.0));
     for (std::size_t j = 0; j < d; ++j) {
       x(i, j) = w * features(i, j);
     }
-    if (intercept) {
-      x(i, d) = w;
-    }
+    x(i, d) = w;
   }
   return x;
 }
@@ -44,8 +43,7 @@ Matrix weighted_target(const Matrix& row, const std::vector<double>& weights) {
 
 LinearClusterModel::LinearClusterModel(
     const Matrix& features, const Matrix& time_row, const Matrix& rel_row,
-    const std::vector<double>& sample_weights, const LinearModelConfig& config)
-    : intercept_(config.fit_intercept) {
+    const std::vector<double>& sample_weights) {
   MFCP_CHECK(time_row.size() == features.rows(),
              "time labels must match sample count");
   MFCP_CHECK(rel_row.size() == features.rows(),
@@ -53,22 +51,21 @@ LinearClusterModel::LinearClusterModel(
   MFCP_CHECK(sample_weights.empty() ||
                  sample_weights.size() == features.rows(),
              "weights must match sample count");
-  const Matrix x = design(features, intercept_, sample_weights);
+  const Matrix x = design(features, sample_weights);
   w_time_ = ridge_regression(x, weighted_target(time_row, sample_weights),
-                             config.ridge_lambda);
+                             kRidgeLambda);
   w_rel_ = ridge_regression(x, weighted_target(rel_row, sample_weights),
-                            config.ridge_lambda);
+                            kRidgeLambda);
 }
 
 Matrix LinearClusterModel::predict(const Matrix& features,
                                    const Matrix& weights) const {
   const std::size_t n = features.rows();
   const std::size_t d = features.cols();
-  MFCP_CHECK(weights.size() == d + (intercept_ ? 1 : 0),
-             "feature width mismatch");
+  MFCP_CHECK(weights.size() == d + 1, "feature width mismatch");
   Matrix out(1, n);
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = intercept_ ? weights[d] : 0.0;
+    double acc = weights[d];
     for (std::size_t j = 0; j < d; ++j) {
       acc += features(i, j) * weights[j];
     }
@@ -94,13 +91,11 @@ Matrix LinearClusterModel::predict_reliability_row(
   return a;
 }
 
-LinearPlatformModel::LinearPlatformModel(const sim::Dataset& train,
-                                         const LinearModelConfig& config)
-    : LinearPlatformModel(train, Matrix(), config) {}
+LinearPlatformModel::LinearPlatformModel(const sim::Dataset& train)
+    : LinearPlatformModel(train, Matrix()) {}
 
 LinearPlatformModel::LinearPlatformModel(const sim::Dataset& train,
-                                         const Matrix& weights,
-                                         const LinearModelConfig& config) {
+                                         const Matrix& weights) {
   MFCP_CHECK(train.num_tasks() > train.feature_dim(),
              "need more samples than features for a stable fit");
   MFCP_CHECK(weights.empty() ||
@@ -123,7 +118,7 @@ LinearPlatformModel::LinearPlatformModel(const sim::Dataset& train,
         w[j] = weights(i, j);
       }
     }
-    models_.emplace_back(train.features, t_row, a_row, w, config);
+    models_.emplace_back(train.features, t_row, a_row, w);
   }
 }
 

@@ -6,7 +6,9 @@
 // cliff-shaped cluster laws, so its MSE-optimal fit makes exactly the
 // systematic, decision-flipping errors the figure illustrates — which is
 // what bench/exp_fig2_motivation demonstrates. Also useful as a fast,
-// deterministic baseline predictor (no SGD, no seeds).
+// deterministic baseline predictor (no SGD, no seeds). Every fit has an
+// intercept and a ridge penalty of 1e-3 (which also guards against
+// collinear features).
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -14,24 +16,17 @@
 
 namespace mfcp::core {
 
-struct LinearModelConfig {
-  /// Ridge penalty (also guards against collinear features).
-  double ridge_lambda = 1e-3;
-  /// Per-sample weights are supported so a decision-focused reweighting
-  /// can be applied on top of the closed-form fit (Fig. 2's "assign higher
-  /// learning weights to the tasks preferred by a cluster").
-  bool fit_intercept = true;
-};
-
 /// One cluster's linear predictors for time and reliability.
 class LinearClusterModel {
  public:
   /// Fits both heads on (features, times-row, reliability-row) with
-  /// optional per-sample weights (empty = uniform).
+  /// optional per-sample weights (empty = uniform), so a decision-focused
+  /// reweighting can be applied on top of the closed-form fit (Fig. 2's
+  /// "assign higher learning weights to the tasks preferred by a
+  /// cluster").
   LinearClusterModel(const Matrix& features, const Matrix& time_row,
                      const Matrix& rel_row,
-                     const std::vector<double>& sample_weights,
-                     const LinearModelConfig& config = {});
+                     const std::vector<double>& sample_weights);
 
   /// Predicted execution times (clamped positive), 1 x n.
   [[nodiscard]] Matrix predict_time_row(const Matrix& features) const;
@@ -50,21 +45,18 @@ class LinearClusterModel {
   [[nodiscard]] Matrix predict(const Matrix& features,
                                const Matrix& weights) const;
 
-  bool intercept_;
-  Matrix w_time_;  // (d [+1]) x 1
+  Matrix w_time_;  // (d + 1) x 1, the intercept last
   Matrix w_rel_;
 };
 
 /// All clusters' linear predictors fitted from a dataset.
 class LinearPlatformModel {
  public:
-  LinearPlatformModel(const sim::Dataset& train,
-                      const LinearModelConfig& config = {});
+  explicit LinearPlatformModel(const sim::Dataset& train);
 
   /// Refits with per-(cluster, sample) weights — the decision-focused
   /// reweighting hook. `weights` is M x n over the training set.
-  LinearPlatformModel(const sim::Dataset& train, const Matrix& weights,
-                      const LinearModelConfig& config = {});
+  LinearPlatformModel(const sim::Dataset& train, const Matrix& weights);
 
   [[nodiscard]] std::size_t num_clusters() const noexcept {
     return models_.size();

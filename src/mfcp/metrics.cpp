@@ -13,15 +13,6 @@ void MetricsAccumulator::add(const MatchOutcome& outcome) {
   }
 }
 
-void MetricsAccumulator::reset() noexcept { *this = MetricsAccumulator{}; }
-
-void MetricsAccumulator::merge(const MetricsAccumulator& other) noexcept {
-  regret_.merge(other.regret_);
-  reliability_.merge(other.reliability_);
-  utilization_.merge(other.utilization_);
-  feasible_ += other.feasible_;
-}
-
 double MetricsAccumulator::feasible_fraction() const noexcept {
   if (rounds() == 0) {
     return 0.0;

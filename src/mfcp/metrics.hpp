@@ -15,15 +15,6 @@ class MetricsAccumulator {
  public:
   void add(const MatchOutcome& outcome);
 
-  /// Clears all statistics so the accumulator can be reused for the next
-  /// window (the online engine reports rolling-window metrics this way
-  /// instead of re-instantiating accumulators each round).
-  void reset() noexcept;
-
-  /// Folds another accumulator in, as if its outcomes had been add()ed
-  /// here (streaming window -> running-total reduction).
-  void merge(const MetricsAccumulator& other) noexcept;
-
   [[nodiscard]] const RunningStats& regret() const noexcept {
     return regret_;
   }

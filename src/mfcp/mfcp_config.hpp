@@ -1,4 +1,9 @@
 // Shared configuration for the decision-focused (MFCP) trainers.
+//
+// Every training solve predicts all M clusters' rows at once (the bilevel
+// problem of Eq. 5/12) with the entropy weight the platform deploys with
+// (matching::kEntropyTau), MFCP-FG differentiates the deployed pipeline
+// loss, and the per-round seed gradients are clipped to L2 norm 1.
 #pragma once
 
 #include <cstdint>
@@ -37,21 +42,10 @@ struct MfcpConfig {
   /// paper's pure-regret objective.
   double anchor_weight = 0.1;
 
-  /// Clip threshold (L2 norm) for the per-round matching-layer seed
-  /// gradients dL/dt̂_i, dL/dâ_i — the barrier can spike them when a round
-  /// sits near the reliability boundary. 0 disables clipping.
-  double seed_clip_norm = 1.0;
-
   CostModel cost_model = CostModel::kSmoothedMax;
   ConstraintModel constraint_model = ConstraintModel::kLogBarrier;
   /// Weight of the hinge when constraint_model == kHardPenalty.
   double penalty_lambda = 2.0;
-
-  /// Entropy weight τ for the inner (training-time) matching problem.
-  /// Keeps the relaxed optimum strictly interior so dX*/dT̂ is non-zero
-  /// (see matching/entropy.hpp). 0 disables — the paper's bare relaxation,
-  /// whose argmin is a vertex almost everywhere and yields no gradient.
-  double entropy_tau = 0.1;
 
   matching::BarrierConfig barrier;
   matching::MirrorSolverConfig solver{.max_iterations = 600,
@@ -67,25 +61,10 @@ struct MfcpConfig {
                                                .delta = 0.5,
                                                .delta_reliability = 0.05};
 
-  /// MFCP-FG loss: when true (default), the zeroth-order estimator
-  /// differentiates the *deployed* pipeline loss directly — the true
-  /// makespan of the rounded assignment plus a hinge on the true
-  /// reliability shortfall. Randomized smoothing over the Gaussian
-  /// perturbations handles the piecewise-constant rounding (the
-  /// perturbed-optimizer view). When false, FG estimates gradients of the
-  /// relaxed surrogate like MFCP-AD (the literal Algorithm-2 reading),
-  /// which rewards hedged relaxed solutions that round poorly.
-  bool fg_discrete_loss = true;
-  /// Hinge weight (hours per unit reliability shortfall per task) in the
-  /// discrete FG loss.
+  /// Hinge weight (hours per unit reliability shortfall per task) in
+  /// MFCP-FG's loss, the *deployed* pipeline loss: the true makespan of the
+  /// rounded assignment plus this hinge on the true reliability shortfall.
   double fg_reliability_penalty = 2.0;
-
-  /// Predict ALL clusters' rows during the training solve (the bilevel
-  /// problem of Eq. 5/12, and what deployment sees), rather than replacing
-  /// only cluster i's row and keeping the others at measured values
-  /// (Algorithm 2 line 3). Joint mode aligns the training regime with the
-  /// deployed one and needs one inner solve per round instead of M.
-  bool joint_prediction = true;
 
   /// Warm start from MSE pretraining (see trainer_tsm.hpp).
   bool pretrain = true;

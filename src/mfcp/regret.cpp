@@ -13,8 +13,8 @@ namespace mfcp::core {
 
 namespace {
 
-/// The deployment objective: barrier (or ablated linear) cost, optionally
-/// wrapped in the entropic regularizer. Shared by the deploy solve and
+/// The deployment objective: barrier (or ablated linear) cost wrapped in
+/// the entropic regularizer the trainers use. Shared by the deploy solve and
 /// the attribution's polish continuation, which must minimize the SAME
 /// smooth objective for the solver gap to mean anything.
 std::unique_ptr<matching::ContinuousObjective> make_deploy_objective(
@@ -27,11 +27,8 @@ std::unique_ptr<matching::ContinuousObjective> make_deploy_objective(
     objective = std::make_unique<matching::BarrierObjective>(
         problem, config.barrier);
   }
-  if (config.entropy_tau > 0.0) {
-    objective = std::make_unique<matching::EntropicObjective>(
-        std::move(objective), config.entropy_tau);
-  }
-  return objective;
+  return std::make_unique<matching::EntropicObjective>(std::move(objective),
+                                                       matching::kEntropyTau);
 }
 
 }  // namespace
@@ -49,8 +46,8 @@ DeployTrace deploy_matching_traced(const matching::MatchingProblem& predicted,
   DeployTrace trace;
   trace.problem = predicted;
   // The default objective is solved exactly in its price dual; the
-  // linear-cost ablation, τ = 0 and a decaying speedup go to mirror
-  // descent (solve_relaxed reads the objective's structure).
+  // linear-cost ablation and a decaying speedup go to mirror descent
+  // (solve_relaxed reads the objective's structure).
   trace.relaxed = matching::solve_relaxed(*objective, config.solver);
   // Argmax rounding only. The paper folds the reliability constraint into
   // the barrier term of the matching objective and reports achieved

@@ -4,9 +4,12 @@
 // assignment derived from predictions against the true-optimal assignment:
 //     regret = ( f(X*(T̂, Â), T) - f(X*(T, A), T) ) / N.
 // X*(T̂, Â) is produced exactly the way the platform would deploy (§3.2):
-// continuous barrier solve, rounding, reliability repair using *predicted*
-// reliability (the platform cannot see the truth), optional local search.
-// X*(T, A) is the exact discrete optimum from branch-and-bound.
+// the continuous barrier solve with the entropy weight the predictors were
+// trained through (matching::kEntropyTau), argmax rounding, and an
+// optional local search, all against the *predicted* metrics (the
+// platform cannot see the truth). X*(T, A) is the same operator applied
+// to the true metrics (evaluate_predictions), or the exact discrete
+// optimum from branch-and-bound (the ExactSolverConfig overload).
 #pragma once
 
 #include "matching/barrier.hpp"
@@ -23,10 +26,6 @@ struct EvaluationConfig {
                                   .slack_epsilon = 1e-3};
   matching::MirrorSolverConfig solver;
   matching::ExactSolverConfig exact;
-  /// Entropy weight of the deployed continuous solve. Must match the
-  /// trainers' entropy_tau so the platform deploys exactly the operator
-  /// the predictors were trained through.
-  double entropy_tau = 0.1;
   /// Table-1 ablation (1): deploy with the linear total-time cost instead
   /// of the smoothed max-makespan (the matching itself is ablated, not
   /// just the training gradient).

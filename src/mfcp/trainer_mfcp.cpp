@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "diff/kkt.hpp"
-#include "linalg/vector_ops.hpp"
 #include "matching/entropy.hpp"
 #include "matching/objective.hpp"
 #include "matching/penalty.hpp"
@@ -67,8 +66,8 @@ std::unique_ptr<matching::KktDifferentiableObjective> make_smoothed_max(
       config.barrier.beta, config.penalty_lambda, config.speedup);
 }
 
-/// The configured continuous training objective over (T, A), including
-/// the entropic regularizer when configured.
+/// The configured continuous training objective over (T, A) with the
+/// deployed entropic regularizer.
 ObjectivePtr make_objective(const MfcpConfig& config, Matrix times,
                             Matrix reliability) {
   ObjectivePtr base;
@@ -81,38 +80,33 @@ ObjectivePtr make_objective(const MfcpConfig& config, Matrix times,
         std::move(times), std::move(reliability), config.gamma,
         config.barrier.lambda, config.speedup);
   }
-  if (config.entropy_tau > 0.0) {
-    return std::make_unique<matching::EntropicObjective>(std::move(base),
-                                                         config.entropy_tau);
-  }
-  return base;
+  return std::make_unique<matching::EntropicObjective>(std::move(base),
+                                                       matching::kEntropyTau);
 }
 
 /// The same objective, KKT-differentiable, for MFCP-AD's smoothed-max
 /// cost.
 std::unique_ptr<matching::KktDifferentiableObjective> make_kkt_objective(
     const MfcpConfig& config, Matrix times, Matrix reliability) {
-  auto base =
-      make_smoothed_max(config, std::move(times), std::move(reliability));
-  if (config.entropy_tau > 0.0) {
-    return std::make_unique<matching::EntropicKktObjective>(
-        std::move(base), config.entropy_tau);
-  }
-  return base;
+  return std::make_unique<matching::EntropicKktObjective>(
+      make_smoothed_max(config, std::move(times), std::move(reliability)),
+      matching::kEntropyTau);
 }
 
-/// Scales `g` so its L2 norm does not exceed `max_norm` (0 = disabled).
-void clip_norm(Matrix& g, double max_norm) {
-  if (max_norm <= 0.0) {
-    return;
-  }
+/// Clip threshold (L2 norm) for the per-round matching-layer seed
+/// gradients dL/dt̂_i, dL/dâ_i — the barrier can spike them when a round
+/// sits near the reliability boundary.
+constexpr double kSeedClipNorm = 1.0;
+
+/// Scales `g` so its L2 norm does not exceed kSeedClipNorm.
+void clip_norm(Matrix& g) {
   double sq = 0.0;
   for (std::size_t i = 0; i < g.size(); ++i) {
     sq += g[i] * g[i];
   }
   const double norm = std::sqrt(sq);
-  if (norm > max_norm) {
-    g *= max_norm / norm;
+  if (norm > kSeedClipNorm) {
+    g *= kSeedClipNorm / norm;
   }
 }
 
@@ -153,8 +147,8 @@ void backward_cluster(const MfcpConfig& config, const Round& round,
     seed_t(j, 0) = seeds.dt(cluster_index, j);
     seed_a(j, 0) = seeds.da(cluster_index, j);
   }
-  clip_norm(seed_t, config.seed_clip_norm);
-  clip_norm(seed_a, config.seed_clip_norm);
+  clip_norm(seed_t);
+  clip_norm(seed_a);
 
   nn::fused_backward(cluster.time_model(), round.features,
                      output_gradient(config, batch_scale, seed_t, t_hat,
@@ -167,19 +161,17 @@ void backward_cluster(const MfcpConfig& config, const Round& round,
       1.0);
 }
 
-/// One inner problem of a round: rows [row_begin, row_end) of (T̂, Â) hold
-/// predictions, the others keep the round's measured values.
+/// The inner problem of a round (Eq. 5/12): every cluster's row of
+/// (T̂, Â) holds predictions.
 struct InnerProblem {
   const Round& round;
   const matching::ContinuousObjective& truth;  // true-metric objective
   Matrix t_pred;
   Matrix a_pred;
-  std::size_t row_begin;
-  std::size_t row_end;
 };
 
 /// An inner problem's optimum X*(T̂, Â) and its seed gradients dL/dT̂,
-/// dL/dÂ (M x N; only the predicted rows are used).
+/// dL/dÂ (M x N).
 struct InnerSolution {
   Matrix x_star;
   diff::Gradients seeds;
@@ -221,10 +213,6 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
 
   const std::size_t n = config.round_tasks;
   const double batch_scale = 1.0 / static_cast<double>(config.rounds_per_step);
-  // Joint mode (Eq. 5/12) is one inner problem with every row predicted;
-  // per-cluster mode (Algorithm 2 line 3) is M problems, problem i
-  // predicting row i only.
-  const std::size_t rows_per_problem = config.joint_prediction ? m : 1;
 
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     for (std::size_t i = 0; i < m; ++i) {
@@ -233,7 +221,6 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
     }
 
     double epoch_loss = 0.0;
-    std::size_t loss_terms = 0;
     for (std::size_t b = 0; b < config.rounds_per_step; ++b) {
       const Round round = sample_round(train, n, rng);
       // True-metric objective: defines the loss and its dL/dX* term.
@@ -241,25 +228,20 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
           make_objective(config, round.times, round.reliability);
       const Matrix x_true = matching::solve_mirror(*truth, config.solver).x;
 
-      for (std::size_t first = 0; first < m; first += rows_per_problem) {
-        InnerProblem problem{round, *truth, round.times, round.reliability,
-                             first, first + rows_per_problem};
-        for (std::size_t i = first; i < problem.row_end; ++i) {
-          predictor.cluster(i).predict_time_row(round.features,
-                                                problem.t_pred.row_span(i));
-          predictor.cluster(i).predict_reliability_row(
-              round.features, problem.a_pred.row_span(i));
-        }
-        const InnerSolution inner = solve_inner(problem, rng);
-        epoch_loss += surrogate_regret(*truth, inner.x_star, x_true);
-        ++loss_terms;
+      InnerProblem problem{round, *truth, Matrix(m, n), Matrix(m, n)};
+      for (std::size_t i = 0; i < m; ++i) {
+        predictor.cluster(i).predict_time_row(round.features,
+                                              problem.t_pred.row_span(i));
+        predictor.cluster(i).predict_reliability_row(
+            round.features, problem.a_pred.row_span(i));
+      }
+      const InnerSolution inner = solve_inner(problem, rng);
+      epoch_loss += surrogate_regret(*truth, inner.x_star, x_true);
 
-        for (std::size_t i = first; i < problem.row_end; ++i) {
-          backward_cluster(config, round, i, predictor.cluster(i),
-                           problem.t_pred.row_span(i),
-                           problem.a_pred.row_span(i), inner.seeds,
-                           batch_scale);
-        }
+      for (std::size_t i = 0; i < m; ++i) {
+        backward_cluster(config, round, i, predictor.cluster(i),
+                         problem.t_pred.row_span(i),
+                         problem.a_pred.row_span(i), inner.seeds, batch_scale);
       }
     }
 
@@ -269,8 +251,8 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
       time_opts[i].step();
       rel_opts[i].step();
     }
-    result.loss_history.push_back(epoch_loss /
-                                  static_cast<double>(loss_terms));
+    result.loss_history.push_back(
+        epoch_loss / static_cast<double>(config.rounds_per_step));
   }
 
   result.seconds = watch.seconds();
@@ -328,35 +310,27 @@ MfcpTrainResult train_mfcp_fg(PlatformPredictor& predictor,
     InnerSolution out;
     out.x_star = solve_matching(problem.t_pred, problem.a_pred);
     Rng sample_rng = rng.split();
-    diff::ScalarLoss loss;
-    double base = 0.0;
-    if (config.fg_discrete_loss) {
-      // The deployed pipeline loss of a relaxed assignment: true makespan
-      // of its rounding plus a hinge on the true reliability shortfall
-      // (both per task).
-      const auto deployed = [&config, &problem](const Matrix& x) {
-        const auto dep = matching::round_argmax(x);
-        const double ms =
-            matching::makespan(dep, problem.round.times, config.speedup);
-        const double rel =
-            matching::average_reliability(dep, problem.round.reliability);
-        const double hinge = std::max(0.0, config.gamma - rel);
-        return ms / static_cast<double>(config.round_tasks) +
-               config.fg_reliability_penalty * hinge;
-      };
-      base = deployed(out.x_star);
-      loss = [deployed, &solve_matching](const Matrix& t, const Matrix& a) {
-        return deployed(solve_matching(t, a));
-      };
-    } else {
-      // The relaxed surrogate (the literal Algorithm-2 reading).
-      Matrix upstream = surrogate_upstream_gradient(problem.truth, out.x_star);
-      base = dot(upstream, out.x_star);
-      loss = diff::matching_surrogate(solve_matching, std::move(upstream));
-    }
+    // The deployed pipeline loss of a relaxed assignment: true makespan
+    // of its rounding plus a hinge on the true reliability shortfall
+    // (both per task). Randomized smoothing over the Gaussian
+    // perturbations handles the piecewise-constant rounding.
+    const auto deployed = [&config, &problem](const Matrix& x) {
+      const auto dep = matching::round_argmax(x);
+      const double ms =
+          matching::makespan(dep, problem.round.times, config.speedup);
+      const double rel =
+          matching::average_reliability(dep, problem.round.reliability);
+      const double hinge = std::max(0.0, config.gamma - rel);
+      return ms / static_cast<double>(config.round_tasks) +
+             config.fg_reliability_penalty * hinge;
+    };
+    const diff::ScalarLoss loss = [deployed, &solve_matching](
+                                      const Matrix& t, const Matrix& a) {
+      return deployed(solve_matching(t, a));
+    };
     out.seeds = diff::estimate_gradients(
-        loss, problem.t_pred, problem.a_pred, base, problem.row_begin,
-        problem.row_end, config.forward_gradient, sample_rng, pool);
+        loss, problem.t_pred, problem.a_pred, deployed(out.x_star), 0,
+        problem.t_pred.rows(), config.forward_gradient, sample_rng, pool);
     return out;
   };
   return train_decision_focused(predictor, train, config, solve_inner);

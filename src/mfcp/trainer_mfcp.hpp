@@ -5,18 +5,19 @@
 // they induce, with one training loop. Per epoch, over `rounds_per_step`
 // sampled rounds of N tasks:
 //   1. t̂_i = m_ω_i(z), â_i = m_φ_i(z) over the round's tasks;
-//   2. T̂, Â = the measured T, A with the predicted rows swapped in — every
-//      row at once (joint mode, Eq. 5/12), or row i alone with the others
-//      at their measured values, one inner problem per cluster
-//      (Algorithm 2 line 3);
-//   3. X*(T̂, Â) = argmin of the training objective via mirror descent;
+//   2. T̂, Â = every cluster's predicted row at once (the bilevel problem
+//      of Eq. 5/12, and what deployment sees), one inner problem per
+//      round;
+//   3. X*(T̂, Â) = argmin of the training objective (with the deployed
+//      entropy weight matching::kEntropyTau) via mirror descent;
 //   4. the seed gradients dL/dt̂_i, dL/dâ_i — the only step where the two
 //      methods differ:
 //      - AD: dL/dX* = (1/N) ∇_X F(X*, T, A) (true metrics; Eq. 7 first
 //        term), pulled back through the KKT system (Eq. 15) as one
 //        vector-Jacobian product (diff/kkt.hpp);
 //      - FG: the zeroth-order estimator (diff/zeroth_order.hpp) applied
-//        to the deployed pipeline loss, or to the relaxed surrogate;
+//        to the deployed pipeline loss (the true makespan of the rounded
+//        assignment plus a reliability hinge);
 //   5. backprop the seeds (plus an MSE anchor) through the predictor
 //      networks (nn::fused_backward) and take optimizer steps — ω and φ
 //      alternately, holding the other's predictions fixed within the step

@@ -43,14 +43,9 @@ Dataset build_dataset(const Platform& platform,
   data.features = embedder.embed_batch(data.tasks);
   data.true_times = platform.true_times(data.tasks);
   data.true_reliability = platform.true_reliability(data.tasks);
-  if (config.noisy_labels) {
-    Rng noise(config.noise_seed);
-    data.times = platform.measure_times(data.tasks, noise);
-    data.reliability = platform.measure_reliability(data.tasks, noise);
-  } else {
-    data.times = data.true_times;
-    data.reliability = data.true_reliability;
-  }
+  Rng noise(config.noise_seed);
+  data.times = platform.measure_times(data.tasks, noise);
+  data.reliability = platform.measure_reliability(data.tasks, noise);
   return data;
 }
 

@@ -12,7 +12,7 @@ namespace mfcp::sim {
 struct Dataset {
   std::vector<TaskDescriptor> tasks;
   Matrix features;       // N x d
-  Matrix times;          // M x N, training labels (possibly noisy)
+  Matrix times;          // M x N, training labels (profiling noise)
   Matrix reliability;    // M x N
   Matrix true_times;     // M x N, noiseless ground truth
   Matrix true_reliability;
@@ -34,13 +34,13 @@ struct Dataset {
 
 struct DatasetConfig {
   std::size_t num_tasks = 200;
-  bool noisy_labels = true;  // profiling noise on training labels
   std::uint64_t task_seed = 0x7a5cULL;
   std::uint64_t noise_seed = 0x401feULL;
 };
 
 /// Samples tasks, embeds them, and profiles them on every cluster of the
-/// platform.
+/// platform: the labels are noisy measurements, the true_* matrices the
+/// noiseless laws.
 Dataset build_dataset(const Platform& platform,
                       const PseudoGnnEmbedder& embedder,
                       const DatasetConfig& config);

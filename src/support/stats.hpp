@@ -14,9 +14,6 @@ class RunningStats {
  public:
   void add(double x) noexcept;
 
-  /// Merge another accumulator (parallel reduction support).
-  void merge(const RunningStats& other) noexcept;
-
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return mean_; }
 

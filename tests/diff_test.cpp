@@ -264,6 +264,9 @@ TEST(ZerothOrder, VarianceShrinksWithSamples) {
       matching_surrogate(make_loose_solver(p.gamma, bcfg), upstream);
   const double base = dot(upstream, xstar);
 
+  // The pool changes no bit (ParallelMatchesSerialExactly), only the
+  // wall time.
+  ThreadPool pool(4);
   auto spread = [&](std::size_t samples) {
     // Spread of the first component across independent estimates.
     mfcp::RunningStats stats;
@@ -273,7 +276,7 @@ TEST(ZerothOrder, VarianceShrinksWithSamples) {
       fg.delta = 0.05;
       Rng rng(100 + rep);
       const auto est = estimate_gradients(loss, p.times, p.reliability, base,
-                                          0, 1, fg, rng);
+                                          0, 1, fg, rng, &pool);
       stats.add(est.dt(0, 0));
     }
     return stats.stddev();

@@ -120,7 +120,6 @@ TEST(Arrivals, BurstsRaiseTheInstantaneousRate) {
 TEST(Queue, RejectNewestBackpressureAccounting) {
   QueueConfig cfg;
   cfg.capacity = 4;
-  cfg.policy = DropPolicy::kRejectNewest;
   AdmissionQueue q(cfg);
   for (std::size_t k = 0; k < 6; ++k) {
     q.push(make_arrival(k, 0.1 * static_cast<double>(k), 10.0));
@@ -136,21 +135,6 @@ TEST(Queue, RejectNewestBackpressureAccounting) {
   EXPECT_EQ(batch[0].id, 0u);
   EXPECT_EQ(batch[3].id, 3u);
   EXPECT_EQ(q.stats().dispatched, 4u);
-}
-
-TEST(Queue, DropOldestKeepsTheFreshestJobs) {
-  QueueConfig cfg;
-  cfg.capacity = 3;
-  cfg.policy = DropPolicy::kDropOldest;
-  AdmissionQueue q(cfg);
-  for (std::size_t k = 0; k < 5; ++k) {
-    EXPECT_TRUE(q.push(make_arrival(k, static_cast<double>(k), 10.0)));
-  }
-  EXPECT_EQ(q.depth(), 3u);
-  EXPECT_EQ(q.stats().dropped_capacity, 2u);
-  const auto batch = q.pop_batch(3);
-  EXPECT_EQ(batch[0].id, 2u);
-  EXPECT_EQ(batch[2].id, 4u);
 }
 
 TEST(Queue, ExpiryIsCountedSeparatelyFromCapacityDrops) {
@@ -1419,41 +1403,6 @@ TEST(Metrics, ToRegistryExportsSummaryGauges) {
 }
 
 // -------------------------------------------------------------- metrics --
-
-TEST(Metrics, ResetClearsAndMergeFoldsWindows) {
-  core::MatchOutcome o1;
-  o1.regret = 1.0;
-  o1.reliability = 0.8;
-  o1.utilization = 0.5;
-  o1.feasible = true;
-  core::MatchOutcome o2 = o1;
-  o2.regret = 3.0;
-  o2.feasible = false;
-
-  core::MetricsAccumulator window;
-  window.add(o1);
-  window.add(o2);
-
-  core::MetricsAccumulator total;
-  total.merge(window);
-  window.reset();
-  EXPECT_EQ(window.rounds(), 0u);
-  EXPECT_EQ(total.rounds(), 2u);
-  EXPECT_DOUBLE_EQ(total.regret().mean(), 2.0);
-  EXPECT_DOUBLE_EQ(total.feasible_fraction(), 0.5);
-
-  window.add(o1);
-  total.merge(window);
-  EXPECT_EQ(total.rounds(), 3u);
-
-  // Merging windows equals adding every outcome directly.
-  core::MetricsAccumulator direct;
-  direct.add(o1);
-  direct.add(o2);
-  direct.add(o1);
-  EXPECT_DOUBLE_EQ(total.regret().mean(), direct.regret().mean());
-  EXPECT_DOUBLE_EQ(total.regret().stddev(), direct.regret().stddev());
-}
 
 // ------------------------------------------------------------ durability --
 

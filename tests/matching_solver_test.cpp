@@ -5,9 +5,12 @@
 
 #include <cmath>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "matching/barrier.hpp"
 #include "matching/entropy.hpp"
@@ -19,6 +22,7 @@
 #include "matching/solver_gd.hpp"
 #include "matching/solver_mirror.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -260,16 +264,6 @@ TEST(BranchAndBound, HandlesInfeasibleInstances) {
   EXPECT_EQ(sol.assignment.size(), 4u);
 }
 
-TEST(BranchAndBound, EnumerationPreferenceCrossChecks) {
-  const auto p = random_problem(53, 3, 5, 0.6);
-  ExactSolverConfig cfg;
-  cfg.prefer_enumeration = true;
-  const auto a = solve_exact(p, cfg);
-  cfg.prefer_enumeration = false;
-  const auto b = solve_exact(p, cfg);
-  EXPECT_NEAR(a.objective, b.objective, 1e-9);
-}
-
 // ----------------------------------------------------------------- greedy --
 
 TEST(Greedy, ProducesFeasibleWhenPossible) {
@@ -470,17 +464,26 @@ TEST(PriceDual, StiffFixtureSpansTheEngineTimeRange) {
 
 TEST(PriceDual, MatchesLongMirrorRun) {
   // A 50,000-iteration mirror run stands in for the optimum. The dual
-  // lands on the same rounded decision and never on a higher F.
+  // lands on the same rounded decision and never on a higher F. The
+  // cases are independent, so each one's two solves run as one pool task;
+  // every check runs on this thread.
   MirrorSolverConfig long_run;
   long_run.max_iterations = 50000;
   auto cases = random_cases();
   for (DeployCase& c : stiff_cases()) {
     cases.push_back(std::move(c));
   }
+  ThreadPool pool(4);
+  std::vector<std::future<std::pair<SolveResult, SolveResult>>> solves;
+  for (const DeployCase& c : cases) {
+    solves.push_back(pool.submit([&c, &long_run] {
+      const auto f = c.objective();
+      return std::make_pair(solve_price_dual(f), solve_mirror(f, long_run));
+    }));
+  }
   for (std::size_t k = 0; k < cases.size(); ++k) {
     const auto f = cases[k].objective();
-    const auto dual = solve_price_dual(f);
-    const auto mirror = solve_mirror(f, long_run);
+    const auto [dual, mirror] = solves[k].get();
     EXPECT_TRUE(dual.converged) << "case " << k;
     EXPECT_EQ(dual.stop, StopReason::kConverged) << "case " << k;
     EXPECT_LT(dual.residual, MirrorSolverConfig{}.tolerance) << "case " << k;

@@ -171,7 +171,8 @@ TEST(Regret, AblatedAndSpeedupDeploysStayOnMirrorDescent) {
   // what deploy_matching_traced ran for every objective before the dual.
   const auto mirror_of = [](std::unique_ptr<matching::ContinuousObjective> base,
                             const EvaluationConfig& cfg) {
-    const matching::EntropicObjective f(std::move(base), cfg.entropy_tau);
+    const matching::EntropicObjective f(std::move(base),
+                                        matching::kEntropyTau);
     return matching::solve_mirror(f, cfg.solver);
   };
   const auto p = deploy_problem(4);

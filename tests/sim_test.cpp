@@ -446,7 +446,6 @@ TEST(Dataset, NoisyLabelsDifferFromTruthButCorrelate) {
   PseudoGnnEmbedder embedder;
   DatasetConfig cfg;
   cfg.num_tasks = 50;
-  cfg.noisy_labels = true;
   const auto data = build_dataset(platform, embedder, cfg);
   double max_rel_error = 0.0;
   bool any_diff = false;
@@ -458,17 +457,6 @@ TEST(Dataset, NoisyLabelsDifferFromTruthButCorrelate) {
   }
   EXPECT_TRUE(any_diff);
   EXPECT_LT(max_rel_error, 1.5);  // noise, not garbage
-}
-
-TEST(Dataset, CleanLabelsEqualTruth) {
-  const auto platform = Platform::make_setting(Setting::kC, 2);
-  PseudoGnnEmbedder embedder;
-  DatasetConfig cfg;
-  cfg.num_tasks = 10;
-  cfg.noisy_labels = false;
-  const auto data = build_dataset(platform, embedder, cfg);
-  EXPECT_TRUE(approx_equal(data.times, data.true_times));
-  EXPECT_TRUE(approx_equal(data.reliability, data.true_reliability));
 }
 
 TEST(Dataset, SubsetSelectsColumns) {

@@ -196,33 +196,6 @@ TEST(RunningStats, KnownSample) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(3);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(2.0, 3.0);
-    whole.add(x);
-    (i < 500 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-8);
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
-}
-
 TEST(Stats, StddevOf) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   EXPECT_NEAR(stddev_of(xs), std::sqrt(5.0 / 3.0), 1e-12);
