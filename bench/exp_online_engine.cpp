@@ -48,7 +48,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "control/ratekeeper.hpp"
@@ -61,7 +60,6 @@
 #include "obs/sinks.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace_store.hpp"
-#include "nn/serialize.hpp"
 #include "sim/dataset.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -89,19 +87,6 @@ Scenario make_scenario(std::size_t num_clusters, std::size_t profile_tasks,
   data_cfg.noise_seed = 0x401feULL ^ seed;
   sim::Dataset data = build_dataset(platform, embedder, data_cfg);
   return Scenario{std::move(platform), std::move(embedder), std::move(data)};
-}
-
-/// Copies predictor weights through the text checkpoint (bit-exact).
-void clone_weights(core::PlatformPredictor& from,
-                   core::PlatformPredictor& to) {
-  for (std::size_t i = 0; i < from.num_clusters(); ++i) {
-    std::stringstream t_buf;
-    nn::save_mlp(t_buf, from.cluster(i).time_model());
-    nn::load_mlp(t_buf, to.cluster(i).time_model());
-    std::stringstream a_buf;
-    nn::save_mlp(a_buf, from.cluster(i).reliability_model());
-    nn::load_mlp(a_buf, to.cluster(i).reliability_model());
-  }
 }
 
 engine::EngineConfig engine_config(bool online, double drift_at_hours,
@@ -290,9 +275,7 @@ int main(int argc, char** argv) {
   std::size_t mode_index = 0;
 
   for (const auto& [label, online] : modes) {
-    Rng clone_init(0x5eedULL);
-    core::PlatformPredictor predictor(num_clusters, pred_cfg, clone_init);
-    clone_weights(pretrained, predictor);
+    core::PlatformPredictor predictor = pretrained;
 
     engine::EngineConfig run_cfg =
         engine_config(online, drift_at, max_arrivals, drift_cluster);

@@ -111,6 +111,7 @@ int main(int argc, char** argv) {
   std::string slo_config_path;
   std::string alert_log_path;
   std::string alert_webhook_url;
+  std::optional<obs::WebhookConfig> webhook_cfg;
   std::string data_dir;   // empty = durability off
   int retrain_every = 0;  // 0 = drift-triggered retraining only
   const auto usage = [argv] {
@@ -172,6 +173,13 @@ int main(int argc, char** argv) {
       alert_log_path = argv[++k];
     } else if (std::strcmp(argv[k], "--alert-webhook") == 0 && k + 1 < argc) {
       alert_webhook_url = argv[++k];
+      std::string webhook_err;
+      webhook_cfg = obs::parse_webhook_url(alert_webhook_url, &webhook_err);
+      if (!webhook_cfg.has_value()) {
+        std::fprintf(stderr, "--alert-webhook %s: %s\n",
+                     alert_webhook_url.c_str(), webhook_err.c_str());
+        ok = false;
+      }
     } else if (std::strcmp(argv[k], "--flight") == 0) {
       flight_on = true;
     } else if (std::strcmp(argv[k], "--profile") == 0) {
@@ -288,15 +296,7 @@ int main(int argc, char** argv) {
   // Webhook pager: each fire/resolve transition POSTed as JSON from a
   // dedicated sender thread — delivery failures count, never block.
   std::optional<obs::WebhookSender> webhook;
-  if (!alert_webhook_url.empty()) {
-    std::string webhook_err;
-    const auto webhook_cfg =
-        obs::parse_webhook_url(alert_webhook_url, &webhook_err);
-    if (!webhook_cfg.has_value()) {
-      std::fprintf(stderr, "--alert-webhook %s: %s\n",
-                   alert_webhook_url.c_str(), webhook_err.c_str());
-      return 2;
-    }
+  if (webhook_cfg.has_value()) {
     webhook.emplace(*webhook_cfg);
     webhook->bind_metrics(&registry);
     slo.set_alert_sink(&*webhook);
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
     cfg.flight = &*flight;
     std::printf("flight recorder armed: %zu-event rings, %.2fs stall "
                 "budget, crash dumps to online_platform.flight\n",
-                flight->config().ring_capacity, stall_budget_seconds);
+                obs::kFlightRingCapacity, stall_budget_seconds);
   }
 
   // On-demand sampling profiler behind GET /debug/profile (gateway and

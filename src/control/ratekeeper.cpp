@@ -11,6 +11,15 @@ namespace mfcp::control {
 namespace {
 /// Multiplicative decrease applied while pressure exceeds 1.0.
 constexpr double kDecreaseFactor = 0.8;
+/// Rate clamp: the controller never shuts admission entirely (a positive
+/// floor keeps recovery possible and Retry-After finite).
+constexpr double kMinRatePerHour = 4.0;
+constexpr double kMaxRatePerHour = 1e6;
+static_assert(0.0 < kMinRatePerHour && kMinRatePerHour <= kMaxRatePerHour);
+/// Additive recovery per calm tick once calm has been sustained.
+constexpr double kRecoveryStepPerHour = 8.0;
+/// Consecutive calm ticks required before recovery starts.
+constexpr std::size_t kRecoveryTicks = 3;
 /// Hysteresis release point: calm means every signal below this fraction
 /// of its trip threshold.
 constexpr double kReleaseFraction = 0.7;
@@ -45,14 +54,12 @@ Ratekeeper::Ratekeeper(RatekeeperConfig config, const obs::SloConfig& slo)
       expiry_signal_(kSmoothingHours),
       burn_signal_(kSmoothingHours),
       admitted_rate_(kSmoothingHours),
-      rate_per_hour_(std::clamp(config.initial_rate_per_hour,
-                                config.min_rate_per_hour,
-                                config.max_rate_per_hour)) {
-  MFCP_CHECK(config_.min_rate_per_hour > 0.0 &&
-                 config_.max_rate_per_hour >= config_.min_rate_per_hour,
-             "rate clamp must satisfy 0 < min <= max");
-  MFCP_CHECK(config_.recovery_step_per_hour > 0.0,
-             "recovery step must be positive");
+      rate_per_hour_(config.initial_rate_per_hour) {
+  MFCP_CHECK(rate_per_hour_ >= kMinRatePerHour &&
+                 rate_per_hour_ <= kMaxRatePerHour,
+             "initial rate must lie in [4, 1e6] tasks per hour");
+  MFCP_CHECK(config_.wait_target_hours > 0.0,
+             "wait target must be positive");
   status_.rate_per_hour = rate_per_hour_;
 }
 
@@ -63,10 +70,8 @@ double Ratekeeper::tick(const RatekeeperSignals& signals) {
       static_cast<double>(std::max<std::size_t>(1, signals.queue_capacity));
   queue_signal_.observe(now,
                         static_cast<double>(signals.queue_depth) / capacity);
-  if (config_.wait_target_hours > 0.0) {
-    wait_signal_.observe(now,
-                         signals.batch_wait_hours / config_.wait_target_hours);
-  }
+  wait_signal_.observe(now,
+                       signals.batch_wait_hours / config_.wait_target_hours);
   const double processed =
       static_cast<double>(signals.batch + signals.expired);
   if (processed > 0.0) {
@@ -82,8 +87,7 @@ double Ratekeeper::tick(const RatekeeperSignals& signals) {
 
   const double queue_pressure =
       queue_signal_.value() / kQueueTargetFraction;
-  const double wait_pressure =
-      config_.wait_target_hours > 0.0 ? wait_signal_.value() : 0.0;
+  const double wait_pressure = wait_signal_.value();
   const double expiry_pressure = expiry_signal_.value() / expiry_budget_;
   const double burn_pressure = burn_signal_.value() / burn_threshold_;
 
@@ -106,19 +110,18 @@ double Ratekeeper::tick(const RatekeeperSignals& signals) {
   std::uint64_t recoveries = 0;
   const double previous_rate = rate_per_hour_;
   if (pressure > 1.0) {
-    rate_per_hour_ = std::max(config_.min_rate_per_hour,
-                              rate_per_hour_ * kDecreaseFactor);
+    rate_per_hour_ =
+        std::max(kMinRatePerHour, rate_per_hour_ * kDecreaseFactor);
     calm_ticks_ = 0;
     decreases = 1;
   } else if (pressure < kReleaseFraction) {
     limiting = LimitingSignal::kNone;
     ++calm_ticks_;
-    if (calm_ticks_ >= config_.recovery_ticks) {
+    if (calm_ticks_ >= kRecoveryTicks) {
       // Sustained calm: probe upward additively every subsequent tick
       // until something pushes back (AIMD's slow half).
-      rate_per_hour_ = std::min(config_.max_rate_per_hour,
-                                rate_per_hour_ +
-                                    config_.recovery_step_per_hour);
+      rate_per_hour_ =
+          std::min(kMaxRatePerHour, rate_per_hour_ + kRecoveryStepPerHour);
       recoveries = 1;
     }
   } else {

@@ -14,8 +14,10 @@
 //   pressure = max(normalized signals)
 //   pressure > 1.0            -> rate *= 0.8               (back off fast)
 //   pressure < 0.7
-//     for >= recovery_ticks   -> rate += recovery_step     (probe slowly)
+//     for >= 3 ticks          -> rate += 8 tasks/h         (probe slowly)
 //   otherwise                 -> hold                      (dead band)
+// and the rate stays within [4, 1e6] tasks per hour: the floor keeps
+// recovery possible and Retry-After finite.
 // The dead band between the 0.7 release point and 1.0 is the hysteresis that
 // keeps the controller from flapping when a signal hovers at the
 // threshold: decreases need pressure above the trip point, recoveries
@@ -50,20 +52,11 @@ enum class LimitingSignal : int {
 std::string to_string(LimitingSignal signal);
 
 struct RatekeeperConfig {
-  /// Rate published before any pressure has been observed.
+  /// Rate published before any pressure has been observed; must lie in
+  /// the controller's [4, 1e6] tasks/hour range.
   double initial_rate_per_hour = 120.0;
-  /// Clamp: the controller never shuts admission entirely (min > 0 keeps
-  /// recovery possible and Retry-After finite).
-  double min_rate_per_hour = 4.0;
-  double max_rate_per_hour = 1e6;
-
-  /// Additive recovery per calm tick once calm has been sustained.
-  double recovery_step_per_hour = 8.0;
-  /// Consecutive calm ticks required before recovery starts.
-  std::size_t recovery_ticks = 3;
-
-  /// Round max-wait (simulated hours) treated as pressure 1.0. <= 0
-  /// disables the wait signal (callers derive it from the batcher).
+  /// Round max-wait (simulated hours) treated as pressure 1.0; must be
+  /// positive (callers derive it from the batcher).
   double wait_target_hours = 0.5;
 };
 

@@ -3,14 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/check.hpp"
-
 namespace mfcp::control {
 
 namespace {
 /// A client counts as active (and earns a rate share) while it was seen
 /// within this window.
 constexpr double kActivityWindowHours = 0.25;
+/// Resident-bucket bound; LRU eviction past it.
+constexpr std::size_t kMaxClients = 256;
+/// Bucket capacity = the client's rate share over this long (burst
+/// tolerance), but never below kMinBurstTokens.
+constexpr double kBurstHours = 0.05;
+constexpr double kMinBurstTokens = 2.0;
+static_assert(kMinBurstTokens >= 1.0,
+              "a bucket must be able to hold at least one token");
+/// Rate before the Ratekeeper publishes one: effectively unthrottled.
+constexpr double kInitialRatePerHour = 1e12;
 }  // namespace
 
 double replenish_seconds(double deficit, double rate_per_second,
@@ -26,13 +34,8 @@ double replenish_seconds(double deficit, double rate_per_second,
   return std::clamp(wait, floor_seconds, kCapSeconds);
 }
 
-TokenBucketTable::TokenBucketTable(TokenBucketConfig config)
-    : config_(config), global_rate_per_hour_(config.initial_rate_per_hour) {
-  MFCP_CHECK(config_.max_clients > 0, "bucket table must hold >= 1 client");
-  MFCP_CHECK(config_.burst_hours > 0.0, "burst window must be positive");
-  MFCP_CHECK(config_.min_burst_tokens >= 1.0,
-             "a bucket must be able to hold at least one token");
-}
+TokenBucketTable::TokenBucketTable()
+    : global_rate_per_hour_(kInitialRatePerHour) {}
 
 void TokenBucketTable::set_global_rate(double rate_per_hour,
                                        double now_hours) {
@@ -62,7 +65,7 @@ AdmitDecision TokenBucketTable::try_admit(std::string_view client,
 
   auto it = buckets_.find(key);
   if (it == buckets_.end()) {
-    while (buckets_.size() >= config_.max_clients && !lru_.empty()) {
+    while (buckets_.size() >= kMaxClients && !lru_.empty()) {
       buckets_.erase(lru_.back());
       lru_.pop_back();
       ++evicted_;
@@ -86,7 +89,7 @@ AdmitDecision TokenBucketTable::try_admit(std::string_view client,
       static_cast<double>(std::max<std::size_t>(
           active_clients_locked(now_hours), 1));
   const double burst =
-      std::max(config_.min_burst_tokens, share * config_.burst_hours);
+      std::max(kMinBurstTokens, share * kBurstHours);
   if (bucket.tokens < 0.0) {
     bucket.tokens = burst;
   } else {

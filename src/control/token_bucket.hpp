@@ -8,7 +8,7 @@
 // replenish rate is the *honest* Retry-After (the same formula the
 // queue-pressure shed path uses, see replenish_seconds).
 //
-// The table is bounded: past `max_clients` resident buckets the least-
+// The table is bounded: past 256 resident buckets the least-
 // recently-seen client is evicted (its token debt is forgotten — an
 // evicted client that returns starts with a fresh full bucket, which
 // errs toward admission, never toward stuck throttling). All bucket math
@@ -39,17 +39,6 @@ inline constexpr std::string_view kAnonymousClient = "anonymous";
 [[nodiscard]] double replenish_seconds(double deficit, double rate_per_second,
                                        double floor_seconds);
 
-struct TokenBucketConfig {
-  /// Resident-bucket bound; LRU eviction past it.
-  std::size_t max_clients = 256;
-  /// Bucket capacity = the client's rate share over this long (burst
-  /// tolerance), but never below min_burst_tokens.
-  double burst_hours = 0.05;
-  double min_burst_tokens = 2.0;
-  /// Rate before the Ratekeeper publishes one: effectively unthrottled.
-  double initial_rate_per_hour = 1e12;
-};
-
 /// Outcome of one try_admit.
 struct AdmitDecision {
   bool admitted = false;
@@ -75,7 +64,7 @@ struct BucketView {
 
 class TokenBucketTable {
  public:
-  explicit TokenBucketTable(TokenBucketConfig config = {});
+  TokenBucketTable();
 
   /// Publishes the Ratekeeper's global rate (tasks per simulated hour).
   void set_global_rate(double rate_per_hour, double now_hours);
@@ -96,10 +85,6 @@ class TokenBucketTable {
   /// Resident buckets sorted by client name (stable debug output).
   [[nodiscard]] std::vector<BucketView> snapshot() const;
 
-  [[nodiscard]] const TokenBucketConfig& config() const noexcept {
-    return config_;
-  }
-
  private:
   struct Bucket {
     double tokens = 0.0;
@@ -113,7 +98,6 @@ class TokenBucketTable {
   /// Number of clients seen within the activity window of `now`.
   [[nodiscard]] std::size_t active_clients_locked(double now_hours) const;
 
-  TokenBucketConfig config_;
   mutable std::mutex mutex_;
   double global_rate_per_hour_;
   std::unordered_map<std::string, Bucket> buckets_;

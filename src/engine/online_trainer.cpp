@@ -83,9 +83,20 @@ std::vector<std::size_t> ReplayBuffer::indices_for_cluster(
 
 // ----------------------------------------------------------- detector --
 
+namespace {
+/// Rounds in the "recent" window whose mean error is tested.
+constexpr std::size_t kShortWindow = 6;
+/// Rounds of history (beyond the short window) forming the baseline.
+constexpr std::size_t kLongWindow = 24;
+/// Baseline floor: protects against spurious trips when the baseline
+/// error is tiny (a well-calibrated predictor in a quiet environment).
+constexpr double kMinBaseline = 0.05;
+/// Rounds to wait after a retrain before the detector may trip again
+/// (the replay buffer needs fresh post-retrain evidence).
+constexpr std::size_t kCooldownRounds = 8;
+}  // namespace
+
 DriftDetector::DriftDetector(const DriftConfig& config) : config_(config) {
-  MFCP_CHECK(config_.short_window > 0 && config_.long_window > 0,
-             "drift windows must be positive");
   MFCP_CHECK(config_.ratio_threshold > 1.0,
              "drift ratio threshold must exceed 1");
 }
@@ -106,7 +117,7 @@ std::string to_string(DriftDecision decision) {
 
 DriftDecision DriftDetector::evaluate(double error_stat) {
   history_.push_back(error_stat);
-  const std::size_t keep = config_.short_window + config_.long_window;
+  const std::size_t keep = kShortWindow + kLongWindow;
   while (history_.size() > keep) {
     history_.pop_front();
   }
@@ -115,10 +126,10 @@ DriftDecision DriftDetector::evaluate(double error_stat) {
     return DriftDecision::kCooldown;
   }
   // Need a full short window plus at least half a baseline to compare.
-  if (history_.size() < config_.short_window + config_.long_window / 2) {
+  if (history_.size() < kShortWindow + kLongWindow / 2) {
     return DriftDecision::kWarmup;
   }
-  const double baseline = std::max(baseline_mean(), config_.min_baseline);
+  const double baseline = std::max(baseline_mean(), kMinBaseline);
   return short_mean() > config_.ratio_threshold * baseline
              ? DriftDecision::kTrip
              : DriftDecision::kQuiet;
@@ -126,24 +137,24 @@ DriftDecision DriftDetector::evaluate(double error_stat) {
 
 void DriftDetector::acknowledge_retrain() {
   history_.clear();
-  cooldown_left_ = config_.cooldown_rounds;
+  cooldown_left_ = kCooldownRounds;
 }
 
 double DriftDetector::short_mean() const noexcept {
   if (history_.empty()) {
     return 0.0;
   }
-  const std::size_t s = std::min(config_.short_window, history_.size());
+  const std::size_t s = std::min(kShortWindow, history_.size());
   return std::accumulate(history_.end() - static_cast<std::ptrdiff_t>(s),
                          history_.end(), 0.0) /
          static_cast<double>(s);
 }
 
 double DriftDetector::baseline_mean() const noexcept {
-  if (history_.size() <= config_.short_window) {
+  if (history_.size() <= kShortWindow) {
     return 0.0;
   }
-  const std::size_t b = history_.size() - config_.short_window;
+  const std::size_t b = history_.size() - kShortWindow;
   return std::accumulate(history_.begin(),
                          history_.begin() + static_cast<std::ptrdiff_t>(b),
                          0.0) /
@@ -155,6 +166,11 @@ double DriftDetector::baseline_mean() const noexcept {
 namespace {
 /// Replay-buffer bound: the newest experiences a retrain burst draws on.
 constexpr std::size_t kReplayCapacity = 512;
+/// Minibatch size of one burst step.
+constexpr std::size_t kBatchSize = 32;
+/// Clusters with fewer stored experiences than this are skipped by a
+/// burst (too little signal to move their predictors responsibly).
+constexpr std::size_t kMinClusterSamples = 8;
 }  // namespace
 
 OnlineTrainer::OnlineTrainer(const OnlineTrainerConfig& config)
@@ -163,7 +179,6 @@ OnlineTrainer::OnlineTrainer(const OnlineTrainerConfig& config)
       detector_(config.drift),
       rng_(config.seed) {
   MFCP_CHECK(config_.retrain_epochs > 0, "retrain burst needs epochs");
-  MFCP_CHECK(config_.batch_size > 0, "batch size must be positive");
 }
 
 void OnlineTrainer::bind_metrics(obs::MetricsRegistry* registry) {
@@ -233,7 +248,7 @@ void OnlineTrainer::retrain(core::PlatformPredictor& predictor) {
   const std::size_t m = predictor.num_clusters();
   for (std::size_t i = 0; i < m; ++i) {
     const auto idx = replay_.indices_for_cluster(i);
-    if (idx.size() < config_.min_cluster_samples) {
+    if (idx.size() < kMinClusterSamples) {
       continue;
     }
     auto& cluster = predictor.cluster(i);
@@ -274,7 +289,7 @@ void OnlineTrainer::retrain(core::PlatformPredictor& predictor) {
       // One minibatch per epoch, sampled with replacement from this
       // cluster's experiences — the burst is short, so epochs act as
       // SGD steps over the (small) replay population.
-      const std::size_t b = std::min(config_.batch_size, idx.size());
+      const std::size_t b = std::min(kBatchSize, idx.size());
       Matrix features(b, d);
       Matrix t_target(b, 1);
       Matrix a_target(b, 1);

@@ -13,7 +13,9 @@
 // error against a longer baseline window; when the ratio trips, the
 // OnlineTrainer runs a burst of MSE fine-tuning over the replay buffer
 // (the standard "reactive retraining on detected drift" recipe, cf.
-// Predict-and-Critic's motivation in PAPERS.md).
+// Predict-and-Critic's motivation in PAPERS.md). The windows, the
+// baseline floor, the cooldown and the burst's minibatch are constants
+// in online_trainer.cpp.
 #pragma once
 
 #include <deque>
@@ -83,22 +85,12 @@ class ReplayBuffer {
     double half_life);
 
 struct DriftConfig {
-  /// Rounds in the "recent" window whose mean error is tested.
-  std::size_t short_window = 6;
-  /// Rounds of history (beyond the short window) forming the baseline.
-  std::size_t long_window = 24;
   /// Trip when short mean > ratio_threshold * baseline mean. Calibrated
   /// for the log-ratio drift_error: a k× slowdown on a fraction f of the
   /// batch lifts the short mean by only f·log k (the old relative-error
   /// statistic inflated it by f·(k−1)), so trip ratios sit much closer
   /// to 1 than they would on the linear scale.
   double ratio_threshold = 1.3;
-  /// Baseline floor: protects against spurious trips when the baseline
-  /// error is tiny (a well-calibrated predictor in a quiet environment).
-  double min_baseline = 0.05;
-  /// Rounds to wait after a retrain before the detector may trip again
-  /// (the replay buffer needs fresh post-retrain evidence).
-  std::size_t cooldown_rounds = 8;
 };
 
 /// Why a round's statistic did or did not trigger a retrain — the
@@ -151,11 +143,7 @@ struct OnlineTrainerConfig {
   double replay_recency_half_life = 0.0;
   /// Fine-tune burst length (epochs over the replay buffer).
   std::size_t retrain_epochs = 40;
-  std::size_t batch_size = 32;
   double learning_rate = 5e-3;
-  /// Clusters with fewer stored experiences than this are skipped by a
-  /// burst (too little signal to move their predictors responsibly).
-  std::size_t min_cluster_samples = 8;
   /// Periodic retrain schedule: when > 0, a fine-tune burst also runs
   /// every N observed rounds, independent of the drift detector (the
   /// --retrain-every flag). Scheduled bursts reset the detector the same

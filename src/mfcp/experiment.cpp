@@ -151,8 +151,7 @@ MethodResult run_method(Method method, const ExperimentContext& ctx,
       auto [fit_split, calib_split] =
           split_dataset(ctx.train, 0.8, split_rng);
       train_tsm(predictor, fit_split, tsm_config_for(config));
-      const UcbModel model =
-          fit_ucb(predictor, calib_split, config.ucb_kappa);
+      const UcbModel model = fit_ucb(predictor, calib_split);
       result.train_seconds = watch.seconds();
       result.metrics = evaluate_rule(
           [&model, &predictor](const Matrix& features) mutable {

@@ -55,7 +55,6 @@ struct ExperimentConfig {
     c.epochs = 60;
     return c;
   }();
-  double ucb_kappa = 1.0;
   EvaluationConfig eval;
 
   std::uint64_t seed = 42;

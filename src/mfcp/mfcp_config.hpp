@@ -44,8 +44,6 @@ struct MfcpConfig {
 
   CostModel cost_model = CostModel::kSmoothedMax;
   ConstraintModel constraint_model = ConstraintModel::kLogBarrier;
-  /// Weight of the hinge when constraint_model == kHardPenalty.
-  double penalty_lambda = 2.0;
 
   matching::BarrierConfig barrier;
   matching::MirrorSolverConfig solver{.max_iterations = 600,

@@ -81,16 +81,14 @@ obs::RegretBreakdown attribute_regret(const matching::MatchingProblem& truth,
   // a tighter stationary point — the stand-in for the converged optimum.
   // Warm-starting makes this cheap when the deploy solve already
   // converged (the polish exits at its first residual check).
+  constexpr std::size_t kPolishIterations = 16;
   matching::MirrorSolverConfig polish = config.solver;
-  polish.max_iterations = attr.polish_iterations;
-  polish.tolerance = attr.polish_tolerance > 0.0 ? attr.polish_tolerance
-                                                 : config.solver.tolerance;
-  // A chain whose solve already met the inherited tolerance would pass the
-  // polish's first residual check unchanged — skip the solve entirely (the
-  // common converged case costs nothing). An explicitly tightened
-  // polish_tolerance always polishes.
+  polish.max_iterations = kPolishIterations;
+  // A chain whose solve already met the tolerance would pass the polish's
+  // first residual check unchanged — skip the solve entirely (the common
+  // converged case costs nothing).
   const auto polish_chain = [&](const DeployTrace& trace) {
-    if (trace.relaxed.converged && attr.polish_tolerance <= 0.0) {
+    if (trace.relaxed.converged) {
       return trace.relaxed.x;
     }
     const auto objective = make_deploy_objective(trace.problem, config);

@@ -59,19 +59,11 @@ struct DeployTrace {
 DeployTrace deploy_matching_traced(const matching::MatchingProblem& predicted,
                                    const EvaluationConfig& config);
 
-/// Knobs for the attribution's polish solves (continuing each chain's
-/// relaxed solve, warm-started from its output, to the stationary point
-/// that stands in for the converged optimum). The defaults are tuned for
-/// the always-on per-round path: a converged deploy solve passes the
-/// polish's first residual check, so attribution stays cheap; the
-/// decomposition telescopes exactly at ANY polish depth — deeper polish
-/// only sharpens the pred/solver split.
+/// Inputs of the attribution beyond the two traces. Its polish (each
+/// chain's relaxed solve continued, warm-started, for at most 16
+/// iterations at the solver's tolerance) is skipped for a chain whose
+/// solve converged; the decomposition telescopes at any polish depth.
 struct AttributionConfig {
-  std::size_t polish_iterations = 16;
-  /// <= 0 inherits the evaluation config's solver tolerance (the polish
-  /// then only does real work when the deploy solve hit its iteration
-  /// cap — exactly when solver_gap is interesting).
-  double polish_tolerance = 0.0;
   /// Counterfactual loss of tasks dropped/expired before this round,
   /// passed through into the breakdown's admission_gap (the caller owns
   /// the queue; the decomposition just keeps the books additive).

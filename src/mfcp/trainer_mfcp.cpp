@@ -61,9 +61,11 @@ std::unique_ptr<matching::KktDifferentiableObjective> make_smoothed_max(
         std::move(times), std::move(reliability), config.gamma,
         config.barrier, config.speedup);
   }
+  // Weight of the hinge that replaces the barrier.
+  constexpr double kPenaltyLambda = 2.0;
   return std::make_unique<matching::HardPenaltyObjective>(
       std::move(times), std::move(reliability), config.gamma,
-      config.barrier.beta, config.penalty_lambda, config.speedup);
+      config.barrier.beta, kPenaltyLambda, config.speedup);
 }
 
 /// The configured continuous training objective over (T, A) with the

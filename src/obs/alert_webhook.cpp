@@ -2,12 +2,20 @@
 
 #include <chrono>
 
+#include "net/http.hpp"
 #include "net/http_client.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "support/check.hpp"
 
 namespace mfcp::obs {
+
+namespace {
+/// Transitions queued but not yet sent beyond which notify() drops.
+constexpr std::size_t kQueueCapacity = 256;
+/// Per-delivery connect+send+receive budget.
+constexpr int kTimeoutMs = 2000;
+}  // namespace
 
 std::optional<WebhookConfig> parse_webhook_url(std::string_view url,
                                                std::string* error) {
@@ -33,15 +41,9 @@ std::optional<WebhookConfig> parse_webhook_url(std::string_view url,
     }
     return std::nullopt;
   }
-  std::uint64_t port = 0;
-  for (const char c : authority.substr(colon + 1)) {
-    if (c < '0' || c > '9') {
-      port = 0;
-      break;
-    }
-    port = port * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (port == 0 || port > 65535) {
+  const std::optional<std::uint64_t> port =
+      net::parse_u64(authority.substr(colon + 1));
+  if (!port.has_value() || *port == 0 || *port > 65535) {
     if (error != nullptr) {
       *error = "webhook url port must be 1..65535";
     }
@@ -49,7 +51,7 @@ std::optional<WebhookConfig> parse_webhook_url(std::string_view url,
   }
   WebhookConfig config;
   config.host = std::string(authority.substr(0, colon));
-  config.port = static_cast<std::uint16_t>(port);
+  config.port = static_cast<std::uint16_t>(*port);
   config.path = std::string(path);
   return config;
 }
@@ -78,7 +80,6 @@ std::string webhook_body(const AlertTransition& t) {
 WebhookSender::WebhookSender(WebhookConfig config)
     : config_(std::move(config)) {
   MFCP_CHECK(config_.port != 0, "webhook: port required");
-  MFCP_CHECK(config_.queue_capacity > 0, "webhook: queue capacity > 0");
   sender_ = std::thread([this] { sender_loop(); });
 }
 
@@ -95,7 +96,7 @@ void WebhookSender::notify(const AlertTransition& transition) {
   std::string body = webhook_body(transition);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_ || queue_.size() >= config_.queue_capacity) {
+    if (stop_ || queue_.size() >= kQueueCapacity) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       if (dropped_metric_ != nullptr) {
         dropped_metric_->add(1);
@@ -153,7 +154,7 @@ void WebhookSender::sender_loop() {
     // slow endpoint.
     const net::ClientResponse response =
         net::http_call(config_.host, config_.port, "POST", config_.path,
-                       body, config_.timeout_ms);
+                       body, kTimeoutMs);
     const bool delivered =
         response.ok && response.status >= 200 && response.status < 300;
     if (delivered) {

@@ -2,10 +2,10 @@
 // transition as a flat JSON record to a configured HTTP endpoint.
 //
 // Delivery is fully decoupled from the caller: notify() renders the body
-// and enqueues it on a bounded queue (drop-oldest-refused: when full the
-// transition is counted into dropped_total and discarded — alerting must
-// never apply backpressure to the engine). A dedicated sender thread
-// drains the queue through net::http_call with a bounded timeout; non-2xx
+// and enqueues it on a queue of 256 bodies (drop-oldest-refused: when full
+// the transition is counted into dropped_total and discarded — alerting
+// must never apply backpressure to the engine). A dedicated sender thread
+// drains the queue through net::http_call with a 2 s timeout; non-2xx
 // responses and transport errors count into failed_total and are not
 // retried (the alert log JSONL remains the durable channel; the webhook
 // is a best-effort pager).
@@ -32,10 +32,6 @@ struct WebhookConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::string path = "/";
-  /// Transitions queued but not yet sent beyond which notify() drops.
-  std::size_t queue_capacity = 256;
-  /// Per-delivery connect+send+receive budget.
-  int timeout_ms = 2000;
 };
 
 /// Parses "http://host:port/path" (path optional, defaults to "/"). HTTPS

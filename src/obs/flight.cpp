@@ -123,12 +123,11 @@ std::atomic<std::uint64_t> g_recorder_serial{0};
 FlightRecorder::FlightRecorder(FlightConfig config)
     : config_(config),
       serial_(g_recorder_serial.fetch_add(1, std::memory_order_relaxed) + 1) {
-  MFCP_CHECK(config_.ring_capacity > 0, "flight: ring capacity must be > 0");
   MFCP_CHECK(config_.stall_budget_seconds > 0.0,
              "flight: stall budget must be positive");
   rings_.reserve(kMaxFlightThreads);
   for (std::size_t i = 0; i < kMaxFlightThreads; ++i) {
-    rings_.push_back(std::make_unique<FlightRing>(config_.ring_capacity));
+    rings_.push_back(std::make_unique<FlightRing>(kFlightRingCapacity));
   }
   heartbeats_ =
       std::make_unique<HeartbeatHandle::Slot[]>(kMaxHeartbeats);
@@ -304,11 +303,10 @@ void FlightRecorder::stop_watchdog() {
 }
 
 void FlightRecorder::watchdog_loop() {
-  const auto poll = std::chrono::duration<double>(
-      std::max(config_.watchdog_poll_seconds, 1e-3));
+  constexpr std::chrono::milliseconds kPoll{250};
   std::unique_lock<std::mutex> lock(watchdog_mutex_);
   while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    watchdog_cv_.wait_for(lock, poll, [this] {
+    watchdog_cv_.wait_for(lock, kPoll, [this] {
       return watchdog_stop_.load(std::memory_order_relaxed);
     });
     if (watchdog_stop_.load(std::memory_order_relaxed)) {

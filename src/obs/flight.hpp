@@ -105,6 +105,8 @@ using FlightRing = SeqlockRing<8>;
 /// Threads that can register rings; later threads drop their events into
 /// `dropped_total` instead of silently aliasing a ring.
 inline constexpr std::size_t kMaxFlightThreads = 32;
+/// Events retained per thread (a power of two).
+inline constexpr std::size_t kFlightRingCapacity = 1024;
 
 /// Health view of one registered heartbeat.
 struct ThreadHealth {
@@ -137,12 +139,9 @@ class HeartbeatHandle {
 };
 
 struct FlightConfig {
-  /// Events retained per thread (rounded up to a power of two).
-  std::size_t ring_capacity = 1024;
-  /// A busy heartbeat older than this is a stall.
+  /// A busy heartbeat older than this is a stall. The watchdog checks
+  /// every 0.25 s.
   double stall_budget_seconds = 2.0;
-  /// Watchdog wake-up cadence.
-  double watchdog_poll_seconds = 0.25;
 };
 
 /// Parsed ?thread=&kind=&limit= filter of the GET /debug/flight route.
@@ -159,7 +158,7 @@ struct FlightQuery {
 [[nodiscard]] FlightQuery parse_flight_query(std::string_view path);
 
 /// Process black box. Construction preallocates every ring
-/// (kMaxFlightThreads * ring_capacity slots), so the crash path walks
+/// (kMaxFlightThreads * kFlightRingCapacity slots), so the crash path walks
 /// plain arrays and thread registration is one fetch_add. All
 /// record/beat paths are lock-free; snapshots and dumps are wait-free
 /// with respect to writers.

@@ -121,7 +121,6 @@ void TraceStore::evict_one_locked() {
   order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(victim));
   const auto it = traces_.find(task_id);
   if (it != traces_.end()) {
-    by_trace_.erase(it->second.trace_id);
     traces_.erase(it);
   }
   ++evicted_;
@@ -143,7 +142,6 @@ bool TraceStore::begin(std::uint64_t task_id, std::uint64_t trace_id,
   trace.trace_id = trace_id;
   trace.task_id = task_id;
   trace.submit_hours = submit_hours;
-  by_trace_[trace_id] = task_id;
   traces_.emplace(task_id, std::move(trace));
   order_.push_back(task_id);
   ++begun_;
@@ -173,15 +171,12 @@ bool TraceStore::finish(std::uint64_t task_id, std::string_view final_state) {
 std::optional<TaskTrace> TraceStore::find_by_trace(
     std::uint64_t trace_id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto mapped = by_trace_.find(trace_id);
-  if (mapped == by_trace_.end()) {
-    return std::nullopt;
+  for (const auto& [task_id, trace] : traces_) {
+    if (trace.trace_id == trace_id) {
+      return trace;
+    }
   }
-  const auto it = traces_.find(mapped->second);
-  if (it == traces_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
+  return std::nullopt;
 }
 
 std::vector<TaskTrace> TraceStore::snapshot() const {
@@ -235,7 +230,6 @@ std::size_t TraceStore::drain_to(JsonlWriter& out, std::string_view label) {
     ++drained;
   }
   traces_.clear();
-  by_trace_.clear();
   order_.clear();
   return drained;
 }

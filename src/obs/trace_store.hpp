@@ -105,6 +105,8 @@ class TraceStore {
   /// queryable) until evicted or drained.
   bool finish(std::uint64_t task_id, std::string_view final_state);
 
+  /// The resident trace with this id. Walks the store (at most
+  /// `capacity` traces): it serves the GET /trace/<id> debug route.
   [[nodiscard]] std::optional<TaskTrace> find_by_trace(
       std::uint64_t trace_id) const;
 
@@ -132,8 +134,7 @@ class TraceStore {
   mutable std::mutex mutex_;
   // Keyed by task id; order_ holds begin order for eviction + export.
   std::unordered_map<std::uint64_t, TaskTrace> traces_;
-  std::unordered_map<std::uint64_t, std::uint64_t> by_trace_;  // trace→task
-  std::deque<std::uint64_t> order_;                            // task ids
+  std::deque<std::uint64_t> order_;  // task ids
   std::uint64_t begun_ = 0;
   std::uint64_t evicted_ = 0;
 };

@@ -7,9 +7,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
+#include "net/http.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
 
@@ -34,14 +37,12 @@ bool parse_snapshot_name(const std::string& name, std::uint64_t& gen) {
       name.compare(name.size() - 5, 5, ".ckpt") != 0) {
     return false;
   }
-  std::uint64_t v = 0;
-  for (std::size_t i = 9; i < name.size() - 5; ++i) {
-    if (name[i] < '0' || name[i] > '9') {
-      return false;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(name[i] - '0');
+  const std::optional<std::uint64_t> v =
+      net::parse_u64(std::string_view(name).substr(9, name.size() - 14));
+  if (!v.has_value()) {
+    return false;
   }
-  gen = v;
+  gen = *v;
   return true;
 }
 

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -30,23 +31,10 @@ bool parse_chunk_name(const std::string& name, std::int64_t& k) {
       name.compare(name.size() - 6, 6, ".jsonl") != 0) {
     return false;
   }
-  const std::string digits = name.substr(6, name.size() - 12);
-  if (digits.empty()) {
-    return false;
-  }
-  std::size_t i = digits[0] == '-' ? 1 : 0;
-  if (i == digits.size()) {
-    return false;
-  }
-  std::int64_t v = 0;
-  for (; i < digits.size(); ++i) {
-    if (digits[i] < '0' || digits[i] > '9') {
-      return false;
-    }
-    v = v * 10 + (digits[i] - '0');
-  }
-  k = digits[0] == '-' ? -v : v;
-  return true;
+  // A signed decimal index; out-of-range digit strings fail the parse.
+  const char* last = name.data() + name.size() - 6;
+  const auto [ptr, ec] = std::from_chars(name.data() + 6, last, k);
+  return ec == std::errc{} && ptr == last;
 }
 
 }  // namespace

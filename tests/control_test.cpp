@@ -14,6 +14,7 @@
 #include "control/token_bucket.hpp"
 #include "obs/sinks.hpp"
 #include "obs/slo.hpp"
+#include "support/check.hpp"
 
 namespace mfcp::control {
 namespace {
@@ -149,11 +150,10 @@ TEST(TokenBucketTable, ActiveClientsShareTheGlobalRateEqually) {
 }
 
 TEST(TokenBucketTable, ThrottlesOnceTheBurstIsSpentAndRefillsOverTime) {
-  TokenBucketConfig cfg;
-  cfg.min_burst_tokens = 2.0;
-  cfg.burst_hours = 0.0001;  // burst floor dominates: capacity == 2
-  TokenBucketTable table(cfg);
-  table.set_global_rate(10.0, 0.0);  // 10 tokens/hour
+  TokenBucketTable table;
+  // 10 tokens/hour: the 2-token burst floor dominates the 0.05 h share
+  // (0.5 tokens), so the capacity is 2.
+  table.set_global_rate(10.0, 0.0);
   EXPECT_TRUE(table.try_admit("c", 0.0).admitted);
   EXPECT_TRUE(table.try_admit("c", 0.0).admitted);
   const AdmitDecision dry = table.try_admit("c", 0.0);
@@ -165,11 +165,8 @@ TEST(TokenBucketTable, ThrottlesOnceTheBurstIsSpentAndRefillsOverTime) {
 }
 
 TEST(TokenBucketTable, RetryAfterGrowsWithTheDeficit) {
-  TokenBucketConfig cfg;
-  cfg.min_burst_tokens = 2.0;
-  cfg.burst_hours = 0.0001;
-  TokenBucketTable table(cfg);
-  table.set_global_rate(10.0, 0.0);
+  TokenBucketTable table;
+  table.set_global_rate(10.0, 0.0);  // capacity 2, as above
   table.try_admit("c", 0.0);
   table.try_admit("c", 0.0);
   const AdmitDecision first = table.try_admit("c", 0.0);
@@ -183,23 +180,22 @@ TEST(TokenBucketTable, RetryAfterGrowsWithTheDeficit) {
 }
 
 TEST(TokenBucketTable, LruEvictionUnderClientChurn) {
-  TokenBucketConfig cfg;
-  cfg.max_clients = 4;
-  TokenBucketTable table(cfg);
+  TokenBucketTable table;  // holds 256 buckets
   table.set_global_rate(1000.0, 0.0);
-  for (int k = 0; k < 10; ++k) {
-    table.try_admit("client-" + std::to_string(k), 0.01 * k);
+  // Three-digit suffixes, so name order is arrival order.
+  for (int k = 0; k < 262; ++k) {
+    table.try_admit("client-" + std::to_string(100 + k), 0.01 * k);
   }
-  EXPECT_EQ(table.size(), 4u);
+  EXPECT_EQ(table.size(), 256u);
   EXPECT_EQ(table.evicted_total(), 6u);
   const auto snap = table.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  // The four most recently seen clients survive, name-sorted.
-  EXPECT_EQ(snap[0].client, "client-6");
-  EXPECT_EQ(snap[3].client, "client-9");
+  ASSERT_EQ(snap.size(), 256u);
+  // The 256 most recently seen clients survive, name-sorted.
+  EXPECT_EQ(snap[0].client, "client-106");
+  EXPECT_EQ(snap[255].client, "client-361");
   // A returning evicted client is re-admitted with a fresh bucket —
   // eviction forgets debt, it never manufactures throttling.
-  EXPECT_TRUE(table.try_admit("client-0", 0.2).admitted);
+  EXPECT_TRUE(table.try_admit("client-100", 2.7).admitted);
 }
 
 // ---------------------------------------------------------- ratekeeper --
@@ -213,12 +209,19 @@ RatekeeperSignals calm_at(double now) {
   return s;
 }
 
-TEST(Ratekeeper, InitialRateIsClampedIntoRange) {
+TEST(Ratekeeper, RejectsAnInitialRateOutsideItsRangeOrNoWaitTarget) {
   RatekeeperConfig cfg;
-  cfg.initial_rate_per_hour = 1e9;
-  cfg.max_rate_per_hour = 500.0;
-  Ratekeeper rk(cfg);
-  EXPECT_DOUBLE_EQ(rk.status().rate_per_hour, 500.0);
+  for (const double rate : {4.0, 1e6}) {  // the clamp's ends are valid
+    cfg.initial_rate_per_hour = rate;
+    EXPECT_DOUBLE_EQ(Ratekeeper(cfg).status().rate_per_hour, rate);
+  }
+  for (const double rate : {3.9, 1e9}) {
+    cfg.initial_rate_per_hour = rate;
+    EXPECT_THROW(Ratekeeper{cfg}, ContractError);
+  }
+  cfg.initial_rate_per_hour = 100.0;
+  cfg.wait_target_hours = 0.0;
+  EXPECT_THROW(Ratekeeper{cfg}, ContractError);
 }
 
 TEST(Ratekeeper, MultiplicativeDecreaseUnderQueuePressure) {
@@ -235,12 +238,12 @@ TEST(Ratekeeper, MultiplicativeDecreaseUnderQueuePressure) {
   const RatekeeperStatus st = rk.status();
   EXPECT_EQ(st.limiting, LimitingSignal::kQueueDepth);
   EXPECT_EQ(st.decreases, 2u);
-  // Sustained pressure bottoms out at the clamp, never at zero.
+  // Sustained pressure bottoms out at the 4 tasks/h clamp, never at zero.
   for (int k = 0; k < 200; ++k) {
     s.now_hours += 0.1;
     rk.tick(s);
   }
-  EXPECT_DOUBLE_EQ(rk.status().rate_per_hour, cfg.min_rate_per_hour);
+  EXPECT_DOUBLE_EQ(rk.status().rate_per_hour, 4.0);
 }
 
 TEST(Ratekeeper, DeadBandHoldsTheRateWithoutFlapping) {
@@ -264,33 +267,32 @@ TEST(Ratekeeper, DeadBandHoldsTheRateWithoutFlapping) {
 TEST(Ratekeeper, AdditiveRecoveryNeedsSustainedCalm) {
   RatekeeperConfig cfg;
   cfg.initial_rate_per_hour = 100.0;
-  cfg.recovery_ticks = 3;
   Ratekeeper rk(cfg);
   RatekeeperSignals s = calm_at(0.0);
   EXPECT_DOUBLE_EQ(rk.tick(s), 100.0);  // calm tick 1: no recovery yet
   s.now_hours = 0.1;
   EXPECT_DOUBLE_EQ(rk.tick(s), 100.0);  // calm tick 2
-  s.now_hours = 0.2;
-  EXPECT_DOUBLE_EQ(rk.tick(s), 100.0 + cfg.recovery_step_per_hour);
+  s.now_hours = 0.2;  // calm tick 3: recovery starts, 8 tasks/h a tick
+  EXPECT_DOUBLE_EQ(rk.tick(s), 108.0);
   s.now_hours = 0.3;  // calm persists: keep probing every tick
-  EXPECT_DOUBLE_EQ(rk.tick(s), 100.0 + 2.0 * cfg.recovery_step_per_hour);
+  EXPECT_DOUBLE_EQ(rk.tick(s), 116.0);
   EXPECT_EQ(rk.status().limiting, LimitingSignal::kNone);
   EXPECT_EQ(rk.status().recoveries, 2u);
 }
 
 TEST(Ratekeeper, RecoveryClampsAtMaxRate) {
   RatekeeperConfig cfg;
-  cfg.initial_rate_per_hour = 100.0;
-  cfg.max_rate_per_hour = 110.0;
-  cfg.recovery_step_per_hour = 8.0;
-  cfg.recovery_ticks = 1;
+  // 12 tasks/h below the 1e6 ceiling: the third calm tick's 8 tasks/h
+  // step lands at 1e6 - 4, the fourth would overshoot and clamps.
+  cfg.initial_rate_per_hour = 1e6 - 12.0;
   Ratekeeper rk(cfg);
   RatekeeperSignals s = calm_at(0.0);
   for (int k = 0; k < 10; ++k) {
     s.now_hours = 0.1 * k;
     rk.tick(s);
   }
-  EXPECT_DOUBLE_EQ(rk.status().rate_per_hour, 110.0);
+  EXPECT_DOUBLE_EQ(rk.status().rate_per_hour, 1e6);
+  EXPECT_EQ(rk.status().recoveries, 8u);
 }
 
 TEST(Ratekeeper, LimitingSignalIsTheArgmaxPressure) {

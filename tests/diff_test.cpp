@@ -8,9 +8,9 @@
 #include <cstdint>
 #include <utility>
 
-#include "diff/finite_diff.hpp"
 #include "diff/kkt.hpp"
 #include "diff/zeroth_order.hpp"
+#include "finite_diff.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/vector_ops.hpp"
 #include "matching/barrier.hpp"

@@ -620,8 +620,6 @@ TEST(Trainer, RecencyWeightedRetrainStillLearns) {
   OnlineTrainerConfig cfg;
   EXPECT_EQ(cfg.replay_recency_half_life, 0.0);
   cfg.retrain_epochs = 4;
-  cfg.batch_size = 8;
-  cfg.min_cluster_samples = 4;
   cfg.replay_recency_half_life = 16.0;
   OnlineTrainer trainer(cfg);
   Rng feature_rng(31);
@@ -724,38 +722,34 @@ TEST(Drift, LogRatioErrorIsSymmetricAndBounded) {
   EXPECT_LT(drift_error(1e-9, 1.0), 3.1);
 }
 
+// The detector's fixed windows: the last 6 rounds against the 24 before
+// them, a 0.05 baseline floor and an 8-round cooldown.
+
 TEST(Drift, EvaluateReportsWarmupQuietTripAndCooldown) {
   DriftConfig cfg;
-  cfg.short_window = 2;
-  cfg.long_window = 4;
   cfg.ratio_threshold = 2.0;
-  cfg.min_baseline = 0.01;
-  cfg.cooldown_rounds = 3;
   DriftDetector det(cfg);
-  // Needs short_window + long_window / 2 = 4 samples of history.
-  EXPECT_EQ(det.evaluate(0.1), DriftDecision::kWarmup);
-  EXPECT_EQ(det.evaluate(0.1), DriftDecision::kWarmup);
-  EXPECT_EQ(det.evaluate(0.1), DriftDecision::kWarmup);
+  // Needs the short window plus half the baseline: 6 + 24 / 2 = 18
+  // samples of history.
+  for (int k = 0; k < 17; ++k) {
+    EXPECT_EQ(det.evaluate(0.1), DriftDecision::kWarmup);
+  }
   EXPECT_EQ(det.evaluate(0.1), DriftDecision::kQuiet);
-  // A mild bump keeps the short mean under ratio * baseline...
+  // A mild bump keeps the short mean (0.125) under ratio * baseline...
   EXPECT_EQ(det.evaluate(0.25), DriftDecision::kQuiet);
-  // ...a hard jump pushes it well past.
+  // ...a hard jump pushes it (0.275) well past.
   EXPECT_EQ(det.evaluate(1.0), DriftDecision::kTrip);
   det.acknowledge_retrain();
-  EXPECT_EQ(det.cooldown_remaining(), 3u);
+  EXPECT_EQ(det.cooldown_remaining(), 8u);
   EXPECT_EQ(det.evaluate(1.0), DriftDecision::kCooldown);
-  EXPECT_EQ(det.cooldown_remaining(), 2u);
+  EXPECT_EQ(det.cooldown_remaining(), 7u);
 }
 
 TEST(Drift, TripsOnSustainedErrorJumpAndRespectsCooldown) {
   DriftConfig cfg;
-  cfg.short_window = 3;
-  cfg.long_window = 6;
   cfg.ratio_threshold = 2.0;
-  cfg.min_baseline = 0.01;
-  cfg.cooldown_rounds = 4;
   DriftDetector det(cfg);
-  for (int k = 0; k < 6; ++k) {
+  for (int k = 0; k < 18; ++k) {
     EXPECT_FALSE(det.observe(0.1));  // quiet baseline
   }
   // A mild bump dilutes into the short-window mean without tripping...
@@ -763,9 +757,10 @@ TEST(Drift, TripsOnSustainedErrorJumpAndRespectsCooldown) {
   // ...a real jump pushes the window mean past ratio * baseline.
   EXPECT_TRUE(det.observe(1.0));
   det.acknowledge_retrain();
-  for (int k = 0; k < 4; ++k) {
+  for (int k = 0; k < 8; ++k) {
     EXPECT_FALSE(det.observe(1.0));  // cooldown swallows these
   }
+  EXPECT_EQ(det.cooldown_remaining(), 0u);
 }
 
 // ------------------------------------------------------ engine fixtures --
@@ -1089,9 +1084,7 @@ TEST(Engine, JournalIsByteIdenticalWithFlightRecorderAttached) {
 }
 
 TEST(Engine, SolverIterationsAreRecordedEveryRoundWithoutAttribution) {
-  obs::FlightConfig flight_cfg;
-  flight_cfg.ring_capacity = 4096;  // the whole run, nothing overwritten
-  obs::FlightRecorder recorder(flight_cfg);
+  obs::FlightRecorder recorder;
   EngineFixture f;
   EngineConfig cfg = small_engine_config();
   cfg.attribution = false;
@@ -1099,6 +1092,8 @@ TEST(Engine, SolverIterationsAreRecordedEveryRoundWithoutAttribution) {
   OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
   const EngineResult result = eng.run();
   ASSERT_GT(result.rounds.size(), 0u);
+  // The whole run fits one ring, so nothing was overwritten.
+  ASSERT_LE(recorder.events_total(), obs::kFlightRingCapacity);
   const std::vector<obs::FlightEvent> iters =
       recorder.snapshot(-1, obs::FlightKind::kSolverIters);
   ASSERT_EQ(iters.size(), result.rounds.size());

@@ -1,4 +1,4 @@
-#include "diff/finite_diff.hpp"
+#include "finite_diff.hpp"
 
 #include "support/check.hpp"
 

@@ -1,7 +1,7 @@
 // Central finite-difference Jacobians of a matching solver's output with
-// respect to the metric matrices. Reference implementation: slow but
-// assumption-free, used to validate both the KKT implicit differentiation
-// and the zeroth-order estimator in tests, and available for diagnostics.
+// respect to the metric matrices. The tests' reference implementation:
+// slow but assumption-free, it validates both the KKT implicit
+// differentiation and the zeroth-order estimator.
 #pragma once
 
 #include <functional>

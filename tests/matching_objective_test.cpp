@@ -6,8 +6,8 @@
 #include <cmath>
 #include <memory>
 
-#include "diff/finite_diff.hpp"
 #include "diff/kkt.hpp"
+#include "finite_diff.hpp"
 #include "matching/barrier.hpp"
 #include "matching/objective.hpp"
 #include "matching/entropy.hpp"

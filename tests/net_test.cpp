@@ -376,20 +376,20 @@ TEST(GatewayRoute, RetryAfterIsMonotoneInPressure) {
 }
 
 TEST(GatewayRoute, DryBucketThrottlesWithHonestRetryAfter) {
-  control::TokenBucketConfig bucket_cfg;
-  bucket_cfg.min_burst_tokens = 1.0;
-  bucket_cfg.burst_hours = 1e-4;  // capacity == 1 token
-  control::TokenBucketTable buckets(bucket_cfg);
+  control::TokenBucketTable buckets;
+  // 10 tasks/h: each bucket holds its 2-token burst floor.
   buckets.set_global_rate(10.0, 0.0);
   engine::GatewayLinkConfig cfg;
   cfg.buckets = &buckets;
   engine::GatewayLink link(cfg);
 
   const std::string body = "{\"family\":\"mlp\",\"client\":\"alice\"}";
-  EXPECT_EQ(route_gateway_request(make_request("POST", "/submit", body),
-                                  link, nullptr)
-                .status,
-            200);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(route_gateway_request(make_request("POST", "/submit", body),
+                                    link, nullptr)
+                  .status,
+              200);
+  }
   const HttpResponse throttled = route_gateway_request(
       make_request("POST", "/submit", body), link, nullptr);
   ASSERT_EQ(throttled.status, 429);
@@ -407,7 +407,7 @@ TEST(GatewayRoute, DryBucketThrottlesWithHonestRetryAfter) {
             200);
 
   const engine::ServiceStats stats = link.stats();
-  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.submitted, 3u);
   EXPECT_EQ(stats.rejected_throttled, 1u);
   EXPECT_EQ(stats.rejected_busy, 0u);
 }
@@ -959,10 +959,12 @@ TEST(GatewayLive, ThrottledServeModeStillConservesAcceptedWork) {
   Rng init(99);
   core::PlatformPredictor predictor(3, pcfg, init);
 
+  // The controller's floor rate, 4 tasks/h shared by three clients. The
+  // simulated clock runs at 1 h/s, so the burst of submits below spans a
+  // few hundredths of an hour: each bucket refills by well under one
+  // token, and the few recovery steps of 8 tasks/h cannot open the gate.
   control::RatekeeperConfig rk_cfg;
-  rk_cfg.initial_rate_per_hour = 0.01;
-  rk_cfg.min_rate_per_hour = 0.01;
-  rk_cfg.max_rate_per_hour = 0.02;  // recovery can never open the gate
+  rk_cfg.initial_rate_per_hour = 4.0;
   control::Ratekeeper ratekeeper(rk_cfg);
   control::TokenBucketTable buckets;
 
@@ -985,7 +987,7 @@ TEST(GatewayLive, ThrottledServeModeStillConservesAcceptedWork) {
   PlatformGateway gateway(link, nullptr, nullptr, gateway_cfg);
 
   engine::ServeConfig serve_cfg;
-  serve_cfg.hours_per_second = 120.0;
+  serve_cfg.hours_per_second = 1.0;
   engine::EngineResult result;
   std::thread engine_thread(
       [&] { result = eng.serve(link, serve_cfg); });
@@ -1222,6 +1224,10 @@ TEST(Webhook, ParseUrlAcceptsHostPortPathAndRejectsTheRest) {
   EXPECT_FALSE(obs::parse_webhook_url("http://:90/x", &error).has_value());
   EXPECT_FALSE(obs::parse_webhook_url("http://h:0/x", &error).has_value());
   EXPECT_FALSE(obs::parse_webhook_url("http://h:99999/x", &error).has_value());
+  // 2^64 + 8080: a port read without an overflow check wraps to 8080.
+  EXPECT_FALSE(
+      obs::parse_webhook_url("http://127.0.0.1:18446744073709559696/", &error)
+          .has_value());
   EXPECT_FALSE(obs::parse_webhook_url("ftp://h:90/x", &error).has_value());
   EXPECT_FALSE(obs::parse_webhook_url("", &error).has_value());
 }
@@ -1302,7 +1308,6 @@ TEST(Webhook, FailedDeliveriesAreCountedAndNeverBlock) {
   }
   obs::WebhookConfig cfg;
   cfg.port = dead_port;
-  cfg.timeout_ms = 500;
   obs::WebhookSender sender(cfg);
 
   obs::AlertTransition t;

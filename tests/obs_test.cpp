@@ -614,6 +614,9 @@ TEST(TraceStore, DrainWritesDeterministicFieldsAndClears) {
   EXPECT_EQ(store.drain_to(writer, "online"), 2u);
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.begun(), 2u);  // lifetime counters survive the drain
+  // Drained traces are gone from lookups too.
+  EXPECT_FALSE(store.find_by_trace(mint_trace_id(5)).has_value());
+  EXPECT_FALSE(store.find_by_trace(mint_trace_id(6)).has_value());
 
   const std::string text = out.str();
   EXPECT_NE(text.find("\"mode\":\"online\""), std::string::npos);
@@ -995,9 +998,7 @@ TEST(SeqlockRing, ConcurrentReaderNeverSeesATornSlot) {
 }
 
 TEST(FlightRecorder, SnapshotMergesAndFiltersAcrossThreads) {
-  FlightConfig cfg;
-  cfg.ring_capacity = 32;
-  FlightRecorder recorder(cfg);
+  FlightRecorder recorder;
   recorder.record(FlightKind::kRoundBegin, 1.0, 10);
   recorder.record(FlightKind::kRoundEnd, 1.5, 11);
   std::thread other([&recorder] {
@@ -1071,7 +1072,6 @@ TEST(FlightWatchdog, FiresOnAStalledHeartbeatAndDumpsTheRings) {
   std::remove(dump_path.c_str());
   FlightConfig cfg;
   cfg.stall_budget_seconds = 0.05;
-  cfg.watchdog_poll_seconds = 0.01;
   FlightRecorder recorder(cfg);
   recorder.record(FlightKind::kRoundBegin, 3.25, 7);
   SloMonitor slo;
@@ -1081,8 +1081,8 @@ TEST(FlightWatchdog, FiresOnAStalledHeartbeatAndDumpsTheRings) {
   pulse.beat();  // busy, and never beats again
   recorder.start_watchdog(dump_path, &slo);
 
-  // The injected stall runs to 5x the budget; the watchdog must flag it
-  // well before then.
+  // The watchdog scans every 0.25 s, so it flags the stall within about
+  // one scan; the deadline leaves ample slack.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (recorder.watchdog_stalls() == 0 &&
@@ -1129,7 +1129,6 @@ TEST(FlightWatchdog, StaysSilentWhileHeartbeatsAreHealthy) {
   std::remove(dump_path.c_str());
   FlightConfig cfg;
   cfg.stall_budget_seconds = 0.1;
-  cfg.watchdog_poll_seconds = 0.01;
   FlightRecorder recorder(cfg);
   SloMonitor slo;
   CaptureSink sink;
@@ -1149,7 +1148,8 @@ TEST(FlightWatchdog, StaysSilentWhileHeartbeatsAreHealthy) {
     }
     pulse.idle();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // Long enough for two of the watchdog's 0.25 s scans.
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
   stop.store(true, std::memory_order_release);
   busy.join();
   recorder.stop_watchdog();
@@ -1177,9 +1177,7 @@ TEST(FlightCrash, ForkedChildSegfaultLeavesAParsableRawDump) {
   if (pid == 0) {
     // Child: arm the crash path on a fresh recorder, record a known
     // event, then die by SIGSEGV. Nothing after raise() may run.
-    FlightConfig cfg;
-    cfg.ring_capacity = 16;
-    static FlightRecorder recorder(cfg);
+    static FlightRecorder recorder;
     recorder.record(FlightKind::kRoundBegin, 1.5, 11, 22, 33, 0x77);
     recorder.record(FlightKind::kRoundEnd, 2.5, 44);
     install_crash_handlers(&recorder, dump_path.c_str());
@@ -1195,15 +1193,16 @@ TEST(FlightCrash, ForkedChildSegfaultLeavesAParsableRawDump) {
   ASSERT_TRUE(in.is_open());
   std::vector<unsigned char> bytes(
       (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  // Header: magic, signal, one ring of 16 events, 64-byte slots.
+  // Header: magic, signal, one ring of kFlightRingCapacity events,
+  // 64-byte slots.
   ASSERT_GE(bytes.size(), 64u);
   EXPECT_EQ(std::memcmp(bytes.data(), "MFCPFLT1", 8), 0);
   EXPECT_EQ(dump_u64(bytes, 8), static_cast<std::uint64_t>(SIGSEGV));
   EXPECT_EQ(dump_u64(bytes, 16), 1u);   // ring_count
-  EXPECT_EQ(dump_u64(bytes, 24), 16u);  // ring capacity
+  EXPECT_EQ(dump_u64(bytes, 24), kFlightRingCapacity);
   EXPECT_EQ(dump_u64(bytes, 32), 64u);  // event bytes
   EXPECT_EQ(dump_u64(bytes, 40), 2u);   // events_total
-  ASSERT_EQ(bytes.size(), 64u + 16u + 16u * 64u);
+  ASSERT_EQ(bytes.size(), 64u + 16u + kFlightRingCapacity * 64u);
   // Ring header, then the first slot holds the first recorded event raw.
   EXPECT_EQ(dump_u64(bytes, 64), 0u);  // ring index
   EXPECT_EQ(dump_u64(bytes, 72), 2u);  // head
@@ -1224,9 +1223,7 @@ TEST(FlightCrash, ForkedChildSegfaultLeavesAParsableRawDump) {
 }
 
 TEST(DebugRoutes, ServesFlightDebugRoutesWhenConfigured) {
-  FlightConfig flight_cfg;
-  flight_cfg.ring_capacity = 16;
-  FlightRecorder recorder(flight_cfg);
+  FlightRecorder recorder;
   recorder.record(FlightKind::kRoundBegin, 1.0, 5);
   HeartbeatHandle pulse = recorder.register_heartbeat("exporter_test");
   pulse.beat();

@@ -327,7 +327,41 @@ TEST(Checkpoints, CorruptSnapshotFallsBackToOlderGeneration) {
   EXPECT_EQ(payload, "gen 1");
 }
 
+TEST(Checkpoints, StrayOverlongSnapshotNameIsIgnored) {
+  // The name's number is 2^64 + 1: read without an overflow check it is
+  // generation 1, and numbering would resume past it.
+  TempDir dir("ckpt_overlong");
+  const fs::path stray =
+      fs::path(dir.str()) / "snapshot-18446744073709551617.ckpt";
+  std::ofstream(stray) << "not a snapshot\n";
+  CheckpointManager mgr(CheckpointConfig{dir.str(), 3});
+  EXPECT_EQ(mgr.generation(), 0u);
+  EXPECT_EQ(publish_payload(mgr, 5, "gen 1").generation, 1u);
+  CheckpointInfo info;
+  EXPECT_EQ(load_payload(mgr, &info), "gen 1");
+  EXPECT_EQ(info.generation, 1u);
+  EXPECT_TRUE(fs::exists(stray));
+}
+
 // --------------------------------------------------------------- chunks --
+
+TEST(Chunks, StrayOverlongChunkNameIsIgnored) {
+  // A 20-digit index overflows int64; it must not become a chunk (nor,
+  // through a wrapped index, the newest one that reopens for appends).
+  TempDir dir("chunk_overlong");
+  const fs::path stray =
+      fs::path(dir.str()) / "chunk-99999999999999999999.jsonl";
+  std::ofstream(stray) << R"({"close_hours":0.25})" << "\n";
+  ChunkStoreConfig cfg{dir.str()};
+  cfg.chunk_hours = 1.0;
+  ChunkStore store(cfg);
+  EXPECT_EQ(store.stats().chunks, 0u);
+  store.append(0.5, R"({"close_hours":0.5})");
+  store.flush();
+  EXPECT_EQ(store.stats().chunks, 1u);
+  EXPECT_EQ(store.query(0.0, 10.0).size(), 1u);
+  EXPECT_TRUE(fs::exists(fs::path(dir.str()) / ChunkStore::chunk_name(0)));
+}
 
 TEST(Chunks, RoutesByTimeAndQueriesAcrossBoundaries) {
   TempDir dir("chunk_route");

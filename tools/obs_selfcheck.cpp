@@ -93,6 +93,7 @@
 //
 // Exit status: 0 = all checks pass, 1 = a check failed, 2 = usage/IO.
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -896,17 +897,11 @@ int check_profile(const std::string& path) {
       fail("folded line is not 'stack count'", line_no, line);
       continue;
     }
-    const std::string count_text = line.substr(space + 1);
+    const char* count_end = line.data() + line.size();
     std::uint64_t count = 0;
-    bool numeric = true;
-    for (const char c : count_text) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      count = count * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (!numeric || count == 0) {
+    const auto [count_ptr, count_ec] =
+        std::from_chars(line.data() + space + 1, count_end, count);
+    if (count_ec != std::errc{} || count_ptr != count_end || count == 0) {
       fail("folded count is not a positive integer", line_no, line);
       continue;
     }
