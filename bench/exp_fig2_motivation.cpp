@@ -10,7 +10,7 @@
 // matching actually routes to B (the paper's cluster-specific task
 // preferences) fixes the assignment without fixing the MSE.
 //
-// Run:  ./build/bench/exp_fig2_motivation
+// Run:  ./build/bench/exp_fig2_motivation   (writes fig2_motivation.csv)
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -86,6 +86,7 @@ int main() {
                    truth, mse, dfl});
   }
   std::printf("%s\n", table.to_string().c_str());
+  table.write_csv("fig2_motivation.csv");
 
   // Over the whole feature range: fraction of argmin flips.
   std::size_t grid = 200;
