@@ -55,9 +55,6 @@ int main(int argc, char** argv) {
     // with N, so the epoch budget shrinks accordingly.
     cfg.mfcp.epochs = std::max<std::size_t>(30, 200 / n);
     cfg.mfcp.forward_gradient.samples = 8;
-    // Larger N makes the exact reference solve harder; keep B&B bounded
-    // (anytime incumbent documented in EXPERIMENTS.md).
-    cfg.eval.exact.node_budget = 20'000'000;
 
     const auto ctx = core::make_context(cfg);
     std::vector<std::string> regret_row = {std::to_string(n)};

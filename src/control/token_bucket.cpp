@@ -45,11 +45,6 @@ void TokenBucketTable::set_global_rate(double rate_per_hour,
   global_rate_per_hour_ = std::max(0.0, rate_per_hour);
 }
 
-double TokenBucketTable::global_rate_per_hour() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return global_rate_per_hour_;
-}
-
 std::size_t TokenBucketTable::active_clients_locked(double now_hours) const {
   const double cutoff = now_hours - kActivityWindowHours;
   return static_cast<std::size_t>(std::count_if(

@@ -68,7 +68,6 @@ class TokenBucketTable {
 
   /// Publishes the Ratekeeper's global rate (tasks per simulated hour).
   void set_global_rate(double rate_per_hour, double now_hours);
-  [[nodiscard]] double global_rate_per_hour() const;
 
   /// Spends one token from `client`'s bucket (empty id maps to the
   /// anonymous bucket). Touches the LRU and may evict another client.

@@ -48,26 +48,4 @@ void MicroBatcher::record_round(RoundTrigger trigger,
   telemetry_.batch_size->observe(static_cast<double>(batch_size));
 }
 
-bool MicroBatcher::should_fire(std::size_t queue_depth,
-                               double oldest_arrival_time,
-                               double now) const noexcept {
-  if (queue_depth == 0) {
-    return false;
-  }
-  return queue_depth >= config_.max_batch ||
-         now >= timeout_at(oldest_arrival_time);
-}
-
-RoundTrigger MicroBatcher::classify(std::size_t queue_depth,
-                                    double oldest_arrival_time,
-                                    double now) const noexcept {
-  if (queue_depth >= config_.max_batch) {
-    return RoundTrigger::kSize;
-  }
-  if (now >= timeout_at(oldest_arrival_time)) {
-    return RoundTrigger::kTimeout;
-  }
-  return RoundTrigger::kFlush;
-}
-
 }  // namespace mfcp::engine

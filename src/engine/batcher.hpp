@@ -7,8 +7,10 @@
 //   - the oldest waiting task has waited max_wait_hours (timeout trigger).
 // A final flush round drains whatever remains when the stream ends.
 //
-// The policy is a pure function of (queue depth, head arrival time, clock),
-// which keeps it unit-testable and the engine loop deterministic.
+// The engine applies the policy itself: `OnlineEngine::admit` closes a size
+// round, and the event loop closes timeout and flush rounds at the times
+// `timeout_at` gives. This class holds the configuration, that deadline and
+// the per-round telemetry.
 #pragma once
 
 #include <cstddef>
@@ -45,21 +47,11 @@ class MicroBatcher {
     return config_;
   }
 
-  /// True when a round must close at time `now` given the queue state.
-  [[nodiscard]] bool should_fire(std::size_t queue_depth,
-                                 double oldest_arrival_time,
-                                 double now) const noexcept;
-
   /// The absolute time at which the timeout trigger fires for a head job
   /// that arrived at `oldest_arrival_time`.
   [[nodiscard]] double timeout_at(double oldest_arrival_time) const noexcept {
     return oldest_arrival_time + config_.max_wait_hours;
   }
-
-  /// Which trigger explains a round closing at `now` (size wins ties).
-  [[nodiscard]] RoundTrigger classify(std::size_t queue_depth,
-                                      double oldest_arrival_time,
-                                      double now) const noexcept;
 
  private:
   /// Cached registry handles (null when telemetry is off).

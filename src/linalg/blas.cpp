@@ -117,14 +117,4 @@ Matrix matvec(const Matrix& a, const Matrix& x) {
   return y;
 }
 
-Matrix outer(const Matrix& a, const Matrix& b) {
-  Matrix c(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      c(i, j) = a[i] * b[j];
-    }
-  }
-  return c;
-}
-
 }  // namespace mfcp

@@ -28,7 +28,4 @@ Matrix matmul_parallel(ThreadPool& pool, const Matrix& a, const Matrix& b);
 /// y = A * x for x an n x 1 vector; returns an m x 1 vector.
 Matrix matvec(const Matrix& a, const Matrix& x);
 
-/// Outer product a * b^T of two vectors (flattened lengths m and n).
-Matrix outer(const Matrix& a, const Matrix& b);
-
 }  // namespace mfcp

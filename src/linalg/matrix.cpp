@@ -1,7 +1,6 @@
 #include "linalg/matrix.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "support/check.hpp"
 
@@ -141,23 +140,6 @@ Matrix& Matrix::operator*=(double s) noexcept {
   return *this;
 }
 
-std::string Matrix::to_string(int precision) const {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(precision);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << (r == 0 ? "[[" : " [");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      os << (*this)(r, c);
-      if (c + 1 < cols_) {
-        os << ", ";
-      }
-    }
-    os << (r + 1 < rows_ ? "],\n" : "]]");
-  }
-  return os.str();
-}
-
 Matrix operator+(Matrix lhs, const Matrix& rhs) {
   lhs += rhs;
   return lhs;
@@ -176,15 +158,6 @@ Matrix operator*(Matrix m, double s) {
 Matrix operator*(double s, Matrix m) {
   m *= s;
   return m;
-}
-
-Matrix hadamard(const Matrix& a, const Matrix& b) {
-  MFCP_CHECK(a.same_shape(b), "shape mismatch in hadamard");
-  Matrix out(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out[i] = a[i] * b[i];
-  }
-  return out;
 }
 
 bool approx_equal(const Matrix& a, const Matrix& b, double tol) {

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace mfcp {
@@ -81,9 +80,6 @@ class Matrix {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
 
-  /// Human-readable rendering (testing/debugging aid).
-  [[nodiscard]] std::string to_string(int precision = 4) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -94,9 +90,6 @@ Matrix operator+(Matrix lhs, const Matrix& rhs);
 Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(Matrix m, double s);
 Matrix operator*(double s, Matrix m);
-
-/// Element-wise (Hadamard) product.
-Matrix hadamard(const Matrix& a, const Matrix& b);
 
 /// True if all elements differ by at most `tol`.
 bool approx_equal(const Matrix& a, const Matrix& b, double tol = 1e-9);

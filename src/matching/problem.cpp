@@ -50,15 +50,4 @@ Assignment matrix_to_assignment(const Matrix& x) {
   return assignment;
 }
 
-std::vector<double> cluster_loads(const Assignment& assignment,
-                                  const Matrix& times) {
-  std::vector<double> loads(times.rows(), 0.0);
-  for (std::size_t j = 0; j < assignment.size(); ++j) {
-    const auto i = static_cast<std::size_t>(assignment[j]);
-    MFCP_CHECK(i < times.rows(), "assignment references unknown cluster");
-    loads[i] += times(i, j);
-  }
-  return loads;
-}
-
 }  // namespace mfcp::matching

@@ -52,8 +52,4 @@ Matrix assignment_to_matrix(const Assignment& assignment,
 /// Inverse of assignment_to_matrix for a binary matrix (argmax per column).
 Assignment matrix_to_assignment(const Matrix& x);
 
-/// Per-cluster loads x_i^T t_i under an assignment.
-std::vector<double> cluster_loads(const Assignment& assignment,
-                                  const Matrix& times);
-
 }  // namespace mfcp::matching

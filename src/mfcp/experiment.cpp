@@ -196,18 +196,6 @@ MethodResult run_method(Method method, const ExperimentContext& ctx,
   return result;
 }
 
-std::vector<MethodResult> run_methods(const std::vector<Method>& methods,
-                                      const ExperimentContext& ctx,
-                                      const ExperimentConfig& config,
-                                      ThreadPool* pool) {
-  std::vector<MethodResult> results;
-  results.reserve(methods.size());
-  for (Method m : methods) {
-    results.push_back(run_method(m, ctx, config, pool));
-  }
-  return results;
-}
-
 MethodResult run_mfcp_variant(CostModel cost, ConstraintModel constraint,
                               GradMode grad, std::string label,
                               const ExperimentContext& ctx,

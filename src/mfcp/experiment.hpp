@@ -91,12 +91,6 @@ MethodResult run_method(Method method, const ExperimentContext& ctx,
                         const ExperimentConfig& config,
                         ThreadPool* pool = nullptr);
 
-/// All requested methods on the shared context.
-std::vector<MethodResult> run_methods(const std::vector<Method>& methods,
-                                      const ExperimentContext& ctx,
-                                      const ExperimentConfig& config,
-                                      ThreadPool* pool = nullptr);
-
 /// MFCP variant with explicit objective/gradient knobs (Table 1 ablation).
 MethodResult run_mfcp_variant(CostModel cost, ConstraintModel constraint,
                               GradMode grad, std::string label,

@@ -42,53 +42,31 @@ Matrix weighted_target(const Matrix& row, const std::vector<double>& weights) {
 }  // namespace
 
 LinearClusterModel::LinearClusterModel(
-    const Matrix& features, const Matrix& time_row, const Matrix& rel_row,
+    const Matrix& features, const Matrix& time_row,
     const std::vector<double>& sample_weights) {
   MFCP_CHECK(time_row.size() == features.rows(),
              "time labels must match sample count");
-  MFCP_CHECK(rel_row.size() == features.rows(),
-             "reliability labels must match sample count");
   MFCP_CHECK(sample_weights.empty() ||
                  sample_weights.size() == features.rows(),
              "weights must match sample count");
-  const Matrix x = design(features, sample_weights);
-  w_time_ = ridge_regression(x, weighted_target(time_row, sample_weights),
+  w_time_ = ridge_regression(design(features, sample_weights),
+                             weighted_target(time_row, sample_weights),
                              kRidgeLambda);
-  w_rel_ = ridge_regression(x, weighted_target(rel_row, sample_weights),
-                            kRidgeLambda);
-}
-
-Matrix LinearClusterModel::predict(const Matrix& features,
-                                   const Matrix& weights) const {
-  const std::size_t n = features.rows();
-  const std::size_t d = features.cols();
-  MFCP_CHECK(weights.size() == d + 1, "feature width mismatch");
-  Matrix out(1, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = weights[d];
-    for (std::size_t j = 0; j < d; ++j) {
-      acc += features(i, j) * weights[j];
-    }
-    out[i] = acc;
-  }
-  return out;
 }
 
 Matrix LinearClusterModel::predict_time_row(const Matrix& features) const {
-  Matrix t = predict(features, w_time_);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = std::max(t[i], 1e-3);
+  const std::size_t n = features.rows();
+  const std::size_t d = features.cols();
+  MFCP_CHECK(w_time_.size() == d + 1, "feature width mismatch");
+  Matrix t(1, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = w_time_[d];
+    for (std::size_t j = 0; j < d; ++j) {
+      acc += features(i, j) * w_time_[j];
+    }
+    t[i] = std::max(acc, 1e-3);
   }
   return t;
-}
-
-Matrix LinearClusterModel::predict_reliability_row(
-    const Matrix& features) const {
-  Matrix a = predict(features, w_rel_);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = std::clamp(a[i], 0.01, 0.999);
-  }
-  return a;
 }
 
 LinearPlatformModel::LinearPlatformModel(const sim::Dataset& train)
@@ -106,25 +84,18 @@ LinearPlatformModel::LinearPlatformModel(const sim::Dataset& train,
   models_.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
     Matrix t_row(1, train.num_tasks());
-    Matrix a_row(1, train.num_tasks());
     std::vector<double> w;
     if (!weights.empty()) {
       w.resize(train.num_tasks());
     }
     for (std::size_t j = 0; j < train.num_tasks(); ++j) {
       t_row[j] = train.times(i, j);
-      a_row[j] = train.reliability(i, j);
       if (!weights.empty()) {
         w[j] = weights(i, j);
       }
     }
-    models_.emplace_back(train.features, t_row, a_row, w);
+    models_.emplace_back(train.features, t_row, w);
   }
-}
-
-const LinearClusterModel& LinearPlatformModel::cluster(std::size_t i) const {
-  MFCP_CHECK(i < models_.size(), "cluster index out of range");
-  return models_[i];
 }
 
 Matrix LinearPlatformModel::predict_time_matrix(const Matrix& features) const {
@@ -136,18 +107,6 @@ Matrix LinearPlatformModel::predict_time_matrix(const Matrix& features) const {
     }
   }
   return t;
-}
-
-Matrix LinearPlatformModel::predict_reliability_matrix(
-    const Matrix& features) const {
-  Matrix a(models_.size(), features.rows());
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    const Matrix row = models_[i].predict_reliability_row(features);
-    for (std::size_t j = 0; j < features.rows(); ++j) {
-      a(i, j) = row[j];
-    }
-  }
-  return a;
 }
 
 }  // namespace mfcp::core

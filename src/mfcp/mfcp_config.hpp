@@ -67,7 +67,6 @@ struct MfcpConfig {
   /// Warm start from MSE pretraining (see trainer_tsm.hpp).
   bool pretrain = true;
   std::size_t pretrain_epochs = 300;
-  double pretrain_learning_rate = 1e-2;
 
   std::uint64_t seed = 0xacdcULL;
 };

@@ -25,7 +25,6 @@ struct EvaluationConfig {
   matching::BarrierConfig barrier{.beta = 8.0, .lambda = 0.1,
                                   .slack_epsilon = 1e-3};
   matching::MirrorSolverConfig solver;
-  matching::ExactSolverConfig exact;
   /// Table-1 ablation (1): deploy with the linear total-time cost instead
   /// of the smoothed max-makespan (the matching itself is ablated, not
   /// just the training gradient).

@@ -195,9 +195,11 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
   Rng rng(config.seed);
 
   if (config.pretrain) {
+    // Learning rate of the MSE warm start.
+    constexpr double kPretrainLearningRate = 1e-2;
     TsmConfig pre;
     pre.epochs = config.pretrain_epochs;
-    pre.learning_rate = config.pretrain_learning_rate;
+    pre.learning_rate = kPretrainLearningRate;
     pre.seed = rng.next_u64();
     train_tsm(predictor, train, pre);
   }

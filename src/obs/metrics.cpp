@@ -118,54 +118,6 @@ double Histogram::sum() const noexcept {
   return total;
 }
 
-// ------------------------------------------------------------ snapshot --
-
-void RegistrySnapshot::merge(const RegistrySnapshot& other) {
-  for (const auto& [name, v] : other.counters) {
-    auto it = std::find_if(counters.begin(), counters.end(),
-                           [&](const auto& p) { return p.first == name; });
-    if (it == counters.end()) {
-      counters.emplace_back(name, v);
-    } else {
-      it->second += v;
-    }
-  }
-  for (const auto& [name, v] : other.gauges) {
-    auto it = std::find_if(gauges.begin(), gauges.end(),
-                           [&](const auto& p) { return p.first == name; });
-    if (it == gauges.end()) {
-      gauges.emplace_back(name, v);
-    } else {
-      it->second = v;  // last writer wins
-    }
-  }
-  for (const HistogramSnapshot& h : other.histograms) {
-    auto it = std::find_if(
-        histograms.begin(), histograms.end(),
-        [&](const HistogramSnapshot& mine) { return mine.name == h.name; });
-    if (it == histograms.end()) {
-      histograms.push_back(h);
-      continue;
-    }
-    MFCP_CHECK(it->bounds == h.bounds,
-               "cannot merge histograms with different bucket bounds");
-    for (std::size_t b = 0; b < it->buckets.size(); ++b) {
-      it->buckets[b] += h.buckets[b];
-    }
-    it->sum += h.sum;
-    it->count += h.count;
-  }
-  const auto by_name = [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  };
-  std::sort(counters.begin(), counters.end(), by_name);
-  std::sort(gauges.begin(), gauges.end(), by_name);
-  std::sort(histograms.begin(), histograms.end(),
-            [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-              return a.name < b.name;
-            });
-}
-
 // ------------------------------------------------------------ registry --
 
 Counter& MetricsRegistry::counter(std::string_view name) {

@@ -120,16 +120,11 @@ struct HistogramSnapshot {
   std::uint64_t count = 0;
 };
 
-/// Point-in-time copy of a registry, sorted by metric name. merge() folds
-/// another snapshot in: counters and histogram buckets add; gauges take
-/// the other snapshot's value (last writer wins); metrics present in only
-/// one snapshot are kept as-is.
+/// Point-in-time copy of a registry, sorted by metric name.
 struct RegistrySnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramSnapshot> histograms;
-
-  void merge(const RegistrySnapshot& other);
 };
 
 class MetricsRegistry {

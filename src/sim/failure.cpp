@@ -72,17 +72,4 @@ void apply_drift(Platform& platform, std::size_t index,
   platform.set_cluster(index, Cluster(drifted));
 }
 
-double empirical_reliability(const Cluster& cluster,
-                             const TaskDescriptor& task, Rng& rng,
-                             std::size_t runs) {
-  MFCP_CHECK(runs > 0, "need at least one run");
-  std::size_t ok = 0;
-  for (std::size_t r = 0; r < runs; ++r) {
-    if (cluster.run_once(task, rng)) {
-      ++ok;
-    }
-  }
-  return static_cast<double>(ok) / static_cast<double>(runs);
-}
-
 }  // namespace mfcp::sim

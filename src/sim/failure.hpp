@@ -29,12 +29,6 @@ ExecutionOutcome execute_assignment(const Platform& platform,
                                     const std::vector<int>& assignment,
                                     Rng& rng, int max_attempts = 3);
 
-/// Empirical reliability estimate for one task on one cluster from `runs`
-/// Monte-Carlo executions (converges to Cluster::reliability).
-double empirical_reliability(const Cluster& cluster,
-                             const TaskDescriptor& task, Rng& rng,
-                             std::size_t runs);
-
 /// Environment drift: a persistent change to one cluster's hidden
 /// performance/reliability law (hardware swap, co-tenant load, degraded
 /// interconnect). Applied mid-run it invalidates whatever a predictor

@@ -25,39 +25,6 @@ std::size_t format_u64_decimal(char* buf, std::size_t cap,
   return n;
 }
 
-std::size_t format_i64_decimal(char* buf, std::size_t cap,
-                               std::int64_t value) noexcept {
-  if (value >= 0) {
-    return format_u64_decimal(buf, cap, static_cast<std::uint64_t>(value));
-  }
-  if (cap < 2) {
-    return 0;  // '-' plus at least one digit
-  }
-  // Negate in the unsigned domain so INT64_MIN (whose magnitude
-  // overflows int64_t) renders correctly.
-  const std::uint64_t magnitude = ~static_cast<std::uint64_t>(value) + 1;
-  const std::size_t digits =
-      format_u64_decimal(buf + 1, cap - 1, magnitude);
-  if (digits == 0) {
-    return 0;  // nothing partial: the sign is not emitted either
-  }
-  buf[0] = '-';
-  return digits + 1;
-}
-
-std::size_t format_u64_hex(char* buf, std::size_t cap,
-                           std::uint64_t value) noexcept {
-  if (cap < 16) {
-    return 0;
-  }
-  static const char kHex[] = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = kHex[value & 0xF];
-    value >>= 4;
-  }
-  return 16;
-}
-
 std::size_t append_literal(char* buf, std::size_t cap, std::size_t pos,
                            const char* text) noexcept {
   std::size_t len = 0;

@@ -22,17 +22,6 @@ namespace mfcp::support {
 std::size_t format_u64_decimal(char* buf, std::size_t cap,
                                std::uint64_t value) noexcept;
 
-/// Signed variant: renders `value` (including INT64_MIN, whose
-/// magnitude does not fit in int64_t) with a leading '-' when negative.
-/// Returns bytes written, 0 when `cap` cannot hold the full rendering.
-std::size_t format_i64_decimal(char* buf, std::size_t cap,
-                               std::int64_t value) noexcept;
-
-/// Renders `value` as exactly 16 lower-case hex digits (no NUL, no "0x").
-/// Returns 16, or 0 when `cap` < 16.
-std::size_t format_u64_hex(char* buf, std::size_t cap,
-                           std::uint64_t value) noexcept;
-
 /// Appends the NUL-terminated string `text` at `buf + pos` without
 /// overflowing `cap`. Returns the new position (== old position when the
 /// string does not fit; never partial).

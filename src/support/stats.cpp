@@ -28,14 +28,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double stddev_of(std::span<const double> xs) {
-  RunningStats rs;
-  for (double x : xs) {
-    rs.add(x);
-  }
-  return rs.stddev();
-}
-
 std::string format_mean_std(double mean, double std, int precision) {
   std::ostringstream os;
   os.setf(std::ios::fixed);

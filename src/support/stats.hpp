@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 
 namespace mfcp {
@@ -31,9 +30,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Sample standard deviation (n-1). Zero for fewer than two samples.
-double stddev_of(std::span<const double> xs);
 
 /// Formats "m ± s" with the given precision, e.g. "0.894 ± 0.035".
 std::string format_mean_std(double mean, double std, int precision = 3);

