@@ -25,10 +25,10 @@ namespace {
 /// fsync a path (file or directory) so a rename's metadata is durable.
 void fsync_path(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  MFCP_CHECK(fd >= 0, "cannot open " + path + " to fsync it");
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  MFCP_CHECK(synced, "fsync failed for " + path);
 }
 
 /// Parses "snapshot-%08llu.ckpt"; returns false for anything else.
@@ -114,6 +114,8 @@ CheckpointInfo CheckpointManager::publish(
        << "generation " << info.generation << "\n"
        << "snapshot " << snapshot_name(info.generation) << "\n"
        << "wal_seq " << wal_seq << "\n";
+    os.flush();
+    MFCP_CHECK(os.good(), "manifest write failed for " + manifest_tmp);
   }
   fsync_path(manifest_tmp);
   fs::rename(manifest_tmp, manifest);

@@ -239,7 +239,8 @@ std::vector<std::string> ChunkStore::query(double from_hours,
 void ChunkStore::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0) {
-    ::fsync(fd_);
+    MFCP_CHECK(::fsync(fd_) == 0,
+               "journal chunk fsync failed for " + chunk_path(open_chunk_));
   }
 }
 

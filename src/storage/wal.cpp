@@ -187,7 +187,12 @@ TaskWal::~TaskWal() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0) {
     if (unsynced_ > 0 && config_.fsync_every > 0) {
-      sync_locked();
+      // A destructor cannot throw; append() and sync() surface failures.
+      try {
+        sync_locked();
+      } catch (const std::exception& e) {
+        MFCP_LOG(kWarn) << "wal: final sync failed: " << e.what();
+      }
     }
     ::close(fd_);
     fd_ = -1;
@@ -196,7 +201,6 @@ TaskWal::~TaskWal() {
 
 void TaskWal::open_segment_locked() {
   if (fd_ >= 0) {
-    sync_locked();
     ::close(fd_);
   }
   const std::string path =
@@ -209,7 +213,7 @@ void TaskWal::open_segment_locked() {
 
 void TaskWal::sync_locked() {
   if (fd_ >= 0 && unsynced_ > 0) {
-    ::fsync(fd_);
+    MFCP_CHECK(::fsync(fd_) == 0, "WAL fsync failed");
     unsynced_ = 0;
     ++stats_.fsyncs;
     if (fsync_counter_ != nullptr) {
@@ -243,6 +247,9 @@ std::uint64_t TaskWal::append(WalRecord rec) {
     sync_locked();
   }
   if (segment_written_ >= config_.segment_bytes) {
+    // Sync before the index moves, so a failed fsync leaves no gap in the
+    // segment numbering.
+    sync_locked();
     ++segment_index_;
     open_segment_locked();
   }

@@ -18,6 +18,7 @@
 #include "storage/chunk_store.hpp"
 #include "storage/storage.hpp"
 #include "storage/wal.hpp"
+#include "support/check.hpp"
 
 namespace mfcp::storage {
 namespace {
@@ -41,6 +42,14 @@ struct TempDir {
   }
   [[nodiscard]] std::string str() const { return path.string(); }
 };
+
+/// Whole contents of a regular file.
+std::string file_text(const fs::path& path) {
+  std::ifstream is(path);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
 
 WalRecord accepted_record(std::uint64_t id, double hours, double deadline) {
   WalRecord rec;
@@ -228,6 +237,22 @@ TEST(Wal, RotationSpansSegmentsWithMonotoneSeq) {
   EXPECT_EQ(wal.append(accepted_record(99, 1.0, 2.0)), 11u);
 }
 
+// A file name linked to /dev/null or /dev/full is a file whose bytes never
+// land: fsync(2) on either device fails with EINVAL, and a write to
+// /dev/full fails with ENOSPC. Every durability point must throw there
+// instead of reporting success.
+
+TEST(Wal, FailedFsyncThrowsFromAppend) {
+  TempDir dir("wal_fsync_fail");
+  WalConfig cfg{dir.str()};
+  cfg.fsync_every = 1;
+  fs::create_symlink("/dev/null",
+                     dir.path / wal_segment_name(cfg.start_segment));
+  TaskWal wal(cfg);
+  EXPECT_THROW(wal.append(accepted_record(1, 0.1, 2.0)), ContractError);
+  EXPECT_EQ(wal.stats().fsyncs, 0u);
+}
+
 // ---------------------------------------------------------- checkpoints --
 
 /// Publishes `payload` as the next generation.
@@ -343,6 +368,31 @@ TEST(Checkpoints, StrayOverlongSnapshotNameIsIgnored) {
   EXPECT_TRUE(fs::exists(stray));
 }
 
+TEST(Checkpoints, FailedSnapshotFsyncThrowsAndPublishesNothing) {
+  TempDir dir("ckpt_fsync_fail");
+  CheckpointManager mgr(CheckpointConfig{dir.str(), 3});
+  publish_payload(mgr, 10, "gen 1");
+  const std::string manifest = file_text(dir.path / "MANIFEST");
+  fs::create_symlink("/dev/null", dir.path / (snapshot_name(2) + ".tmp"));
+  EXPECT_THROW(publish_payload(mgr, 20, "gen 2"), ContractError);
+  EXPECT_FALSE(fs::exists(dir.path / snapshot_name(2)));
+  EXPECT_EQ(file_text(dir.path / "MANIFEST"), manifest);
+  EXPECT_EQ(mgr.generation(), 1u);
+}
+
+TEST(Checkpoints, FailedManifestWriteThrowsAndKeepsThePreviousManifest) {
+  TempDir dir("ckpt_manifest_fail");
+  CheckpointManager mgr(CheckpointConfig{dir.str(), 3});
+  publish_payload(mgr, 10, "gen 1");
+  const std::string manifest = file_text(dir.path / "MANIFEST");
+  fs::create_symlink("/dev/full", dir.path / "MANIFEST.tmp");
+  EXPECT_THROW(publish_payload(mgr, 20, "gen 2"), ContractError);
+  // Renamed over, MANIFEST would be the link itself: endless zeros.
+  ASSERT_FALSE(fs::is_symlink(dir.path / "MANIFEST"));
+  EXPECT_EQ(file_text(dir.path / "MANIFEST"), manifest);
+  EXPECT_EQ(mgr.generation(), 1u);
+}
+
 // --------------------------------------------------------------- chunks --
 
 TEST(Chunks, StrayOverlongChunkNameIsIgnored) {
@@ -361,6 +411,16 @@ TEST(Chunks, StrayOverlongChunkNameIsIgnored) {
   EXPECT_EQ(store.stats().chunks, 1u);
   EXPECT_EQ(store.query(0.0, 10.0).size(), 1u);
   EXPECT_TRUE(fs::exists(fs::path(dir.str()) / ChunkStore::chunk_name(0)));
+}
+
+TEST(Chunks, FailedFsyncThrowsFromFlush) {
+  TempDir dir("chunk_fsync_fail");
+  fs::create_symlink("/dev/null", dir.path / ChunkStore::chunk_name(0));
+  ChunkStoreConfig cfg{dir.str()};
+  cfg.chunk_hours = 1.0;
+  ChunkStore store(cfg);
+  store.append(0.5, R"({"close_hours":0.5})");
+  EXPECT_THROW(store.flush(), ContractError);
 }
 
 TEST(Chunks, RoutesByTimeAndQueriesAcrossBoundaries) {
