@@ -812,6 +812,57 @@ TEST(GatewayLive, BackpressureOverTheWire) {
             1);
 }
 
+TEST(GatewayLive, EveryRouteCountsUnderItsOwnLabel) {
+  // The request metric's route label comes from a second route table
+  // beside route_gateway_request's dispatch; one request per served path
+  // pins the two together.
+  engine::GatewayLink link;
+  obs::MetricsRegistry registry;
+  PlatformGateway gateway(link, &registry, nullptr);
+  const struct {
+    const char* method;
+    const char* path;
+    const char* label;
+  } kCases[] = {
+      {"POST", "/submit", "/submit"},
+      {"GET", "/task/1", "/task"},
+      {"GET", "/trace/1", "/trace"},
+      {"GET", "/alerts", "/alerts"},
+      {"GET", "/ratekeeper", "/ratekeeper"},
+      {"GET", "/stats", "/stats"},
+      {"GET", "/metrics", "/metrics"},
+      {"GET", "/healthz", "/healthz"},
+      {"GET", "/debug/flight?limit=1", "/debug/flight"},
+      {"GET", "/debug/threads", "/debug/threads"},
+      {"GET", "/debug/profile", "/debug/profile"},
+      {"GET", "/debug/build", "/debug/build"},
+      {"GET", "/debug/storage", "/debug/storage"},
+      {"GET", "/journal?from=0", "/journal"},
+      {"GET", "/no/such/route", "other"},
+  };
+  for (const auto& c : kCases) {
+    const std::string body =
+        std::string(c.method) == "POST" ? "{\"family\":\"cnn\"}" : "";
+    ASSERT_TRUE(
+        http_call("127.0.0.1", gateway.port(), c.method, c.path, body).ok)
+        << c.path;
+  }
+  gateway.stop();
+
+  const std::string prefix = "mfcp_gateway_requests_total{route=\"";
+  std::map<std::string, std::uint64_t> by_route;
+  for (const auto& [name, value] : registry.snapshot().counters) {
+    if (name.rfind(prefix, 0) == 0) {
+      const std::size_t end = name.find('"', prefix.size());
+      by_route[name.substr(prefix.size(), end - prefix.size())] += value;
+    }
+  }
+  for (const auto& c : kCases) {
+    EXPECT_EQ(by_route[c.label], 1u) << c.path;
+  }
+  EXPECT_EQ(by_route.size(), std::size(kCases));
+}
+
 // -------------------------------------------------- end-to-end serving --
 
 int state_rank(const std::string& state) {
