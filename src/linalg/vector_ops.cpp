@@ -16,25 +16,6 @@ double dot(const Matrix& a, const Matrix& b) {
   return acc;
 }
 
-double norm2(const Matrix& m) { return std::sqrt(dot(m, m)); }
-
-double sum(const Matrix& m) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    acc += m[i];
-  }
-  return acc;
-}
-
-double max_element(const Matrix& m) {
-  MFCP_CHECK(!m.empty(), "max of empty matrix");
-  double acc = m[0];
-  for (std::size_t i = 1; i < m.size(); ++i) {
-    acc = std::max(acc, m[i]);
-  }
-  return acc;
-}
-
 double log_sum_exp(std::span<const double> xs, double beta) {
   MFCP_CHECK(!xs.empty(), "log_sum_exp of empty span");
   MFCP_CHECK(beta > 0.0, "log_sum_exp requires beta > 0");

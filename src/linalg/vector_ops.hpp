@@ -1,4 +1,4 @@
-// Vector-flavoured helpers over Matrix (norms, dot products, softmax,
+// Vector-flavoured helpers over Matrix (dot products, softmax,
 // log-sum-exp). These are the numeric primitives the smoothed matching
 // objective (Eq. 8) and Algorithm 1's softmax projection are built from.
 #pragma once
@@ -11,15 +11,6 @@ namespace mfcp {
 
 /// Dot product over flattened elements. Shapes must match element count.
 double dot(const Matrix& a, const Matrix& b);
-
-/// Euclidean norm of all elements.
-double norm2(const Matrix& m);
-
-/// Sum of all elements.
-double sum(const Matrix& m);
-
-/// Maximum element. Requires non-empty input.
-double max_element(const Matrix& m);
 
 /// Numerically stable log(sum(exp(beta * x))) / beta over a span.
 /// This is the paper's smooth-max (Theorem 1): max(x) <= lse <= max(x) +
