@@ -98,20 +98,6 @@ bool is_terminal(WalRecordType type) noexcept {
          type == WalRecordType::kExpired || type == WalRecordType::kRejected;
 }
 
-const char* to_string(WalRecordType type) noexcept {
-  switch (type) {
-    case WalRecordType::kAccepted:
-      return "accepted";
-    case WalRecordType::kDispatched:
-      return "dispatched";
-    case WalRecordType::kExpired:
-      return "expired";
-    case WalRecordType::kRejected:
-      return "rejected";
-  }
-  return "?";
-}
-
 std::uint32_t crc32(const void* data, std::size_t n) noexcept {
   // IEEE 802.3 reflected polynomial, nibble-at-a-time (small table, no
   // startup cost worth caching).

@@ -52,7 +52,6 @@ enum class WalRecordType : std::uint8_t {
 };
 
 [[nodiscard]] bool is_terminal(WalRecordType type) noexcept;
-[[nodiscard]] const char* to_string(WalRecordType type) noexcept;
 
 /// One framed log record. `seq` is assigned by TaskWal::append and is
 /// strictly monotone across segments.
