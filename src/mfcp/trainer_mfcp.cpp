@@ -195,7 +195,6 @@ MfcpTrainResult train_decision_focused(PlatformPredictor& predictor,
   Rng rng(config.seed);
 
   if (config.pretrain) {
-    // Learning rate of the MSE warm start.
     constexpr double kPretrainLearningRate = 1e-2;
     TsmConfig pre;
     pre.epochs = config.pretrain_epochs;
